@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import QAError
+from .serde import atomic_write_text
 from .taxonomy import AnswerType, parse_label
 from .text import tokenize
 
@@ -168,7 +169,7 @@ def write_model(model: ClassifierModel, path) -> None:
     for label in sorted(model.feature_counts):
         for feat, n in sorted(model.feature_counts[label].items()):
             lines.append(f"feat {label} {feat} {n}")
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
 def load_model(path) -> ClassifierModel:

@@ -20,10 +20,10 @@ import sys
 
 from . import index as index_mod
 from .classifier import load_model, parse_training_file, train_classifier, write_model
-from .config import load_config
+from .config import PipelineConfig, ValidationFailed, check_param_types, load_config
 from .errors import QAError, UsageError
-from .extraction import answer_question
-from .pipeline import StageKind, run_pipeline
+from .extraction import AnswerSettings, answer_question
+from .pipeline import PIPELINE_ORDER, StageKind, run_pipeline
 from .questions import Question, analyze
 from .stages import default_registry
 from .stopwords import STOPWORDS
@@ -62,8 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_stages(config_path: str, stages: list[StageKind]) -> int:
-    config = load_config(config_path)
+def _run_stages(config: PipelineConfig, stages: list[StageKind]) -> int:
     manifest = run_pipeline(config, default_registry(), stages)
     for run in manifest.stages_run:
         print(f"{run.stage.value}: {run.detail}")
@@ -71,34 +70,25 @@ def _run_stages(config_path: str, stages: list[StageKind]) -> int:
 
 
 def cmd_index(args) -> int:
-    return _run_stages(args.config, [StageKind.INFO_SOURCE_PREP])
+    return _run_stages(load_config(args.config), [StageKind.INFO_SOURCE_PREP])
 
 
 def cmd_process_questions(args) -> int:
-    return _run_stages(args.config, [StageKind.QUESTION_PROCESSING])
+    return _run_stages(load_config(args.config), [StageKind.QUESTION_PROCESSING])
 
 
 def cmd_answer(args) -> int:
-    return _run_stages(args.config, [StageKind.ANSWER_RETRIEVAL])
+    return _run_stages(load_config(args.config), [StageKind.ANSWER_RETRIEVAL])
 
 
 def cmd_evaluate(args) -> int:
-    return _run_stages(args.config, [StageKind.EVALUATION])
+    return _run_stages(load_config(args.config), [StageKind.EVALUATION])
 
 
 def cmd_run_all(args) -> int:
     config = load_config(args.config)
-    stages = [
-        StageKind.INFO_SOURCE_PREP,
-        StageKind.QUESTION_PROCESSING,
-        StageKind.ANSWER_RETRIEVAL,
-    ]
-    if config.gold_path:
-        stages.append(StageKind.EVALUATION)
-    manifest = run_pipeline(config, default_registry(), stages)
-    for run in manifest.stages_run:
-        print(f"{run.stage.value}: {run.detail}")
-    return EXIT_OK
+    stages = PIPELINE_ORDER if config.gold_path else PIPELINE_ORDER[:3]
+    return _run_stages(config, list(stages))
 
 
 def cmd_train_classifier(args) -> int:
@@ -125,6 +115,13 @@ def cmd_train_classifier(args) -> int:
 
 def cmd_ask(args) -> int:
     config = load_config(args.config)
+    issues = check_param_types(config)
+    if issues:
+        raise ValidationFailed(issues)
+    try:
+        settings = AnswerSettings.from_config(config)
+    except FileNotFoundError as exc:
+        raise UsageError(f"gazetteer not found: {exc.filename}") from exc
     try:
         idx = index_mod.load_index(config.index_path)
     except FileNotFoundError as exc:
@@ -138,15 +135,7 @@ def cmd_ask(args) -> int:
 
     def respond(qid: str, text: str) -> None:
         analysis = analyze(Question(qid, text), model, STOPWORDS)
-        record = answer_question(
-            idx,
-            analysis,
-            k=config.int_param("retrieval.k"),
-            max_passages=config.int_param("retrieval.max_passages"),
-            coverage_weight=config.float_param("weights.coverage"),
-            proximity_weight=config.float_param("weights.proximity"),
-            redundancy_weight=config.float_param("weights.redundancy"),
-        )
+        record = answer_question(idx, analysis, settings)
         answer = record.answer if record.answer is not None else "NIL"
         doc = record.supporting_doc if record.supporting_doc is not None else "-"
         print(f"{answer}\t{doc}\t{record.final_score:g}")

@@ -15,13 +15,18 @@ Stage parameters and their defaults:
     corpus.format        trec-sgml | record-lines     (trec-sgml)
     questions.format     trec-xml | qline             (qline)
     questions.analysis_out   stage-2 artifact path    (analysis.txt)
-    retrieval.k              documents to retrieve    (50)
-    retrieval.max_passages   passages to keep         (20)
-    weights.coverage         passage coverage bonus   (2.0)
-    weights.proximity        candidate proximity      (1.0)
-    weights.redundancy       candidate redundancy     (0.5)
+    retrieval.k              documents to retrieve
+    retrieval.max_passages   passages to keep
+    weights.coverage         passage coverage bonus
+    weights.proximity        candidate proximity
+    weights.redundancy       candidate redundancy
     extract.persons          persons gazetteer path   (unset)
     extract.locations        locations gazetteer path (unset)
+
+The retrieval.*, weights.* and extract.* keys are the stage-3 settings.
+Their defaults are those of `extraction.AnswerSettings`, which both the
+`answer` stage and the `ask` command build from the config, gazetteers
+included, so the two answer a question alike.
 """
 
 import hashlib
@@ -29,6 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import UsageError
+from .extraction import AnswerSettings
 
 REQUIRED_PATH_KEYS = ("corpus_path", "index_path", "questions_path", "answers_out_path")
 OPTIONAL_PATH_KEYS = ("classifier_model_path", "gold_path", "report_out_path")
@@ -38,16 +44,18 @@ _FLOAT = "float"
 _PATH = "path"
 _CHOICE = "choice"
 
+_STAGE3 = AnswerSettings()
+
 # key -> (kind, default or None, choices for _CHOICE)
 PARAM_SPECS: dict[str, tuple] = {
     "corpus.format": (_CHOICE, "trec-sgml", ("trec-sgml", "record-lines")),
     "questions.format": (_CHOICE, "qline", ("trec-xml", "qline")),
     "questions.analysis_out": (_PATH, "analysis.txt", None),
-    "retrieval.k": (_INT, "50", None),
-    "retrieval.max_passages": (_INT, "20", None),
-    "weights.coverage": (_FLOAT, "2.0", None),
-    "weights.proximity": (_FLOAT, "1.0", None),
-    "weights.redundancy": (_FLOAT, "0.5", None),
+    "retrieval.k": (_INT, str(_STAGE3.k), None),
+    "retrieval.max_passages": (_INT, str(_STAGE3.max_passages), None),
+    "weights.coverage": (_FLOAT, str(_STAGE3.coverage_weight), None),
+    "weights.proximity": (_FLOAT, str(_STAGE3.proximity_weight), None),
+    "weights.redundancy": (_FLOAT, str(_STAGE3.redundancy_weight), None),
     "extract.persons": (_PATH, None, None),
     "extract.locations": (_PATH, None, None),
 }

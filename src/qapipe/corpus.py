@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import QAError
+from .serde import atomic_write_text
 
 CORPUS_FORMATS = ("trec-sgml", "record-lines")
 
@@ -111,7 +112,8 @@ def _parse_record_lines(raw: str, rejects: list[MalformedRecord]):
         yield Document(doc_id.strip(), headline.strip() or None, text, ())
 
 
-def write_rejects(rejects: list[MalformedRecord], path) -> None:
-    """Persist reject records, one per line, as the stage sidecar file."""
+def write_rejects(rejects, path) -> None:
+    """Persist corpus or question rejects, `location<TAB>reason` per line,
+    as the stage's sidecar file."""
     lines = [f"{r.location}\t{r.reason}" for r in rejects]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    atomic_write_text(path, "".join(line + "\n" for line in lines))

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .errors import QAError
 from .extraction import AnswerRecord
+from .serde import atomic_write_text
 
 NIL = "NIL"
 
@@ -151,4 +152,4 @@ def format_report(report: EvaluationReport) -> str:
 
 
 def write_report(report: EvaluationReport, path) -> None:
-    Path(path).write_text(format_report(report), encoding="utf-8")
+    atomic_write_text(path, format_report(report))

@@ -18,6 +18,10 @@ Ranking scores each candidate by its passage score plus a proximity
 term (inverse token distance to each query term in the passage) plus a
 redundancy term (how many passages repeat the candidate verbatim), then
 deduplicates case-insensitively keeping the earliest source.
+
+`AnswerSettings` holds every stage-3 setting and its default. The
+`answer` stage and the `ask` command both build it with
+`AnswerSettings.from_config`, so they answer alike for one config.
 """
 
 import dataclasses
@@ -29,21 +33,18 @@ from .errors import QAError
 from .index import InvertedIndex
 from .questions import QuestionAnalysis
 from .retrieval import (
+    DEFAULT_COVERAGE_WEIGHT,
     Passage,
     retrieve_documents,
     score_passage,
     segment_passages,
     split_sentences,
 )
-from .serde import escape_field, unescape_field
+from .serde import atomic_write_text, escape_field, unescape_field
 from .stopwords import STOPWORDS
 from .taxonomy import AnswerType
 from .text import tokenize
 
-DEFAULT_TOP_K = 50
-DEFAULT_MAX_PASSAGES = 20
-DEFAULT_PROXIMITY_WEIGHT = 1.0
-DEFAULT_REDUNDANCY_WEIGHT = 0.5
 GAZETTEER_BONUS = 1.0
 
 
@@ -63,10 +64,6 @@ class CandidateAnswer:
     redundancy_count: int = 1
     gazetteer_match: bool = False
     final_score: float = 0.0
-
-    @property
-    def source(self) -> tuple[str, int]:
-        return (self.doc_id, self.char_offset)
 
 
 @dataclass(frozen=True)
@@ -92,6 +89,38 @@ def load_gazetteer(path) -> frozenset[str]:
         if line.strip()
     }
     return frozenset(names)
+
+
+@dataclass(frozen=True)
+class AnswerSettings:
+    """Stage-3 settings; the defaults here are the config defaults."""
+
+    k: int = 50                      # documents to retrieve
+    max_passages: int = 20           # passages kept per question
+    coverage_weight: float = DEFAULT_COVERAGE_WEIGHT
+    proximity_weight: float = 1.0
+    redundancy_weight: float = 0.5
+    gazetteers: Gazetteers = Gazetteers()
+
+    @classmethod
+    def from_config(cls, config) -> "AnswerSettings":
+        """Read a PipelineConfig's stage-3 keys and load the gazetteers it names.
+
+        Raises FileNotFoundError for a named gazetteer file that is missing.
+        """
+        persons = config.param("extract.persons")
+        locations = config.param("extract.locations")
+        return cls(
+            k=config.int_param("retrieval.k"),
+            max_passages=config.int_param("retrieval.max_passages"),
+            coverage_weight=config.float_param("weights.coverage"),
+            proximity_weight=config.float_param("weights.proximity"),
+            redundancy_weight=config.float_param("weights.redundancy"),
+            gazetteers=Gazetteers(
+                persons=load_gazetteer(persons) if persons else frozenset(),
+                locations=load_gazetteer(locations) if locations else frozenset(),
+            ),
+        )
 
 
 _MONTH = (
@@ -170,12 +199,14 @@ def _capitalized_runs(text: str, query_terms, stoplist) -> list[tuple[int, str]]
     return out
 
 
-def _best_sentence(passage: Passage, query_terms, index) -> tuple[int, str] | None:
+def _best_sentence(
+    passage: Passage, query_terms, index, coverage_weight: float
+) -> tuple[int, str] | None:
     best: tuple[int, str] | None = None
     best_score = float("-inf")
     for a, b in split_sentences(passage.text):
         pseudo = Passage(passage.doc_id, (a, b), passage.text[a:b], 1)
-        s = score_passage(pseudo, query_terms, index)
+        s = score_passage(pseudo, query_terms, index, coverage_weight)
         if s > best_score:
             best_score = s
             best = (a, passage.text[a:b])
@@ -187,7 +218,7 @@ def extract_candidates(
     answer_type: AnswerType,
     query_terms: list[str] = (),
     index: InvertedIndex | None = None,
-    gazetteers: Gazetteers | None = None,
+    settings: AnswerSettings = AnswerSettings(),
     passage_index: int = 0,
 ) -> list[CandidateAnswer]:
     """Type-conditioned extraction; offsets are document-level."""
@@ -207,7 +238,9 @@ def extract_candidates(
     elif coarse in ("HUM", "LOC", "ENTY", "ABBR"):
         hits = _capitalized_runs(text, query_terms, STOPWORDS)
     elif coarse == "DESC":
-        best = _best_sentence(passage, query_terms, index) if index is not None else None
+        best = None
+        if index is not None:
+            best = _best_sentence(passage, query_terms, index, settings.coverage_weight)
         if best is None and text.strip():
             stripped = text.strip()
             best = (text.index(stripped[0]), stripped)
@@ -216,7 +249,8 @@ def extract_candidates(
         raise UnsupportedType(f"no extraction branch for {answer_type.label}")
 
     base = passage.char_span[0]
-    gaz = _gazetteer_for(coarse, gazetteers)
+    gazetteers = settings.gazetteers
+    gaz = {"HUM": gazetteers.persons, "LOC": gazetteers.locations}.get(coarse, frozenset())
     return [
         CandidateAnswer(
             text=hit,
@@ -229,16 +263,6 @@ def extract_candidates(
         )
         for offset, hit in hits
     ]
-
-
-def _gazetteer_for(coarse: str, gazetteers: Gazetteers | None) -> frozenset[str]:
-    if gazetteers is None:
-        return frozenset()
-    if coarse == "HUM":
-        return gazetteers.persons
-    if coarse == "LOC":
-        return gazetteers.locations
-    return frozenset()
 
 
 def _token_span(passage: Passage, candidate: CandidateAnswer, tokens) -> tuple[int, int]:
@@ -260,8 +284,7 @@ def rank_candidates(
     candidates: list[CandidateAnswer],
     analysis: QuestionAnalysis,
     passages: list[Passage],
-    proximity_weight: float = DEFAULT_PROXIMITY_WEIGHT,
-    redundancy_weight: float = DEFAULT_REDUNDANCY_WEIGHT,
+    settings: AnswerSettings = AnswerSettings(),
 ) -> list[CandidateAnswer]:
     """Score, deduplicate, and order candidates best-first."""
     if not candidates:
@@ -293,8 +316,8 @@ def rank_candidates(
         red = redundancy[cand.text.lower()]
         final = (
             cand.passage_score
-            + proximity_weight * prox
-            + redundancy_weight * (red - 1)
+            + settings.proximity_weight * prox
+            + settings.redundancy_weight * (red - 1)
             + (GAZETTEER_BONUS if cand.gazetteer_match else 0.0)
         )
         scored.append(
@@ -322,18 +345,13 @@ def rank_candidates(
 def answer_question(
     index: InvertedIndex,
     analysis: QuestionAnalysis,
-    k: int = DEFAULT_TOP_K,
-    max_passages: int = DEFAULT_MAX_PASSAGES,
-    coverage_weight: float = 2.0,
-    proximity_weight: float = DEFAULT_PROXIMITY_WEIGHT,
-    redundancy_weight: float = DEFAULT_REDUNDANCY_WEIGHT,
-    gazetteers: Gazetteers | None = None,
+    settings: AnswerSettings = AnswerSettings(),
 ) -> AnswerRecord:
     """Retrieve, segment, score, extract, rank; NIL when nothing survives."""
     nil = AnswerRecord(analysis.qid, None, None, 0.0, 0)
     if not analysis.query_terms:
         return nil
-    docs = retrieve_documents(index, analysis.query_terms, k)
+    docs = retrieve_documents(index, analysis.query_terms, settings.k)
     if not docs:
         return nil
 
@@ -341,12 +359,12 @@ def answer_question(
     for doc_rank, scored_doc in enumerate(docs):
         document = index.stored_docs[scored_doc.doc_id]
         for passage in segment_passages(document):
-            s = score_passage(passage, analysis.query_terms, index, coverage_weight)
+            s = score_passage(passage, analysis.query_terms, index, settings.coverage_weight)
             scored_passages.append(
                 (s, doc_rank, passage.char_span[0], dataclasses.replace(passage, passage_score=s))
             )
     scored_passages.sort(key=lambda item: (-item[0], item[1], item[2]))
-    kept = [item[3] for item in scored_passages[:max_passages]]
+    kept = [item[3] for item in scored_passages[: settings.max_passages]]
 
     candidates: list[CandidateAnswer] = []
     for i, passage in enumerate(kept):
@@ -356,13 +374,11 @@ def answer_question(
                 analysis.answer_type,
                 analysis.query_terms,
                 index=index,
-                gazetteers=gazetteers,
+                settings=settings,
                 passage_index=i,
             )
         )
-    ranked = rank_candidates(
-        candidates, analysis, kept, proximity_weight, redundancy_weight
-    )
+    ranked = rank_candidates(candidates, analysis, kept, settings)
     if not ranked:
         return nil
     top = ranked[0]
@@ -383,7 +399,7 @@ def write_answers(records: list[AnswerRecord], path) -> None:
                 )
             )
         )
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
 def load_answers(path) -> list[AnswerRecord]:

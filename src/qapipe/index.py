@@ -26,7 +26,9 @@ from typing import Iterable
 
 from .corpus import Document
 from .errors import QAError
-from .serde import escape_field, escape_optional, unescape_field, unescape_optional
+from .serde import (
+    atomic_write_text, escape_field, escape_optional, unescape_field, unescape_optional,
+)
 from .text import tokenize
 
 MAGIC = "QANUSIDX"
@@ -144,7 +146,7 @@ def write_index(index: InvertedIndex, path) -> None:
             for p in index.postings[term]
         ]
         lines.append("term\t" + term + "\t" + "\t".join(cells))
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
 def load_index(path) -> InvertedIndex:

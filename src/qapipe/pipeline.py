@@ -16,6 +16,7 @@ from typing import Callable
 
 from .config import ConfigIssue, PipelineConfig, ValidationFailed, check_param_types
 from .errors import QAError, UsageError
+from .serde import atomic_write_text
 
 
 class StageKind(Enum):
@@ -50,8 +51,8 @@ class StageFailure(QAError):
 
 @dataclass(frozen=True)
 class StageResult:
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
+    """What an engine reports; its inputs and outputs come from the config."""
+
     detail: str = ""
 
 
@@ -87,9 +88,6 @@ class ComponentRegistry:
         if name not in bucket:
             raise QAError(f"no component {name!r} for stage {stage.value}")
         return bucket[name]
-
-    def components(self, stage: StageKind) -> list[StageComponent]:
-        return list(self._by_stage[stage].values())
 
 
 def analysis_out_path(config: PipelineConfig) -> str:
@@ -184,7 +182,6 @@ def run_pipeline(
     config: PipelineConfig,
     registry: ComponentRegistry,
     stages: list[StageKind],
-    manifest_path: str | None = None,
 ) -> RunManifest:
     """Run the requested stages serially; abort on first failure."""
     if not stages:
@@ -226,15 +223,13 @@ def run_pipeline(
                 stage=stage,
                 component=component.name,
                 duration_s=time.perf_counter() - t0,
-                inputs=result.inputs,
-                outputs=result.outputs,
+                inputs=tuple(stage_inputs(config, stage)),
+                outputs=tuple(stage_outputs(config, stage)),
                 detail=result.detail,
             )
         )
-    if manifest_path is None:
-        anchor = config.report_out_path or config.answers_out_path
-        manifest_path = str(Path(anchor).parent / "run_manifest.txt")
-    write_manifest(manifest, manifest_path)
+    anchor = config.report_out_path or config.answers_out_path
+    write_manifest(manifest, Path(anchor).parent / "run_manifest.txt")
     return manifest
 
 
@@ -251,4 +246,4 @@ def write_manifest(manifest: RunManifest, path) -> None:
         lines.append(f"  outputs = {', '.join(run.outputs) or '-'}")
         if run.detail:
             lines.append(f"  detail = {run.detail}")
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    atomic_write_text(path, "".join(line + "\n" for line in lines))

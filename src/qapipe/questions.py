@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .classifier import ClassifierModel, classify_question
 from .errors import QAError
+from .serde import atomic_write_text
 from .taxonomy import AnswerType, parse_label
 from .text import Token, remove_stopwords, tokenize
 
@@ -194,7 +195,7 @@ def write_analyses(analyses: list[QuestionAnalysis], path) -> None:
                 )
             )
         )
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
 def load_analyses(path) -> list[QuestionAnalysis]:

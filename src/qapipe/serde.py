@@ -3,7 +3,13 @@
 Tabs separate fields and newlines separate records, so embedded tabs,
 newlines, and backslashes are escaped. A field that is exactly \\N
 encodes "absent" (a literal backslash-N survives as \\\\N).
+
+Every artifact is written through `atomic_write_text`, so a stage that
+fails or is killed mid-write leaves the previous file, never part of one.
 """
+
+import os
+from pathlib import Path
 
 NONE_FIELD = "\\N"
 
@@ -35,3 +41,20 @@ def escape_optional(s: str | None) -> str:
 
 def unescape_optional(s: str) -> str | None:
     return None if s == NONE_FIELD else unescape_field(s)
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Replace `path` with `text` (UTF-8): readers see the old bytes or the new.
+
+    The text goes to a temporary file in the same directory, which then
+    takes the target's name with `os.replace`; a failed write removes it.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as out:
+            out.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

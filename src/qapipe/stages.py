@@ -1,18 +1,16 @@
 """Reference stage components wiring the library into the pipeline.
 
 Each engine reads its inputs from the config's paths, does the stage's
-work, and persists this stage's artifact before returning. Registering
-these four components against a fresh registry yields the complete
-reference QA system.
+work, and persists this stage's artifact before returning; the pipeline
+takes the paths it records from the config. Registering these four
+components against a fresh registry yields the complete reference QA
+system.
 """
-
-from pathlib import Path
 
 from . import corpus, extraction, index, questions
 from .classifier import load_model
 from .config import PipelineConfig
 from .evaluation import evaluate_answers, format_report, load_gold, write_report
-from .extraction import Gazetteers, load_gazetteer
 from .pipeline import (
     ComponentRegistry,
     StageComponent,
@@ -32,10 +30,8 @@ def run_info_source_prep(config: PipelineConfig) -> StageResult:
         corpus.write_rejects(rejects, config.index_path + ".rejects")
     st = idx.stats()
     return StageResult(
-        inputs=(config.corpus_path,),
-        outputs=(config.index_path,),
-        detail=f"docs={st.doc_count} terms={st.distinct_terms} "
-        f"postings={st.total_postings} rejects={len(rejects)}",
+        f"docs={st.doc_count} terms={st.distinct_terms} "
+        f"postings={st.total_postings} rejects={len(rejects)}"
     )
 
 
@@ -49,68 +45,27 @@ def run_question_processing(config: PipelineConfig) -> StageResult:
     analyses = [questions.analyze(q, model, STOPWORDS) for q in parsed]
     questions.write_analyses(analyses, out_path)
     if rejects:
-        lines = [f"{r.location}\t{r.reason}" for r in rejects]
-        Path(out_path + ".rejects").write_text(
-            "".join(line + "\n" for line in lines), encoding="utf-8"
-        )
-    return StageResult(
-        inputs=(config.questions_path, config.classifier_model_path),
-        outputs=(out_path,),
-        detail=f"questions={len(analyses)} rejects={len(rejects)}",
-    )
-
-
-def _load_gazetteers(config: PipelineConfig) -> Gazetteers | None:
-    persons = config.param("extract.persons")
-    locations = config.param("extract.locations")
-    if not persons and not locations:
-        return None
-    return Gazetteers(
-        persons=load_gazetteer(persons) if persons else frozenset(),
-        locations=load_gazetteer(locations) if locations else frozenset(),
-    )
+        corpus.write_rejects(rejects, out_path + ".rejects")
+    return StageResult(f"questions={len(analyses)} rejects={len(rejects)}")
 
 
 def run_answer_retrieval(config: PipelineConfig) -> StageResult:
-    analyses_path = analysis_out_path(config)
     idx = index.load_index(config.index_path)
-    analyses = questions.load_analyses(analyses_path)
-    gazetteers = _load_gazetteers(config)
-    records = [
-        extraction.answer_question(
-            idx,
-            analysis,
-            k=config.int_param("retrieval.k"),
-            max_passages=config.int_param("retrieval.max_passages"),
-            coverage_weight=config.float_param("weights.coverage"),
-            proximity_weight=config.float_param("weights.proximity"),
-            redundancy_weight=config.float_param("weights.redundancy"),
-            gazetteers=gazetteers,
-        )
-        for analysis in analyses
-    ]
+    analyses = questions.load_analyses(analysis_out_path(config))
+    settings = extraction.AnswerSettings.from_config(config)
+    records = [extraction.answer_question(idx, analysis, settings) for analysis in analyses]
     extraction.write_answers(records, config.answers_out_path)
     answered = sum(1 for r in records if r.answer is not None)
-    return StageResult(
-        inputs=(config.index_path, analyses_path),
-        outputs=(config.answers_out_path,),
-        detail=f"questions={len(records)} answered={answered}",
-    )
+    return StageResult(f"questions={len(records)} answered={answered}")
 
 
 def run_evaluation(config: PipelineConfig) -> StageResult:
     answers = extraction.load_answers(config.answers_out_path)
     gold = load_gold(config.gold_path)
     report = evaluate_answers(answers, gold)
-    outputs: tuple[str, ...] = ()
     if config.report_out_path:
         write_report(report, config.report_out_path)
-        outputs = (config.report_out_path,)
-    return StageResult(
-        inputs=(config.answers_out_path, config.gold_path),
-        outputs=outputs,
-        detail=format_report(report).splitlines()[0],
-    )
+    return StageResult(format_report(report).splitlines()[0])
 
 
 def default_registry() -> ComponentRegistry:

@@ -1,3 +1,5 @@
+import pytest
+
 from conftest import run_cli
 
 TOY_TRAINING = """ABBR:exp What does DNA stand for ?
@@ -204,3 +206,42 @@ def test_stats_without_artifacts_exits_1(tmp_path):
     write_basic_setup(tmp_path)
     result = run_cli("stats", "--config", "config.qa", cwd=tmp_path)
     assert result.returncode == 1
+
+
+def test_ask_and_answer_agree_on_gazetteer_config(tmp_path):
+    write_basic_setup(tmp_path)
+    train(tmp_path)
+    (tmp_path / "corpus.tsv").write_text(
+        "d1\t\tThe amber mill was built by Anna Berg near the river. "
+        "Visitors often mention Carl Holm today.\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "questions.txt").write_text("q1\tWho built the amber mill?\n", encoding="utf-8")
+    (tmp_path / "people.txt").write_text("Carl Holm\n", encoding="utf-8")
+    with open(tmp_path / "config.qa", "a", encoding="utf-8") as cfg:
+        cfg.write("extract.persons = people.txt\n")
+    for command in ("index", "process-questions", "answer"):
+        result = run_cli(command, "--config", "config.qa", cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+    answers = (tmp_path / "answers.txt").read_text(encoding="utf-8")
+    assert answers.split("\t")[1] == "Carl Holm"
+
+    result = run_cli("ask", "--config", "config.qa", "Who built the amber mill?", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\t")[0] == "Carl Holm"
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [("retrieval.k = abc", "BadParam"), ("extract.persons = missing.txt", "missing.txt")],
+)
+def test_ask_rejects_bad_config_like_answer(tmp_path, extra, message):
+    write_basic_setup(tmp_path)
+    train(tmp_path)
+    run_cli("index", "--config", "config.qa", cwd=tmp_path)
+    with open(tmp_path / "config.qa", "a", encoding="utf-8") as cfg:
+        cfg.write(extra + "\n")
+    result = run_cli("ask", "--config", "config.qa", "Who built the amber mill?", cwd=tmp_path)
+    assert result.returncode == 1, result.stderr
+    assert message in result.stderr
+    assert result.stdout == ""

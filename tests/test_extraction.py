@@ -253,7 +253,7 @@ def test_answers_artifact_round_trip(tmp_path):
 
 
 def test_gazetteer_boost_outranks_closer_candidate():
-    from qapipe.extraction import Gazetteers
+    from qapipe.extraction import AnswerSettings, Gazetteers
 
     p = passage_of("Kellan Drue spoke while Maria Voss listened quietly.", score=1.0)
     analysis = analysis_for(["spoke"], AnswerType("HUM", "ind"))
@@ -264,7 +264,9 @@ def test_gazetteer_boost_outranks_closer_candidate():
 
     gaz = Gazetteers(persons=frozenset({"maria voss"}))
     boosted = rank_candidates(
-        extract_candidates(p, AnswerType("HUM", "ind"), gazetteers=gaz), analysis, [p]
+        extract_candidates(p, AnswerType("HUM", "ind"), settings=AnswerSettings(gazetteers=gaz)),
+        analysis,
+        [p],
     )
     assert texts(boosted) == ["Maria Voss", "Kellan Drue"]
     assert boosted[0].gazetteer_match
@@ -274,9 +276,9 @@ def test_gazetteer_boost_outranks_closer_candidate():
 
 
 def test_gazetteer_ignored_for_other_types():
-    from qapipe.extraction import Gazetteers
+    from qapipe.extraction import AnswerSettings, Gazetteers
 
     p = passage_of("Kellan Drue praised Maria Voss.", score=1.0)
     gaz = Gazetteers(persons=frozenset({"maria voss"}))
-    cands = extract_candidates(p, AnswerType("ENTY", "other"), gazetteers=gaz)
+    cands = extract_candidates(p, AnswerType("ENTY", "other"), settings=AnswerSettings(gazetteers=gaz))
     assert all(not c.gazetteer_match for c in cands)

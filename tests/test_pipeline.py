@@ -16,7 +16,7 @@ from qapipe.stages import default_registry
 def component(stage, name, fn=None):
     from qapipe.pipeline import StageResult
 
-    return StageComponent(stage, name, fn or (lambda config: StageResult((), ())))
+    return StageComponent(stage, name, fn or (lambda config: StageResult()))
 
 
 def test_register_and_lookup():
@@ -202,3 +202,36 @@ def test_gazetteer_wired_through_answer_stage(tmp_path):
     assert "accuracy = 1.000" in report
     answers = (tmp_path / "answers.txt").read_text(encoding="utf-8")
     assert "Marcus Greenfield" in answers
+
+
+def test_desc_sentence_choice_uses_coverage_weight(tmp_path):
+    from qapipe.classifier import TrainingExample, train_classifier, write_model
+    from qapipe.extraction import load_answers
+
+    # With weights.coverage = 0 the first sentence scores 2.06 against 1.11;
+    # the default coverage bonus of 2.0 would favour the second.
+    (tmp_path / "corpus.tsv").write_text(
+        "d1\t\tZeta zeta zeta is noted here. Zeta and alpha appear together here.\n"
+        "d2\t\talpha one. alpha two. alpha three.\n"
+        "d3\t\talpha four.\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "questions.txt").write_text("q1\tWhat is zeta alpha?\n", encoding="utf-8")
+    write_model(
+        train_classifier([TrainingExample("DESC:def", "what is an atoll")]),
+        tmp_path / "model.nb",
+    )
+    (tmp_path / "config.qa").write_text(
+        "corpus_path = corpus.tsv\n"
+        "index_path = index.qix\n"
+        "questions_path = questions.txt\n"
+        "classifier_model_path = model.nb\n"
+        "answers_out_path = answers.txt\n"
+        "corpus.format = record-lines\n"
+        "weights.coverage = 0\n",
+        encoding="utf-8",
+    )
+    config = load_config(tmp_path / "config.qa")
+    run_pipeline(config, default_registry(), ALL_STAGES[:3])
+    (record,) = load_answers(tmp_path / "answers.txt")
+    assert record.answer == "Zeta zeta zeta is noted here."

@@ -1,0 +1,35 @@
+import os
+
+import pytest
+
+from qapipe.extraction import AnswerRecord, load_answers, write_answers
+from qapipe.serde import atomic_write_text
+
+
+def test_failed_artifact_write_keeps_old_bytes(tmp_path):
+    path = tmp_path / "answers.txt"
+    write_answers([AnswerRecord("q1", "Elena Castwright", "D1", 7.25, 1)], path)
+    old = path.read_bytes()
+    # A lone surrogate cannot be encoded as UTF-8: the write raises after
+    # the file it writes to has been opened.
+    bad = [AnswerRecord(f"q{i}", "x" * 1000, "D1", 1.0, 1) for i in range(100)]
+    bad.append(AnswerRecord("q101", "\ud800", "D2", 1.0, 1))
+    with pytest.raises(UnicodeEncodeError):
+        write_answers(bad, path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["answers.txt"]
+    assert load_answers(path)[0].answer == "Elena Castwright"
+
+
+def test_failed_replace_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "artifact.txt"
+    path.write_text("old\n", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        atomic_write_text(path, "new\n")
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["artifact.txt"]
