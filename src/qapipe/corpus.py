@@ -95,7 +95,7 @@ def _parse_trec_sgml(raw: str, rejects: list[MalformedRecord]):
 
 
 def _parse_record_lines(raw: str, rejects: list[MalformedRecord]):
-    for line_no, line in enumerate(raw.splitlines(), start=1):
+    for line_no, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -114,6 +114,9 @@ def _parse_record_lines(raw: str, rejects: list[MalformedRecord]):
 
 def write_rejects(rejects, path) -> None:
     """Persist corpus or question rejects, `location<TAB>reason` per line,
-    as the stage's sidecar file."""
+    as the stage's sidecar file; with no rejects, remove any old sidecar."""
+    if not rejects:
+        Path(path).unlink(missing_ok=True)
+        return
     lines = [f"{r.location}\t{r.reason}" for r in rejects]
     atomic_write_text(path, "".join(line + "\n" for line in lines))

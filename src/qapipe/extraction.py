@@ -405,7 +405,7 @@ def write_answers(records: list[AnswerRecord], path) -> None:
 def load_answers(path) -> list[AnswerRecord]:
     out: list[AnswerRecord] = []
     for line_no, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
+        Path(path).read_text(encoding="utf-8").split("\n"), start=1
     ):
         if not line.strip():
             continue

@@ -1,25 +1,29 @@
 """In-house inverted index: construction, persistence, and statistics.
 
 Every token is indexed, stopwords included; the stoplist applies to
-queries only, so positional proximity over the full text stays available
-to the retrieval stage. Documents are stored inside the index file
-because passage extraction needs the raw text.
+queries only. Postings hold term frequencies, the only per-posting data
+BM25 reads. Documents are stored inside the index file because passage
+extraction needs the raw text.
 
 File format (versioned, line-oriented UTF-8, magic header QANUSIDX):
 
-    QANUSIDX 1
+    QANUSIDX 2
     stats <TAB> docs=N <TAB> terms=T <TAB> postings=P
-    doc <TAB> ord <TAB> id <TAB> length <TAB> headline <TAB> spans <TAB> text
+    doc <TAB> id <TAB> length <TAB> headline <TAB> spans <TAB> text
     ...                                         (docs sorted by doc_id)
-    term <TAB> t <TAB> ord:tf:p1,p2 <TAB> ord:tf:...   (terms sorted)
+    term <TAB> t <TAB> ord:tf <TAB> ord:tf ...   (terms sorted)
+    sha256 <TAB> hex digest of every byte above
 
 String fields are backslash-escaped (\\t, \\n, \\r, \\\\); a field that is
 exactly \\N encodes "absent". Postings reference documents by their
-ordinal in the sorted doc section, so doc ids never need quoting there.
-Writing the same index twice yields byte-identical files.
+ordinal, the line order of the doc section, so doc ids never need
+quoting there. Writing the same index twice yields byte-identical files.
+A truncated or damaged file raises CorruptIndex.
 """
 
+import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -32,7 +36,7 @@ from .serde import (
 from .text import tokenize
 
 MAGIC = "QANUSIDX"
-VERSION = 1
+VERSION = 2
 
 
 class DuplicateDocId(QAError):
@@ -54,7 +58,6 @@ class VersionMismatch(QAError):
 class Posting:
     doc_id: str
     term_frequency: int
-    positions: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,7 @@ class InvertedIndex:
 
 def build_index(documents: Iterable[Document]) -> InvertedIndex:
     """Index a document stream; doc_ids must be unique."""
-    postings_acc: dict[str, dict[str, list[int]]] = {}
+    tf_acc: dict[str, dict[str, int]] = {}
     doc_lengths: dict[str, int] = {}
     stored: dict[str, Document] = {}
     for doc in documents:
@@ -110,71 +113,72 @@ def build_index(documents: Iterable[Document]) -> InvertedIndex:
         tokens = tokenize(doc.text)
         doc_lengths[doc.doc_id] = len(tokens)
         stored[doc.doc_id] = doc
-        for tok in tokens:
-            postings_acc.setdefault(tok.surface, {}).setdefault(doc.doc_id, []).append(
-                tok.position
-            )
+        for term, tf in Counter(tok.surface for tok in tokens).items():
+            tf_acc.setdefault(term, {})[doc.doc_id] = tf
     postings = {
-        term: [
-            Posting(doc_id, len(pos), tuple(pos))
-            for doc_id, pos in sorted(by_doc.items())
-        ]
-        for term, by_doc in postings_acc.items()
+        term: [Posting(doc_id, tf) for doc_id, tf in sorted(by_doc.items())]
+        for term, by_doc in tf_acc.items()
     }
     return InvertedIndex(postings, doc_lengths, stored)
 
 
+def _stats_line(index: InvertedIndex) -> str:
+    st = index.stats()
+    return f"stats\tdocs={st.doc_count}\tterms={st.distinct_terms}\tpostings={st.total_postings}"
+
+
+def _digest_line(body: bytes) -> bytes:
+    return f"sha256\t{hashlib.sha256(body).hexdigest()}\n".encode("ascii")
+
+
 def write_index(index: InvertedIndex, path) -> None:
     """Serialize deterministically: docs and terms in sorted order."""
-    lines = [f"{MAGIC} {VERSION}"]
-    st = index.stats()
-    lines.append(f"stats\tdocs={st.doc_count}\tterms={st.distinct_terms}\tpostings={st.total_postings}")
+    lines = [f"{MAGIC} {VERSION}", _stats_line(index)]
     doc_ids = sorted(index.stored_docs)
     ordinals = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-    for i, doc_id in enumerate(doc_ids):
+    for doc_id in doc_ids:
         doc = index.stored_docs[doc_id]
         spans = ",".join(f"{a}:{b}" for a, b in doc.paragraph_spans) or "-"
         lines.append(
-            "doc\t{}\t{}\t{}\t{}\t{}\t{}".format(
-                i, escape_field(doc.doc_id), index.doc_lengths[doc_id],
+            "doc\t{}\t{}\t{}\t{}\t{}".format(
+                escape_field(doc.doc_id), index.doc_lengths[doc_id],
                 escape_optional(doc.headline), spans, escape_field(doc.text),
             )
         )
     for term in sorted(index.postings):
-        cells = [
-            f"{ordinals[p.doc_id]}:{p.term_frequency}:{','.join(map(str, p.positions))}"
-            for p in index.postings[term]
-        ]
+        cells = [f"{ordinals[p.doc_id]}:{p.term_frequency}" for p in index.postings[term]]
         lines.append("term\t" + term + "\t" + "\t".join(cells))
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    body = "".join(line + "\n" for line in lines)
+    atomic_write_text(path, body + _digest_line(body.encode("utf-8")).decode("ascii"))
 
 
 def load_index(path) -> InvertedIndex:
-    """Read an index written by write_index; load(write(x)) == x."""
-    raw = Path(path).read_text(encoding="utf-8")
-    lines = raw.splitlines()
-    if not lines:
-        raise CorruptIndex("empty index file")
-    header = lines[0].split(" ")
-    if header[0] != MAGIC:
-        raise CorruptIndex(f"bad magic: {lines[0][:16]!r}")
-    if len(header) != 2 or header[1] != str(VERSION):
-        raise VersionMismatch(header[1] if len(header) > 1 else "?", VERSION)
+    """Read an index written by write_index; load(write(x)) == x.
 
-    declared_docs = declared_terms = None
+    Magic, version and the trailing digest are checked before anything
+    is decoded, and the stats line must match the index that was read.
+    """
+    raw = Path(path).read_bytes()
+    header = raw.partition(b"\n")[0].split(b" ")
+    if header[0] != MAGIC.encode("ascii"):
+        raise CorruptIndex(f"bad magic: {header[0][:16]!r}")
+    if len(header) != 2 or header[1] != str(VERSION).encode("ascii"):
+        found = header[1].decode("utf-8", "replace") if len(header) > 1 else "?"
+        raise VersionMismatch(found, VERSION)
+    cut = raw.rfind(b"\nsha256\t") + 1
+    if not cut or raw[cut:] != _digest_line(raw[:cut]):
+        raise CorruptIndex("digest mismatch: the index file is damaged or truncated")
+
     docs_by_ord: list[str] = []
     doc_lengths: dict[str, int] = {}
     stored: dict[str, Document] = {}
     postings: dict[str, list[Posting]] = {}
     try:
-        for line in lines[1:]:
+        lines = raw[:cut].decode("utf-8").split("\n")
+        for line in lines[2:-1]:
             kind, _, rest = line.partition("\t")
-            if kind == "stats":
-                cells = dict(c.split("=", 1) for c in rest.split("\t"))
-                declared_docs = int(cells["docs"])
-                declared_terms = int(cells["terms"])
-            elif kind == "doc":
-                _ord, doc_id, length, headline, spans, text = rest.split("\t", 5)
+            if kind == "doc":
+                doc_id, length, headline, spans, text = rest.split("\t", 4)
                 doc_id = unescape_field(doc_id)
                 span_list = (
                     tuple(
@@ -193,19 +197,16 @@ def load_index(path) -> InvertedIndex:
                 doc_lengths[doc_id] = int(length)
                 docs_by_ord.append(doc_id)
             elif kind == "term":
-                term, _, cells = rest.partition("\t")
-                plist = []
-                for cell in cells.split("\t"):
-                    ordinal, tf, pos = cell.split(":", 2)
-                    positions = tuple(int(p) for p in pos.split(",")) if pos else ()
-                    plist.append(Posting(docs_by_ord[int(ordinal)], int(tf), positions))
-                postings[term] = plist
+                term, *cells = rest.split("\t")
+                postings[term] = [
+                    Posting(docs_by_ord[int(ordinal)], int(tf))
+                    for ordinal, tf in (cell.split(":") for cell in cells)
+                ]
             else:
                 raise CorruptIndex(f"unknown record kind {kind!r}")
-    except (ValueError, IndexError, KeyError) as exc:
+    except (ValueError, IndexError) as exc:
         raise CorruptIndex(f"malformed index record: {exc}") from exc
-    if declared_docs is not None and declared_docs != len(stored):
-        raise CorruptIndex(f"doc count mismatch: header {declared_docs}, found {len(stored)}")
-    if declared_terms is not None and declared_terms != len(postings):
-        raise CorruptIndex(f"term count mismatch: header {declared_terms}, found {len(postings)}")
-    return InvertedIndex(postings, doc_lengths, stored)
+    index = InvertedIndex(postings, doc_lengths, stored)
+    if _stats_line(index) != lines[1]:
+        raise CorruptIndex(f"stats line {lines[1]!r} does not match the records")
+    return index

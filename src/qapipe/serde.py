@@ -9,9 +9,12 @@ fails or is killed mid-write leaves the previous file, never part of one.
 """
 
 import os
+import re
 from pathlib import Path
 
 NONE_FIELD = "\\N"
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 
 def escape_field(s: str) -> str:
@@ -21,18 +24,9 @@ def escape_field(s: str) -> str:
 
 
 def unescape_field(s: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(s):
-        c = s[i]
-        if c == "\\" and i + 1 < len(s):
-            nxt = s[i + 1]
-            out.append({"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    """Invert escape_field; an unknown escape yields its character, and a
+    lone trailing backslash is kept."""
+    return _ESCAPE_RE.sub(lambda m: _UNESCAPES.get(m.group(1), m.group(1)), s)
 
 
 def escape_optional(s: str | None) -> str:

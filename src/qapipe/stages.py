@@ -26,8 +26,7 @@ def run_info_source_prep(config: PipelineConfig) -> StageResult:
     docs = corpus.parse_corpus(config.corpus_path, config.param("corpus.format"), rejects)
     idx = index.build_index(docs)
     index.write_index(idx, config.index_path)
-    if rejects:
-        corpus.write_rejects(rejects, config.index_path + ".rejects")
+    corpus.write_rejects(rejects, config.index_path + ".rejects")
     st = idx.stats()
     return StageResult(
         f"docs={st.doc_count} terms={st.distinct_terms} "
@@ -44,8 +43,7 @@ def run_question_processing(config: PipelineConfig) -> StageResult:
     model = load_model(config.classifier_model_path)
     analyses = [questions.analyze(q, model, STOPWORDS) for q in parsed]
     questions.write_analyses(analyses, out_path)
-    if rejects:
-        corpus.write_rejects(rejects, out_path + ".rejects")
+    corpus.write_rejects(rejects, out_path + ".rejects")
     return StageResult(f"questions={len(analyses)} rejects={len(rejects)}")
 
 

@@ -63,6 +63,15 @@ def test_record_lines_skip_and_report(tmp_path):
     assert rejects[0].location == "line 2"
 
 
+def test_record_lines_split_on_newline_only(tmp_path):
+    path = tmp_path / "corpus.tsv"
+    path.write_text("d1\t\tpage one\fpage two\u2028end\nd2\t\tnext\n", encoding="utf-8")
+    rejects: list[MalformedRecord] = []
+    docs = list(parse_corpus(path, "record-lines", rejects))
+    assert [d.text for d in docs] == ["page one\fpage two\u2028end", "next"]
+    assert rejects == []
+
+
 def test_record_lines_empty_doc_id_rejected(tmp_path):
     path = tmp_path / "corpus.tsv"
     path.write_text("\thead\ttext\n", encoding="utf-8")

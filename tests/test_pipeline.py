@@ -235,3 +235,22 @@ def test_desc_sentence_choice_uses_coverage_weight(tmp_path):
     run_pipeline(config, default_registry(), ALL_STAGES[:3])
     (record,) = load_answers(tmp_path / "answers.txt")
     assert record.answer == "Zeta zeta zeta is noted here."
+
+
+@pytest.mark.parametrize(
+    "stage, source, sidecar",
+    [
+        (StageKind.INFO_SOURCE_PREP, "corpus.tsv", "index.qix.rejects"),
+        (StageKind.QUESTION_PROCESSING, "questions.txt", "analysis.txt.rejects"),
+    ],
+)
+def test_rerun_on_fixed_input_removes_stale_rejects(tmp_path, stage, source, sidecar):
+    config = fixture_config(tmp_path)
+    good = (tmp_path / source).read_text(encoding="utf-8")
+    first, rest = good.split("\n", 1)
+    (tmp_path / source).write_text(f"{first}\nno tabs here\n{rest}", encoding="utf-8")
+    run_pipeline(config, default_registry(), [stage])
+    assert (tmp_path / sidecar).read_text(encoding="utf-8").startswith("line 2\t")
+    (tmp_path / source).write_text(good, encoding="utf-8")
+    run_pipeline(config, default_registry(), [stage])
+    assert not (tmp_path / sidecar).exists()

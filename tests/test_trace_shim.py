@@ -1,0 +1,37 @@
+"""The traced benchmark wraps qapipe functions by name and reads the index
+stats line; a rename or format change must fail here, not in a bench run."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from qapipe.classifier import parse_training_file, train_classifier, write_model
+from qapipe.synth import write_fixture
+
+from conftest import SRC_DIR
+
+SHIM = SRC_DIR.parent / "qabench" / "trace_shim.py"
+
+
+def test_trace_shim_runs_all_stages(tmp_path):
+    paths = write_fixture(tmp_path)
+    examples, _ = parse_training_file(paths["train"])
+    write_model(train_classifier(examples), tmp_path / "model.nb")
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    result = subprocess.run(
+        [sys.executable, str(SHIM), "spans", "run-all", "--config", "config.qa"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+
+    spans = (tmp_path / "spans").read_text(encoding="utf-8").splitlines()
+    names = {line.split("\t")[2] for line in spans}
+    assert {"index.load", "serde.unescape", "extraction.answer_question"} <= names
+
+    with (tmp_path / "index.qix").open(encoding="utf-8") as f:
+        f.readline()
+        kind, *rest = f.readline().rstrip("\n").split("\t")
+    cells = dict(c.split("=", 1) for c in rest)
+    assert kind == "stats"
+    assert all(int(cells[key]) > 0 for key in ("docs", "terms", "postings"))
