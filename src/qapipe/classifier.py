@@ -30,7 +30,7 @@ from pathlib import Path
 from .errors import QAError
 from .serde import atomic_write_text
 from .taxonomy import AnswerType, parse_label
-from .text import tokenize
+from .text import terms, tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
 
 MAGIC = "QANUSNB1"
 VERSION = 1
@@ -60,7 +60,7 @@ class TrainingExample:
 
 def extract_features(text: str) -> Counter:
     """Feature multiset for one question; see module docstring."""
-    tokens = [t.surface for t in tokenize(text)]
+    tokens = terms(text)
     feats = Counter(tokens)
     if len(tokens) >= 2:
         feats[f"first2={tokens[0]}_{tokens[1]}"] += 1
@@ -173,8 +173,8 @@ def write_model(model: ClassifierModel, path) -> None:
 
 
 def load_model(path) -> ClassifierModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
+    lines = Path(path).read_text(encoding="utf-8").removesuffix("\n").split("\n")
+    if lines == [""]:
         raise CorruptModel("empty model file")
     header = lines[0].split(" ")
     if header[0] != MAGIC:
@@ -213,7 +213,7 @@ def parse_training_file(path) -> tuple[list[TrainingExample], list[str]]:
     examples: list[TrainingExample] = []
     rejected: list[str] = []
     for line_no, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
+        Path(path).read_text(encoding="utf-8").split("\n"), start=1
     ):
         if not line.strip():
             continue

@@ -138,7 +138,7 @@ def load_config(path) -> PipelineConfig:
         raise MissingFile(f"config file not found: {path}")
     base = path.parent
     raw: dict[str, str] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

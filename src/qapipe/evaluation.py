@@ -69,7 +69,7 @@ def load_gold(path) -> dict[str, GoldPattern]:
     """Patterns grouped by qid, compile-checked eagerly, file order kept."""
     gold: dict[str, GoldPattern] = {}
     for line_no, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
+        Path(path).read_text(encoding="utf-8").split("\n"), start=1
     ):
         if not line.strip() or line.lstrip().startswith("#"):
             continue

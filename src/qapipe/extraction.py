@@ -85,7 +85,7 @@ def load_gazetteer(path) -> frozenset[str]:
     """One name per line, case-insensitive membership."""
     names = {
         line.strip().lower()
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
+        for line in Path(path).read_text(encoding="utf-8").split("\n")
         if line.strip()
     }
     return frozenset(names)
@@ -205,7 +205,7 @@ def _best_sentence(
     best: tuple[int, str] | None = None
     best_score = float("-inf")
     for a, b in split_sentences(passage.text):
-        pseudo = Passage(passage.doc_id, (a, b), passage.text[a:b], 1)
+        pseudo = Passage(passage.doc_id, (a, b), passage.text[a:b])
         s = score_passage(pseudo, query_terms, index, coverage_weight)
         if s > best_score:
             best_score = s
@@ -271,7 +271,7 @@ def _token_span(passage: Passage, candidate: CandidateAnswer, tokens) -> tuple[i
     covering = [
         t.position
         for t in tokens
-        if t.char_offset < rel_end and t.char_offset + len(t.surface) > rel_start
+        if t.char_offset < rel_end and t.char_end > rel_start
     ]
     if covering:
         return min(covering), max(covering)
@@ -289,7 +289,8 @@ def rank_candidates(
     """Score, deduplicate, and order candidates best-first."""
     if not candidates:
         return []
-    passage_tokens = [tokenize(p.text) for p in passages]
+    # A question's only positional tokens: once per kept passage with a candidate.
+    passage_tokens = {i: tokenize(passages[i].text) for i in {c.passage_index for c in candidates}}
     lowered_passages = [p.text.lower() for p in passages]
 
     redundancy: dict[str, int] = {}
@@ -360,11 +361,10 @@ def answer_question(
         document = index.stored_docs[scored_doc.doc_id]
         for passage in segment_passages(document):
             s = score_passage(passage, analysis.query_terms, index, settings.coverage_weight)
-            scored_passages.append(
-                (s, doc_rank, passage.char_span[0], dataclasses.replace(passage, passage_score=s))
-            )
+            scored_passages.append((s, doc_rank, passage.char_span[0], passage))
     scored_passages.sort(key=lambda item: (-item[0], item[1], item[2]))
-    kept = [item[3] for item in scored_passages[: settings.max_passages]]
+    top = scored_passages[: settings.max_passages]
+    kept = [dataclasses.replace(passage, passage_score=s) for s, _, _, passage in top]
 
     candidates: list[CandidateAnswer] = []
     for i, passage in enumerate(kept):

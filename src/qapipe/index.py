@@ -33,7 +33,7 @@ from .errors import QAError
 from .serde import (
     atomic_write_text, escape_field, escape_optional, unescape_field, unescape_optional,
 )
-from .text import tokenize
+from .text import terms, tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
 
 MAGIC = "QANUSIDX"
 VERSION = 2
@@ -110,10 +110,10 @@ def build_index(documents: Iterable[Document]) -> InvertedIndex:
     for doc in documents:
         if doc.doc_id in stored:
             raise DuplicateDocId(f"duplicate doc_id: {doc.doc_id}")
-        tokens = tokenize(doc.text)
-        doc_lengths[doc.doc_id] = len(tokens)
+        words = terms(doc.text)
+        doc_lengths[doc.doc_id] = len(words)
         stored[doc.doc_id] = doc
-        for term, tf in Counter(tok.surface for tok in tokens).items():
+        for term, tf in Counter(words).items():
             tf_acc.setdefault(term, {})[doc.doc_id] = tf
     postings = {
         term: [Posting(doc_id, tf) for doc_id, tf in sorted(by_doc.items())]

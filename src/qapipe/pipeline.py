@@ -234,16 +234,23 @@ def run_pipeline(
 
 
 def write_manifest(manifest: RunManifest, path) -> None:
-    lines = [
-        f"started_at = {manifest.started_at}",
-        f"config_digest = {manifest.config_digest}",
-    ]
+    """Write the manifest; stages not run this time keep their entries from the
+    manifest at `path` if it has the same config digest, in pipeline order."""
+    blocks: dict[str, str] = {}
+    if Path(path).is_file():
+        text = Path(path).read_text(encoding="utf-8", errors="replace")
+        head, *earlier = text.rstrip("\n").split("\nstage = ")
+        if head.endswith(f"\nconfig_digest = {manifest.config_digest}"):
+            blocks = {block.partition("\n")[0]: f"stage = {block}" for block in earlier}
     for run in manifest.stages_run:
-        lines.append(f"stage = {run.stage.value}")
-        lines.append(f"  component = {run.component}")
-        lines.append(f"  duration_s = {run.duration_s:.6f}")
-        lines.append(f"  inputs = {', '.join(run.inputs) or '-'}")
-        lines.append(f"  outputs = {', '.join(run.outputs) or '-'}")
-        if run.detail:
-            lines.append(f"  detail = {run.detail}")
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+        lines = [
+            f"stage = {run.stage.value}",
+            f"  component = {run.component}",
+            f"  duration_s = {run.duration_s:.6f}",
+            f"  inputs = {', '.join(run.inputs) or '-'}",
+            f"  outputs = {', '.join(run.outputs) or '-'}",
+        ] + ([f"  detail = {run.detail}"] if run.detail else [])
+        blocks[run.stage.value] = "\n".join(lines)
+    header = [f"started_at = {manifest.started_at}", f"config_digest = {manifest.config_digest}"]
+    body = header + [blocks[stage.value] for stage in PIPELINE_ORDER if stage.value in blocks]
+    atomic_write_text(path, "".join(part + "\n" for part in body))

@@ -23,7 +23,7 @@ from .classifier import ClassifierModel, classify_question
 from .errors import QAError
 from .serde import atomic_write_text
 from .taxonomy import AnswerType, parse_label
-from .text import Token, remove_stopwords, tokenize
+from .text import Token, remove_stopwords, terms, tokenize
 
 QUESTION_FORMATS = ("trec-xml", "qline")
 
@@ -102,7 +102,7 @@ def _parse_trec_xml(raw: str, rejects: list[MalformedQuestion]) -> list[Question
 
 def _parse_qline(raw: str, rejects: list[MalformedQuestion]) -> list[Question]:
     out: list[Question] = []
-    for line_no, line in enumerate(raw.splitlines(), start=1):
+    for line_no, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
         where = f"line {line_no}"
@@ -152,17 +152,10 @@ def analyze(
 ) -> QuestionAnalysis:
     """Build the stage-2 record for one question."""
     tokens = tokenize(question.text)
-    query_terms: list[str] = []
-    seen: set[str] = set()
-    for tok in remove_stopwords(tokens, stoplist):
-        if tok.surface not in seen:
-            seen.add(tok.surface)
-            query_terms.append(tok.surface)
+    words = [t.surface for t in remove_stopwords(tokens, stoplist)]
     if question.target:
-        for tok in remove_stopwords(tokenize(question.target), stoplist):
-            if tok.surface not in seen:
-                seen.add(tok.surface)
-                query_terms.append(tok.surface)
+        words += [w for w in terms(question.target) if w not in stoplist]
+    query_terms = list(dict.fromkeys(words))  # order-preserving dedup
 
     rule = rule_fallback(question.text)
     if model is not None:
@@ -202,7 +195,7 @@ def load_analyses(path) -> list[QuestionAnalysis]:
     """Read the stage-2 artifact; text and tokens are not part of it."""
     out: list[QuestionAnalysis] = []
     for line_no, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
+        Path(path).read_text(encoding="utf-8").split("\n"), start=1
     ):
         if not line.strip():
             continue

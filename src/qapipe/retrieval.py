@@ -11,12 +11,11 @@ uppercase letter, and windowed 3 at a time with stride 2.
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import Document
 from .index import InvertedIndex
-from .text import tokenize
+from .text import terms, tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -38,7 +37,6 @@ class Passage:
     doc_id: str
     char_span: tuple[int, int]
     text: str
-    sentence_count: int
     passage_score: float = 0.0
 
 
@@ -99,13 +97,7 @@ def segment_passages(document: Document) -> list[Passage]:
         return []
     if document.paragraph_spans:
         return [
-            Passage(
-                document.doc_id,
-                (a, b),
-                text[a:b],
-                sentence_count=len(split_sentences(text[a:b])),
-            )
-            for a, b in document.paragraph_spans
+            Passage(document.doc_id, (a, b), text[a:b]) for a, b in document.paragraph_spans
         ]
     sentences = split_sentences(text)
     if not sentences:
@@ -115,7 +107,7 @@ def segment_passages(document: Document) -> list[Passage]:
     while True:
         window = sentences[i : i + SENTENCES_PER_PASSAGE]
         a, b = window[0][0], window[-1][1]
-        passages.append(Passage(document.doc_id, (a, b), text[a:b], len(window)))
+        passages.append(Passage(document.doc_id, (a, b), text[a:b]))
         if i + SENTENCES_PER_PASSAGE >= len(sentences):
             break
         i += PASSAGE_STRIDE
@@ -131,11 +123,12 @@ def score_passage(
     """Sum of idf-weighted log term counts plus a query-coverage bonus."""
     if not query_terms:
         return 0.0
-    counts = Counter(t.surface for t in tokenize(passage.text))
+    # A query has a few terms, so counting each in the list beats a Counter.
+    words = terms(passage.text)
     score = 0.0
     matched = 0
     for term in query_terms:
-        n = counts.get(term, 0)
+        n = words.count(term)
         if n > 0:
             matched += 1
             score += index.idf(term) * (1.0 + math.log(n))

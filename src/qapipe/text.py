@@ -17,14 +17,21 @@ class Token:
     surface: str      # lowercased term
     position: int     # 0-based token index within the text
     char_offset: int  # start offset in the original string
+    char_end: int     # end offset in the original string; lowering can change the length
 
 
 def tokenize(text: str) -> list[Token]:
     """Split text into lowercased alphanumeric tokens with positions."""
     return [
-        Token(m.group(0).lower(), i, m.start())
+        Token(m.group(0).lower(), i, m.start(), m.end())
         for i, m in enumerate(_TOKEN_RE.finditer(text))
     ]
+
+
+def terms(text: str) -> list[str]:
+    """The surfaces of tokenize(text), without building a Token per word."""
+    # Lower each match, not the text: "İ".lower() ends in a non-alphanumeric mark.
+    return [w.lower() for w in _TOKEN_RE.findall(text)]
 
 
 def remove_stopwords(tokens: list[Token], stoplist: frozenset[str]) -> list[Token]:

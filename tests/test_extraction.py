@@ -16,7 +16,7 @@ from qapipe.taxonomy import AnswerType
 
 
 def passage_of(text, doc_id="d1", score=0.0):
-    return Passage(doc_id, (0, len(text)), text, 1, score)
+    return Passage(doc_id, (0, len(text)), text, score)
 
 
 def analysis_for(terms, answer_type, qid="q1"):
@@ -163,9 +163,21 @@ def test_rank_hand_computed_proximity_order():
     assert ranked[2].final_score == pytest.approx(2.0 + 1.0 / 13.0)
 
 
+def test_rank_proximity_uses_source_end_of_token():
+    # "İstanbul" is 8 source characters but lowers to 9, so a span taken
+    # from the surface length would reach the "$" and swallow the city.
+    p = passage_of("İstanbul$5 million", score=1.0)
+    city = "İstanbul".lower()
+    analysis = analysis_for([city], AnswerType("NUM", "money"))
+    cands = extract_candidates(p, AnswerType("NUM", "money"), [city])
+    assert texts(cands) == ["$5 million"]
+    ranked = rank_candidates(cands, analysis, [p])
+    assert ranked[0].proximity_score == pytest.approx(1.0 / 2.0)
+
+
 def test_rank_redundancy_merges_duplicates():
     p1 = passage_of("Maria Voss led the march.", doc_id="d1", score=1.0)
-    p2 = Passage("d2", (0, 26), "Crowds cheered Maria Voss.", 1, 1.0)
+    p2 = Passage("d2", (0, 26), "Crowds cheered Maria Voss.", 1.0)
     analysis = analysis_for(["march"], AnswerType("HUM", "ind"))
     cands = extract_candidates(p1, AnswerType("HUM", "ind"), passage_index=0)
     cands += extract_candidates(p2, AnswerType("HUM", "ind"), passage_index=1)
@@ -208,6 +220,37 @@ def test_answer_question_planted():
     assert record.supporting_doc == "D1"
     assert record.final_score > 0
     assert record.rank_list_size >= 1
+
+
+def test_answer_question_tokenizes_only_kept_passages(monkeypatch):
+    """Structural guard: positional tokens only for the passages kept."""
+    import importlib
+
+    from qapipe.extraction import AnswerSettings
+
+    paragraphs = [f"Maria Voss led the amber guild in hall {i}." for i in range(12)]
+    text = "\n\n".join(paragraphs)
+    starts = [text.index(p) for p in paragraphs]
+    spans = tuple((a, a + len(p)) for a, p in zip(starts, paragraphs))
+    docs = [Document(f"d{n}", None, text, spans) for n in range(4)]
+    idx = build_index(docs)
+    assert sum(len(segment_passages(d)) for d in docs) == 48
+
+    tokenized: list[str] = []
+    for name in ("index", "retrieval", "extraction", "classifier", "questions"):
+        module = importlib.import_module(f"qapipe.{name}")
+        real = module.tokenize
+
+        def counting(text, real=real):
+            tokenized.append(text)
+            return real(text)
+
+        monkeypatch.setattr(module, "tokenize", counting)
+    settings = AnswerSettings(max_passages=5)
+    analysis = analysis_for(["amber", "guild"], AnswerType("HUM", "ind"))
+    record = answer_question(idx, analysis, settings)
+    assert record.answer == "Maria Voss"
+    assert 1 <= len(tokenized) <= settings.max_passages
 
 
 def test_answer_question_empty_query_is_nil():

@@ -98,6 +98,31 @@ def test_evaluation_alone_runs_from_persisted_artifacts(tmp_path):
     assert manifest.stages_run[0].stage is StageKind.EVALUATION
 
 
+def manifest_stages(path):
+    lines = path.read_text(encoding="utf-8").split("\n")
+    return [line.removeprefix("stage = ") for line in lines if line.startswith("stage = ")]
+
+
+def test_separate_runs_add_up_to_one_manifest(tmp_path):
+    config = fixture_config(tmp_path)
+    for stages in (ALL_STAGES[:1], ALL_STAGES[1:3], ALL_STAGES[3:], ALL_STAGES[:1]):
+        run_pipeline(config, default_registry(), stages)
+    assert manifest_stages(tmp_path / "run_manifest.txt") == [s.value for s in ALL_STAGES]
+
+
+def test_manifest_of_another_config_is_replaced(tmp_path):
+    import dataclasses
+
+    config = fixture_config(tmp_path)
+    run_pipeline(config, default_registry(), ALL_STAGES[:3])
+    changed = dataclasses.replace(
+        config, stage_params={**config.stage_params, "weights.redundancy": "0.25"}
+    )
+    assert changed.digest() != config.digest()
+    run_pipeline(changed, default_registry(), ALL_STAGES[3:])
+    assert manifest_stages(tmp_path / "run_manifest.txt") == ["evaluation"]
+
+
 def test_validation_failure_raised_before_running(tmp_path):
     config = fixture_config(tmp_path)
     import os

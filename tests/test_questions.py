@@ -38,6 +38,15 @@ def test_qline_malformed_skip_and_report(tmp_path):
     assert len(rejects) == 1 and rejects[0].location == "line 2"
 
 
+def test_qline_splits_records_on_newline_only(tmp_path):
+    path = tmp_path / "q.txt"
+    path.write_text("q1\tWho built\fthe amber mill?\n", encoding="utf-8")
+    rejects: list[MalformedQuestion] = []
+    qs = parse_questions(path, "qline", rejects)
+    assert [(q.qid, q.text) for q in qs] == [("q1", "Who built\fthe amber mill?")]
+    assert rejects == []
+
+
 def test_trec_xml_target_carried(tmp_path):
     path = tmp_path / "q.xml"
     path.write_text(

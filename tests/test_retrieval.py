@@ -113,7 +113,6 @@ def test_sentence_windows_stride_two():
     assert len(passages) == 2
     assert passages[0].text == "One a. Two b. Three c."
     assert passages[1].text == "Three c. Four d. Five e."
-    assert passages[0].sentence_count == 3
 
 
 def test_short_final_window_kept():
@@ -121,7 +120,6 @@ def test_short_final_window_kept():
     doc = Document("d1", None, text, ())
     passages = segment_passages(doc)
     assert [p.text for p in passages] == ["One a. Two b. Three c.", "Three c. Four d."]
-    assert passages[1].sentence_count == 2
 
 
 def test_single_sentence_document():
@@ -167,8 +165,8 @@ def test_score_passage_monotone_in_term_count():
     idx = make_index({"d1": "alpha beta alpha", "d2": "other words"})
     from qapipe.retrieval import Passage
 
-    base = Passage("d1", (0, 10), "alpha beta", 1)
-    more = Passage("d1", (0, 16), "alpha beta alpha", 1)
+    base = Passage("d1", (0, 10), "alpha beta")
+    more = Passage("d1", (0, 16), "alpha beta alpha")
     q = ["alpha", "beta"]
     assert score_passage(more, q, idx) >= score_passage(base, q, idx)
 
@@ -209,6 +207,6 @@ def test_monotonicity_adding_matched_term_never_lowers_score():
         matched = [t for t in query if t in base_text.split()]
         term = matched[0] if matched else query[0]
         grown_text = base_text + " " + term
-        base = Passage("d", (0, len(base_text)), base_text, 1)
-        grown = Passage("d", (0, len(grown_text)), grown_text, 1)
+        base = Passage("d", (0, len(base_text)), base_text)
+        grown = Passage("d", (0, len(grown_text)), grown_text)
         assert score_passage(grown, query, idx) >= score_passage(base, query, idx)

@@ -62,4 +62,4 @@ def test_remove_stopwords_keeps_original_positions():
     tokens = tokenize("the capital of france")
     kept = remove_stopwords(tokens, STOPWORDS)
     assert [t.position for t in kept] == [1, 3]
-    assert kept == [Token("capital", 1, 4), Token("france", 3, 15)]
+    assert kept == [Token("capital", 1, 4, 11), Token("france", 3, 15, 21)]
