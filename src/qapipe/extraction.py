@@ -289,8 +289,17 @@ def rank_candidates(
     """Score, deduplicate, and order candidates best-first."""
     if not candidates:
         return []
-    # A question's only positional tokens: once per kept passage with a candidate.
-    passage_tokens = {i: tokenize(passages[i].text) for i in {c.passage_index for c in candidates}}
+    # A question's only positional tokens: once per kept passage with a
+    # candidate, with the positions of each query term in that passage.
+    query = set(analysis.query_terms)
+    passage_tokens = {}
+    for i in {c.passage_index for c in candidates}:
+        tokens = tokenize(passages[i].text)
+        positions: dict[str, list[int]] = {}
+        for t in tokens:
+            if t.surface in query:
+                positions.setdefault(t.surface, []).append(t.position)
+        passage_tokens[i] = tokens, positions
     lowered_passages = [p.text.lower() for p in passages]
 
     redundancy: dict[str, int] = {}
@@ -302,11 +311,11 @@ def rank_candidates(
     scored: list[CandidateAnswer] = []
     for cand in candidates:
         passage = passages[cand.passage_index]
-        tokens = passage_tokens[cand.passage_index]
+        tokens, positions = passage_tokens[cand.passage_index]
         first, last = _token_span(passage, cand, tokens)
         prox = 0.0
         for term in analysis.query_terms:
-            occurrences = [t.position for t in tokens if t.surface == term]
+            occurrences = positions.get(term)
             if not occurrences:
                 continue
             dist = min(

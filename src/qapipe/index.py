@@ -19,12 +19,20 @@ exactly \\N encodes "absent". Postings reference documents by their
 ordinal, the line order of the doc section, so doc ids never need
 quoting there. Writing the same index twice yields byte-identical files.
 A truncated or damaged file raises CorruptIndex.
+
+Loading decodes the documents but keeps each term's cells as the raw
+string, and checks the stats line against the counted cells. A term's
+cells are decoded the first time they are read, once per process:
+into the list[Posting] that `postings` keeps, or, for retrieval,
+straight into (doc_id, tf) pairs whose BM25 impacts it memoizes.
 """
 
 import hashlib
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -60,6 +68,51 @@ class Posting:
     term_frequency: int
 
 
+class LazyPostings(Mapping):
+    """Read-only term -> list[Posting] over the file's raw `ord:tf` cells.
+
+    A term's list is decoded the first time it is read and kept; a
+    malformed cell raises CorruptIndex naming the term at that read.
+    """
+
+    def __init__(self, cells: dict[str, str], doc_ids: list[str]):
+        self._cells = cells      # term -> its cells, tab-joined as in the file
+        self._doc_ids = doc_ids  # doc id by ordinal
+        self._decoded: dict[str, list[Posting]] = {}
+
+    def count(self, term: str) -> int:
+        """Postings of `term`, counted from its cells without decoding them."""
+        cells = self._cells.get(term)
+        return 0 if cells is None else cells.count("\t") + 1
+
+    def frequencies(self, term: str) -> list[tuple[str, int]]:
+        """(doc_id, tf) per posting of `term`, decoded from its cells on every call."""
+        cells = self._cells.get(term)
+        if cells is None:
+            return []
+        try:
+            return [
+                (self._doc_ids[int(ordinal)], int(tf))
+                for ordinal, tf in (cell.split(":") for cell in cells.split("\t"))
+            ]
+        except (ValueError, IndexError) as exc:
+            raise CorruptIndex(f"malformed postings of term {term!r}: {exc}") from exc
+
+    def __getitem__(self, term: str) -> list[Posting]:
+        plist = self._decoded.get(term)
+        if plist is None:
+            if term not in self._cells:
+                raise KeyError(term)
+            plist = self._decoded[term] = [Posting(*pair) for pair in self.frequencies(term)]
+        return plist
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._cells)
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+
 @dataclass(frozen=True)
 class IndexStats:
     doc_count: int
@@ -70,34 +123,52 @@ class IndexStats:
 
 @dataclass
 class InvertedIndex:
-    postings: dict[str, list[Posting]]
+    """An index is not modified once built or loaded: its statistics are memoized."""
+
+    postings: Mapping[str, list[Posting]]
     doc_lengths: dict[str, int]
     stored_docs: dict[str, Document]
+    # term -> [(doc_id, BM25 impact)], filled by retrieval on a term's first use.
+    bm25_impacts: dict[str, list[tuple[str, float]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _idf: dict[str, float] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def doc_count(self) -> int:
         return len(self.doc_lengths)
 
-    @property
+    @cached_property
     def avg_doc_length(self) -> float:
         if not self.doc_lengths:
             return 0.0
         return sum(self.doc_lengths.values()) / len(self.doc_lengths)
 
     def document_frequency(self, term: str) -> int:
+        if isinstance(self.postings, LazyPostings):
+            return self.postings.count(term)
         return len(self.postings.get(term, ()))
+
+    def term_frequencies(self, term: str) -> list[tuple[str, int]]:
+        """(doc_id, tf) per posting of `term`; a loaded index builds no Posting for it."""
+        if isinstance(self.postings, LazyPostings):
+            return self.postings.frequencies(term)
+        return [(p.doc_id, p.term_frequency) for p in self.postings.get(term, ())]
 
     def idf(self, term: str) -> float:
         """BM25 inverse document frequency, non-negative by construction."""
-        n = self.doc_count
-        df = self.document_frequency(term)
-        return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        value = self._idf.get(term)
+        if value is None:
+            n = self.doc_count
+            df = self.document_frequency(term)
+            value = self._idf[term] = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        return value
 
     def stats(self) -> IndexStats:
         return IndexStats(
             doc_count=self.doc_count,
             distinct_terms=len(self.postings),
-            total_postings=sum(len(p) for p in self.postings.values()),
+            total_postings=sum(map(self.document_frequency, self.postings)),
             avg_doc_length=self.avg_doc_length,
         )
 
@@ -156,7 +227,8 @@ def load_index(path) -> InvertedIndex:
     """Read an index written by write_index; load(write(x)) == x.
 
     Magic, version and the trailing digest are checked before anything
-    is decoded, and the stats line must match the index that was read.
+    is decoded, and the stats line must match the documents read and the
+    term cells counted. Postings are decoded per term on first read.
     """
     raw = Path(path).read_bytes()
     header = raw.partition(b"\n")[0].split(b" ")
@@ -172,7 +244,7 @@ def load_index(path) -> InvertedIndex:
     docs_by_ord: list[str] = []
     doc_lengths: dict[str, int] = {}
     stored: dict[str, Document] = {}
-    postings: dict[str, list[Posting]] = {}
+    cells_by_term: dict[str, str] = {}
     try:
         lines = raw[:cut].decode("utf-8").split("\n")
         for line in lines[2:-1]:
@@ -197,16 +269,13 @@ def load_index(path) -> InvertedIndex:
                 doc_lengths[doc_id] = int(length)
                 docs_by_ord.append(doc_id)
             elif kind == "term":
-                term, *cells = rest.split("\t")
-                postings[term] = [
-                    Posting(docs_by_ord[int(ordinal)], int(tf))
-                    for ordinal, tf in (cell.split(":") for cell in cells)
-                ]
+                term, _, cells = rest.partition("\t")
+                cells_by_term[term] = cells
             else:
                 raise CorruptIndex(f"unknown record kind {kind!r}")
     except (ValueError, IndexError) as exc:
         raise CorruptIndex(f"malformed index record: {exc}") from exc
-    index = InvertedIndex(postings, doc_lengths, stored)
+    index = InvertedIndex(LazyPostings(cells_by_term, docs_by_ord), doc_lengths, stored)
     if _stats_line(index) != lines[1]:
         raise CorruptIndex(f"stats line {lines[1]!r} does not match the records")
     return index

@@ -40,28 +40,41 @@ class Passage:
     passage_score: float = 0.0
 
 
+def _term_impacts(index: InvertedIndex, term: str) -> list[tuple[str, float]]:
+    """(doc_id, BM25 impact) per posting of `term`, in posting order."""
+    pairs = index.term_frequencies(term)
+    if not pairs:
+        return []
+    avg = index.avg_doc_length
+    idf = index.idf(term)
+    impacts = []
+    for doc_id, tf in pairs:
+        dl = index.doc_lengths[doc_id]
+        denom = tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avg)
+        impacts.append((doc_id, idf * tf * (BM25_K1 + 1.0) / denom))
+    return impacts
+
+
 def retrieve_documents(
     index: InvertedIndex, query_terms: list[str], k: int
 ) -> list[ScoredDocument]:
-    """Top-k BM25; ties break by doc_id ascending. Empty query -> []."""
+    """Top-k BM25; ties break by doc_id ascending. Empty query -> [].
+
+    A term's impacts are computed on its first use and memoized on the
+    index; a document's score adds them in query-term order.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not query_terms:
         return []
-    avg = index.avg_doc_length
+    memo = index.bm25_impacts
     scores: dict[str, float] = {}
     for term in query_terms:
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        idf = index.idf(term)
-        for posting in plist:
-            tf = posting.term_frequency
-            dl = index.doc_lengths[posting.doc_id]
-            denom = tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avg)
-            scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + idf * tf * (
-                BM25_K1 + 1.0
-            ) / denom
+        impacts = memo.get(term)
+        if impacts is None:
+            impacts = memo[term] = _term_impacts(index, term)
+        for doc_id, impact in impacts:
+            scores[doc_id] = scores.get(doc_id, 0.0) + impact
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return [ScoredDocument(doc_id, score) for doc_id, score in ranked[:k]]
 

@@ -14,6 +14,7 @@ from qapipe.index import (
     load_index,
     write_index,
 )
+from qapipe.retrieval import retrieve_documents
 
 from conftest import make_record_corpus, random_docs
 
@@ -169,3 +170,33 @@ def test_stats_line_must_match_the_records(tmp_path):
     path.write_bytes(body + b"sha256\t" + hashlib.sha256(body).hexdigest().encode() + b"\n")
     with pytest.raises(CorruptIndex, match="stats line"):
         load_index(path)
+
+
+def test_postings_are_decoded_on_first_read_and_kept(tmp_path):
+    path = tmp_path / "idx.qix"
+    write_index(small_index(), path)
+    idx = load_index(path)
+    assert idx.stats() == small_index().stats()
+    assert "para" in idx.postings and "absent" not in idx.postings
+    assert idx.postings.get("absent") is None
+    first = idx.postings["para"]
+    assert first == [Posting("d3", 2)]
+    assert idx.postings["para"] is first
+    assert idx.document_frequency("para") == 1
+
+
+def test_malformed_cell_fails_when_its_term_is_read(tmp_path):
+    """A digest-valid file whose cell count matches loads; the bad term raises on read."""
+    path = tmp_path / "idx.qix"
+    write_index(small_index(), path)
+    body = path.read_bytes().rsplit(b"sha256\t", 1)[0]
+    assert b"\nterm\tb\t0:1\n" in body
+    body = body.replace(b"\nterm\tb\t0:1\n", b"\nterm\tb\t0:x\n")
+    path.write_bytes(body + b"sha256\t" + hashlib.sha256(body).hexdigest().encode() + b"\n")
+    idx = load_index(path)
+    with pytest.raises(CorruptIndex, match="term 'b'"):
+        idx.postings["b"]
+    with pytest.raises(CorruptIndex, match="term 'b'"):
+        retrieve_documents(idx, ["a", "b"], 5)
+    assert idx.postings["a"] == [Posting("d1", 2)]
+    assert [d.doc_id for d in retrieve_documents(idx, ["para"], 5)] == ["d3"]

@@ -1,5 +1,5 @@
 """Property tests for the field codec, the index file format, tokenization,
-passage scoring and BM25 retrieval."""
+passage scoring, BM25 retrieval and candidate proximity."""
 
 import math
 from collections import Counter
@@ -7,10 +7,14 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from qapipe.corpus import Document
+from qapipe.extraction import _token_span, answer_question, extract_candidates, rank_candidates
 from qapipe.index import build_index, load_index, write_index
+from qapipe.questions import QuestionAnalysis
 from qapipe.retrieval import (
-    DEFAULT_COVERAGE_WEIGHT, Passage, retrieve_documents, score_passage,
+    BM25_B, BM25_K1, DEFAULT_COVERAGE_WEIGHT, Passage, ScoredDocument, retrieve_documents,
+    score_passage,
 )
+from qapipe.taxonomy import AnswerType
 from qapipe.serde import escape_field, unescape_field
 from qapipe.text import terms, tokenize
 
@@ -118,3 +122,78 @@ def test_bm25_top_k_ignores_corpus_order(docs_and_order, query, k):
     as_given = build_index(Document(d, None, docs[d], ()) for d in sorted(docs))
     shuffled = build_index(Document(d, None, docs[d], ()) for d in order)
     assert retrieve_documents(shuffled, query, k) == retrieve_documents(as_given, query, k)
+
+
+def reference_retrieve(index, query_terms, k):
+    """retrieve_documents as it was before memoized impacts: one loop per posting."""
+    if not query_terms:
+        return []
+    avg = sum(index.doc_lengths.values()) / len(index.doc_lengths) if index.doc_lengths else 0.0
+    scores = {}
+    for term in query_terms:
+        plist = index.postings.get(term)
+        if not plist:
+            continue
+        df = len(plist)
+        idf = math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
+        for posting in plist:
+            tf = posting.term_frequency
+            dl = index.doc_lengths[posting.doc_id]
+            denom = tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avg)
+            scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + idf * tf * (
+                BM25_K1 + 1.0
+            ) / denom
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [ScoredDocument(doc_id, score) for doc_id, score in ranked[:k]]
+
+
+def analysis_of(query, answer_type=AnswerType("HUM", "ind")):
+    return QuestionAnalysis("q1", " ".join(query), [], query, answer_type, "rule")
+
+
+@settings(max_examples=50)
+@given(corpora, st.lists(queries, min_size=1, max_size=3), st.integers(1, 5))
+def test_loaded_index_retrieves_and_answers_as_the_built_one(tmp_path_factory, docs, asked, k):
+    built = build_index(Document(d, None, t, ()) for d, t in docs.items())
+    path = tmp_path_factory.mktemp("prop") / "idx.qix"
+    write_index(built, path)
+    loaded = load_index(path)
+    for query in asked:  # a second query reuses the memoized impacts of the first
+        assert retrieve_documents(loaded, query, k) == reference_retrieve(built, query, k)
+        assert answer_question(loaded, analysis_of(query)) == answer_question(
+            built, analysis_of(query)
+        )
+
+
+def reference_proximity(passage, candidate, query_terms):
+    """rank_candidates' proximity as it was: positions listed per candidate and term."""
+    tokens = tokenize(passage.text)
+    first, last = _token_span(passage, candidate, tokens)
+    prox = 0.0
+    for term in query_terms:
+        occurrences = [t.position for t in tokens if t.surface == term]
+        if occurrences:
+            dist = min(
+                0 if first <= o <= last else (first - o if o < first else o - last)
+                for o in occurrences
+            )
+            prox += 1.0 / (1.0 + dist)
+    return prox
+
+
+NAMED = ["amber", "mill", "built", "the", "Maria", "Voss", "Kellan", ",", "."]
+named_text = st.lists(st.sampled_from(NAMED), max_size=20).map(" ".join)
+
+
+@given(st.lists(named_text, min_size=1, max_size=3),
+       st.lists(st.sampled_from(NAMED[:4]), min_size=1, max_size=3))
+def test_rank_proximity_matches_per_candidate_reference(texts, query):
+    passages = [Passage("d", (0, len(t)), t) for t in texts]
+    candidates = [
+        c
+        for i, p in enumerate(passages)
+        for c in extract_candidates(p, AnswerType("HUM", "ind"), query, passage_index=i)
+    ]
+    for ranked in rank_candidates(candidates, analysis_of(query), passages):
+        passage = passages[ranked.passage_index]
+        assert ranked.proximity_score == reference_proximity(passage, ranked, query)
