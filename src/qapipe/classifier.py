@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import QAError
-from .serde import atomic_write_text
-from .taxonomy import AnswerType, parse_label
+from .serde import atomic_write_text, read_text
+from .taxonomy import AnswerType, InvalidAnswerType, parse_label
 from .text import terms, tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
 
 MAGIC = "QANUSNB1"
@@ -172,8 +172,15 @@ def write_model(model: ClassifierModel, path) -> None:
     atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
+def _positive_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"count {n} is not positive")
+    return n
+
+
 def load_model(path) -> ClassifierModel:
-    lines = Path(path).read_text(encoding="utf-8").removesuffix("\n").split("\n")
+    lines = read_text(path, CorruptModel).removesuffix("\n").split("\n")
     if lines == [""]:
         raise CorruptModel("empty model file")
     header = lines[0].split(" ")
@@ -185,27 +192,35 @@ def load_model(path) -> ClassifierModel:
     label_space: str | None = None
     example_counts: dict[str, int] = {}
     feature_counts: dict[str, dict[str, int]] = {}
-    try:
-        for line in lines[1:]:
-            kind, _, rest = line.partition(" ")
+    for line_no, line in enumerate(lines[1:], start=2):
+        kind, _, rest = line.partition(" ")
+        try:
             if kind == "alpha":
                 alpha = float(rest)
+                if not 0.0 < alpha < math.inf:
+                    raise ValueError(f"alpha {alpha} is not positive and finite")
             elif kind == "space":
                 label_space = rest
             elif kind == "label":
                 label, n = rest.rsplit(" ", 1)
-                example_counts[label] = int(n)
+                parse_label(label)
+                example_counts[label] = _positive_count(n)
                 feature_counts.setdefault(label, {})
             elif kind == "feat":
                 label, feat, n = rest.split(" ")
-                feature_counts.setdefault(label, {})[feat] = int(n)
+                if label not in example_counts:
+                    raise ValueError(f"feature of undeclared label {label!r}")
+                feature_counts[label][feat] = _positive_count(n)
             else:
-                raise CorruptModel(f"unknown record kind {kind!r}")
-    except ValueError as exc:
-        raise CorruptModel(f"malformed model record: {exc}") from exc
+                raise ValueError(f"unknown record kind {kind!r}")
+        except (ValueError, InvalidAnswerType) as exc:
+            raise CorruptModel(f"malformed model record at line {line_no}: {exc}") from exc
     if alpha is None or label_space is None or not example_counts:
         raise CorruptModel("incomplete model file")
-    return ClassifierModel(alpha, label_space, example_counts, feature_counts)
+    try:
+        return ClassifierModel(alpha, label_space, example_counts, feature_counts)
+    except (ValueError, ArithmeticError) as exc:  # counts or alpha beyond float range
+        raise CorruptModel(f"model out of numeric range: {exc}") from exc
 
 
 def parse_training_file(path) -> tuple[list[TrainingExample], list[str]]:

@@ -10,11 +10,10 @@ count as wrong.
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import QAError
 from .extraction import AnswerRecord
-from .serde import atomic_write_text
+from .serde import atomic_write_text, read_text
 
 NIL = "NIL"
 
@@ -68,9 +67,7 @@ class EvaluationReport:
 def load_gold(path) -> dict[str, GoldPattern]:
     """Patterns grouped by qid, compile-checked eagerly, file order kept."""
     gold: dict[str, GoldPattern] = {}
-    for line_no, line in enumerate(
-        Path(path).read_text(encoding="utf-8").split("\n"), start=1
-    ):
+    for line_no, line in enumerate(read_text(path, QAError).split("\n"), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         qid, _, pattern = line.partition(" ")
@@ -79,7 +76,7 @@ def load_gold(path) -> dict[str, GoldPattern]:
             raise BadPattern(qid or f"line {line_no}", pattern, "missing qid or pattern")
         try:
             re.compile(pattern, re.IGNORECASE)
-        except re.error as exc:
+        except (re.error, OverflowError, RecursionError) as exc:
             raise BadPattern(qid, pattern, str(exc)) from exc
         gold.setdefault(qid, GoldPattern(qid, [])).patterns.append(pattern)
     if not gold:
@@ -101,12 +98,6 @@ def judge(answer: AnswerRecord, gold: GoldPattern) -> JudgedAnswer:
         if re.search(pattern, answer.answer, re.IGNORECASE):
             return JudgedAnswer(answer.qid, answer.answer, True, pattern)
     return JudgedAnswer(answer.qid, answer.answer, False)
-
-
-def accuracy(judgments: list[JudgedAnswer], total_gold: int) -> float:
-    if total_gold <= 0:
-        raise EmptyTestSet("no gold questions to score against")
-    return sum(1 for j in judgments if j.correct) / total_gold
 
 
 def evaluate_answers(
@@ -133,7 +124,7 @@ def evaluate_answers(
 def format_report(report: EvaluationReport) -> str:
     """Deterministic human-readable report text."""
     lines = [
-        f"accuracy = {report.correct_count / report.total_questions:.3f} "
+        f"accuracy = {report.accuracy:.3f} "
         f"({report.correct_count}/{report.total_questions})",
         f"total = {report.total_questions}",
         f"correct = {report.correct_count}",

@@ -40,7 +40,7 @@ from .retrieval import (
     segment_passages,
     split_sentences,
 )
-from .serde import atomic_write_text, escape_field, unescape_field
+from .serde import atomic_write_text, escape_field, read_text, unescape_field
 from .stopwords import STOPWORDS
 from .taxonomy import AnswerType
 from .text import tokenize
@@ -55,7 +55,6 @@ class UnsupportedType(QAError):
 @dataclass
 class CandidateAnswer:
     text: str
-    answer_type: AnswerType
     doc_id: str
     char_offset: int          # offset of `text` in the source document
     passage_index: int        # rank of the passage it came from
@@ -72,7 +71,6 @@ class AnswerRecord:
     answer: str | None        # None encodes NIL
     supporting_doc: str | None
     final_score: float
-    rank_list_size: int
 
 
 @dataclass(frozen=True)
@@ -254,7 +252,6 @@ def extract_candidates(
     return [
         CandidateAnswer(
             text=hit,
-            answer_type=answer_type,
             doc_id=passage.doc_id,
             char_offset=base + offset,
             passage_index=passage_index,
@@ -358,7 +355,7 @@ def answer_question(
     settings: AnswerSettings = AnswerSettings(),
 ) -> AnswerRecord:
     """Retrieve, segment, score, extract, rank; NIL when nothing survives."""
-    nil = AnswerRecord(analysis.qid, None, None, 0.0, 0)
+    nil = AnswerRecord(analysis.qid, None, None, 0.0)
     if not analysis.query_terms:
         return nil
     docs = retrieve_documents(index, analysis.query_terms, settings.k)
@@ -391,7 +388,7 @@ def answer_question(
     if not ranked:
         return nil
     top = ranked[0]
-    return AnswerRecord(analysis.qid, top.text, top.doc_id, top.final_score, len(ranked))
+    return AnswerRecord(analysis.qid, top.text, top.doc_id, top.final_score)
 
 
 def write_answers(records: list[AnswerRecord], path) -> None:
@@ -401,9 +398,9 @@ def write_answers(records: list[AnswerRecord], path) -> None:
         lines.append(
             "\t".join(
                 (
-                    r.qid,
+                    escape_field(r.qid),
                     "NIL" if r.answer is None else escape_field(r.answer),
-                    r.supporting_doc if r.supporting_doc is not None else "-",
+                    "-" if r.supporting_doc is None else escape_field(r.supporting_doc),
                     f"{r.final_score:.6f}",
                 )
             )
@@ -413,23 +410,21 @@ def write_answers(records: list[AnswerRecord], path) -> None:
 
 def load_answers(path) -> list[AnswerRecord]:
     out: list[AnswerRecord] = []
-    for line_no, line in enumerate(
-        Path(path).read_text(encoding="utf-8").split("\n"), start=1
-    ):
+    for line_no, line in enumerate(read_text(path, QAError).split("\n"), start=1):
         if not line.strip():
             continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise QAError(f"malformed answer record at line {line_no}")
-        qid, answer, doc, score = fields
+        try:
+            qid, answer, doc, score = line.split("\t")
+            final_score = float(score)
+        except ValueError as exc:
+            raise QAError(f"malformed answer record at line {line_no}: {exc}") from exc
         is_nil = answer == "NIL" and doc == "-"
         out.append(
             AnswerRecord(
-                qid,
+                unescape_field(qid),
                 None if is_nil else unescape_field(answer),
-                None if doc == "-" else doc,
-                float(score),
-                0,
+                None if doc == "-" else unescape_field(doc),
+                final_score,
             )
         )
     return out

@@ -22,9 +22,9 @@ A truncated or damaged file raises CorruptIndex.
 
 Loading decodes the documents but keeps each term's cells as the raw
 string, and checks the stats line against the counted cells. A term's
-cells are decoded the first time they are read, once per process:
-into the list[Posting] that `postings` keeps, or, for retrieval,
-straight into (doc_id, tf) pairs whose BM25 impacts it memoizes.
+cells are decoded once, the first time the term is read, into the
+(doc_id, tf) `Posting` pairs that `postings` keeps and BM25 reads;
+there is no second decode path.
 """
 
 import hashlib
@@ -34,7 +34,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import Document
 from .errors import QAError
@@ -62,8 +62,7 @@ class VersionMismatch(QAError):
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class Posting:
+class Posting(NamedTuple):
     doc_id: str
     term_frequency: int
 
@@ -85,25 +84,20 @@ class LazyPostings(Mapping):
         cells = self._cells.get(term)
         return 0 if cells is None else cells.count("\t") + 1
 
-    def frequencies(self, term: str) -> list[tuple[str, int]]:
-        """(doc_id, tf) per posting of `term`, decoded from its cells on every call."""
-        cells = self._cells.get(term)
-        if cells is None:
-            return []
-        try:
-            return [
-                (self._doc_ids[int(ordinal)], int(tf))
-                for ordinal, tf in (cell.split(":") for cell in cells.split("\t"))
-            ]
-        except (ValueError, IndexError) as exc:
-            raise CorruptIndex(f"malformed postings of term {term!r}: {exc}") from exc
-
     def __getitem__(self, term: str) -> list[Posting]:
         plist = self._decoded.get(term)
         if plist is None:
-            if term not in self._cells:
-                raise KeyError(term)
-            plist = self._decoded[term] = [Posting(*pair) for pair in self.frequencies(term)]
+            cells = self._cells[term]
+            doc_ids = self._doc_ids
+            try:
+                # _make skips the keyword-taking __new__: a third of a cell's decode.
+                plist = [
+                    Posting._make((doc_ids[int(ordinal)], int(tf)))
+                    for ordinal, tf in (cell.split(":") for cell in cells.split("\t"))
+                ]
+            except (ValueError, IndexError) as exc:
+                raise CorruptIndex(f"malformed postings of term {term!r}: {exc}") from exc
+            self._decoded[term] = plist
         return plist
 
     def __iter__(self) -> Iterator[str]:
@@ -148,12 +142,6 @@ class InvertedIndex:
         if isinstance(self.postings, LazyPostings):
             return self.postings.count(term)
         return len(self.postings.get(term, ()))
-
-    def term_frequencies(self, term: str) -> list[tuple[str, int]]:
-        """(doc_id, tf) per posting of `term`; a loaded index builds no Posting for it."""
-        if isinstance(self.postings, LazyPostings):
-            return self.postings.frequencies(term)
-        return [(p.doc_id, p.term_frequency) for p in self.postings.get(term, ())]
 
     def idf(self, term: str) -> float:
         """BM25 inverse document frequency, non-negative by construction."""
@@ -217,7 +205,7 @@ def write_index(index: InvertedIndex, path) -> None:
             )
         )
     for term in sorted(index.postings):
-        cells = [f"{ordinals[p.doc_id]}:{p.term_frequency}" for p in index.postings[term]]
+        cells = [f"{ordinals[doc_id]}:{tf}" for doc_id, tf in index.postings[term]]
         lines.append("term\t" + term + "\t" + "\t".join(cells))
     body = "".join(line + "\n" for line in lines)
     atomic_write_text(path, body + _digest_line(body.encode("utf-8")).decode("ascii"))

@@ -120,13 +120,9 @@ def stage_outputs(config: PipelineConfig, stage: StageKind) -> list[str]:
     return [config.report_out_path] if config.report_out_path else []
 
 
-# Artifact path -> the stage that produces it.
 def _producers(config: PipelineConfig) -> dict[str, StageKind]:
-    return {
-        config.index_path: StageKind.INFO_SOURCE_PREP,
-        analysis_out_path(config): StageKind.QUESTION_PROCESSING,
-        config.answers_out_path: StageKind.ANSWER_RETRIEVAL,
-    }
+    """Artifact path -> the stage that produces it; the report is no stage's input."""
+    return {path: stage for stage in PIPELINE_ORDER[:-1] for path in stage_outputs(config, stage)}
 
 
 def validate_config(
@@ -145,8 +141,7 @@ def validate_config(
         if stage is StageKind.EVALUATION and not config.gold_path:
             issues.append(ConfigIssue("MissingGoldPath", "gold_path is not set"))
         for path in stage_inputs(config, stage):
-            producer = producers.get(path)
-            if producer is not None and producer in stages_requested:
+            if producers.get(path) in stages_requested:
                 continue  # will exist by the time this stage runs
             if not Path(path).is_file():
                 issues.append(ConfigIssue("MissingFile", path))
@@ -191,19 +186,14 @@ def run_pipeline(
     if indices != sorted(set(indices)):
         raise OrderViolation(f"stages out of pipeline order: {[s.value for s in stages]}")
 
-    requested = set(stages)
+    issues = validate_config(config, set(stages))
     producers = _producers(config)
-    for stage in stages:
-        for path in stage_inputs(config, stage):
-            producer = producers.get(path)
-            if producer is None:
-                continue
-            if producer not in requested and not Path(path).is_file():
-                raise OrderViolation(
-                    f"{stage.value} needs {path} but {producer.value} is not requested "
-                    "and the artifact does not exist"
-                )
-    issues = validate_config(config, requested)
+    for issue in issues:
+        if issue.code == "MissingFile" and issue.detail in producers:
+            raise OrderViolation(
+                f"{issue.detail} does not exist and {producers[issue.detail].value}, "
+                "which makes it, is not requested"
+            )
     if issues:
         raise ValidationFailed(issues)
 

@@ -16,14 +16,15 @@ table overriding low-confidence model output.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .classifier import ClassifierModel, classify_question
+from .corpus import MalformedRecord
 from .errors import QAError
-from .serde import atomic_write_text
-from .taxonomy import AnswerType, parse_label
-from .text import Token, remove_stopwords, terms, tokenize
+from .serde import atomic_write_text, escape_field, read_text, unescape_field
+from .taxonomy import AnswerType, InvalidAnswerType
+from .text import terms, tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
 
 QUESTION_FORMATS = ("trec-xml", "qline")
 
@@ -33,12 +34,6 @@ class Question:
     qid: str
     text: str
     target: str | None = None
-
-
-@dataclass(frozen=True)
-class MalformedQuestion:
-    location: str
-    reason: str
 
 
 class DuplicateQid(QAError):
@@ -53,7 +48,6 @@ class UnknownQuestionFormat(QAError):
 class QuestionAnalysis:
     qid: str
     text: str
-    tokens: list[Token]
     query_terms: list[str]
     answer_type: AnswerType
     classifier_source: str  # "model" | "rule" | "default"
@@ -64,7 +58,7 @@ _Q_RE = re.compile(r'<q\s+id="([^"]*)"\s*>(.*?)</q>', re.DOTALL)
 
 
 def parse_questions(
-    path, fmt: str, rejects: list[MalformedQuestion] | None = None
+    path, fmt: str, rejects: list[MalformedRecord] | None = None
 ) -> list[Question]:
     """Parse the question file; duplicate qids are fatal."""
     if fmt not in QUESTION_FORMATS:
@@ -82,7 +76,7 @@ def parse_questions(
     return questions
 
 
-def _parse_trec_xml(raw: str, rejects: list[MalformedQuestion]) -> list[Question]:
+def _parse_trec_xml(raw: str, rejects: list[MalformedRecord]) -> list[Question]:
     out: list[Question] = []
     for t_no, t_match in enumerate(_TARGET_RE.finditer(raw), start=1):
         target = t_match.group(1).strip() or None
@@ -91,16 +85,16 @@ def _parse_trec_xml(raw: str, rejects: list[MalformedQuestion]) -> list[Question
             qid = q_match.group(1).strip()
             text = q_match.group(2).strip()
             if not qid:
-                rejects.append(MalformedQuestion(where, "empty question id"))
+                rejects.append(MalformedRecord(where, "empty question id"))
                 continue
             if not text:
-                rejects.append(MalformedQuestion(where, "empty question text"))
+                rejects.append(MalformedRecord(where, "empty question text"))
                 continue
             out.append(Question(qid, text, target))
     return out
 
 
-def _parse_qline(raw: str, rejects: list[MalformedQuestion]) -> list[Question]:
+def _parse_qline(raw: str, rejects: list[MalformedRecord]) -> list[Question]:
     out: list[Question] = []
     for line_no, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
@@ -109,12 +103,12 @@ def _parse_qline(raw: str, rejects: list[MalformedQuestion]) -> list[Question]:
         fields = line.split("\t")
         if len(fields) != 2:
             rejects.append(
-                MalformedQuestion(where, f"expected 2 tab-separated fields, got {len(fields)}")
+                MalformedRecord(where, f"expected 2 tab-separated fields, got {len(fields)}")
             )
             continue
         qid, text = fields[0].strip(), fields[1].strip()
         if not qid or not text:
-            rejects.append(MalformedQuestion(where, "empty qid or question"))
+            rejects.append(MalformedRecord(where, "empty qid or question"))
             continue
         out.append(Question(qid, text))
     return out
@@ -151,8 +145,7 @@ def analyze(
     stoplist: frozenset[str],
 ) -> QuestionAnalysis:
     """Build the stage-2 record for one question."""
-    tokens = tokenize(question.text)
-    words = [t.surface for t in remove_stopwords(tokens, stoplist)]
+    words = [w for w in terms(question.text) if w not in stoplist]
     if question.target:
         words += [w for w in terms(question.target) if w not in stoplist]
     query_terms = list(dict.fromkeys(words))  # order-preserving dedup
@@ -168,7 +161,7 @@ def analyze(
         answer_type, source = rule, "rule"
     else:
         answer_type, source = AnswerType("DESC", None, 0.0), "default"
-    return QuestionAnalysis(question.qid, question.text, tokens, query_terms, answer_type, source)
+    return QuestionAnalysis(question.qid, question.text, query_terms, answer_type, source)
 
 
 def write_analyses(analyses: list[QuestionAnalysis], path) -> None:
@@ -179,7 +172,7 @@ def write_analyses(analyses: list[QuestionAnalysis], path) -> None:
         lines.append(
             "\t".join(
                 (
-                    a.qid,
+                    escape_field(a.qid),
                     " ".join(a.query_terms),
                     t.coarse,
                     t.fine if t.fine is not None else "-",
@@ -192,28 +185,15 @@ def write_analyses(analyses: list[QuestionAnalysis], path) -> None:
 
 
 def load_analyses(path) -> list[QuestionAnalysis]:
-    """Read the stage-2 artifact; text and tokens are not part of it."""
+    """Read the stage-2 artifact; the question text is not part of it."""
     out: list[QuestionAnalysis] = []
-    for line_no, line in enumerate(
-        Path(path).read_text(encoding="utf-8").split("\n"), start=1
-    ):
+    for line_no, line in enumerate(read_text(path, QAError).split("\n"), start=1):
         if not line.strip():
             continue
-        fields = line.split("\t")
-        if len(fields) != 6:
-            raise QAError(f"malformed analysis record at line {line_no}")
-        qid, terms, coarse, fine, confidence, source = fields
-        parse_label(coarse if fine == "-" else f"{coarse}:{fine}")
-        out.append(
-            QuestionAnalysis(
-                qid=qid,
-                text="",
-                tokens=[],
-                query_terms=terms.split() if terms else [],
-                answer_type=AnswerType(
-                    coarse, None if fine == "-" else fine, float(confidence)
-                ),
-                classifier_source=source,
-            )
-        )
+        try:
+            qid, query, coarse, fine, confidence, source = line.split("\t")
+            answer_type = AnswerType(coarse, None if fine == "-" else fine, float(confidence))
+        except (ValueError, InvalidAnswerType) as exc:
+            raise QAError(f"malformed analysis record at line {line_no}: {exc}") from exc
+        out.append(QuestionAnalysis(unescape_field(qid), "", query.split(), answer_type, source))
     return out

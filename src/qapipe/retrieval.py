@@ -42,13 +42,10 @@ class Passage:
 
 def _term_impacts(index: InvertedIndex, term: str) -> list[tuple[str, float]]:
     """(doc_id, BM25 impact) per posting of `term`, in posting order."""
-    pairs = index.term_frequencies(term)
-    if not pairs:
-        return []
     avg = index.avg_doc_length
     idf = index.idf(term)
     impacts = []
-    for doc_id, tf in pairs:
+    for doc_id, tf in index.postings.get(term, ()):
         dl = index.doc_lengths[doc_id]
         denom = tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avg)
         impacts.append((doc_id, idf * tf * (BM25_K1 + 1.0) / denom))

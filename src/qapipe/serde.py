@@ -6,6 +6,8 @@ encodes "absent" (a literal backslash-N survives as \\\\N).
 
 Every artifact is written through `atomic_write_text`, so a stage that
 fails or is killed mid-write leaves the previous file, never part of one.
+Stage files are read through `read_text`, which names the line of any
+bytes that are not UTF-8.
 """
 
 import os
@@ -52,3 +54,15 @@ def atomic_write_text(path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_text(path, error: type[Exception]) -> str:
+    """The UTF-8 text of `path` with newlines translated as text mode does;
+    bytes that are not UTF-8 raise `error(message)`, naming their line."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line_no} is not valid UTF-8") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -36,7 +36,7 @@ def run_info_source_prep(config: PipelineConfig) -> StageResult:
 
 def run_question_processing(config: PipelineConfig) -> StageResult:
     out_path = analysis_out_path(config)
-    rejects: list[questions.MalformedQuestion] = []
+    rejects: list[corpus.MalformedRecord] = []
     parsed = questions.parse_questions(
         config.questions_path, config.param("questions.format"), rejects
     )

@@ -54,8 +54,5 @@ class AnswerType:
 def parse_label(label: str) -> tuple[str, str | None]:
     """Split a COARSE or COARSE:fine label; raises on anything unknown."""
     coarse, sep, fine = label.partition(":")
-    if coarse not in COARSE_CLASSES:
-        raise InvalidAnswerType(f"unknown coarse class: {coarse!r}")
-    if sep and fine not in FINE_CLASSES[coarse]:
-        raise InvalidAnswerType(f"unknown fine class {coarse}:{fine}")
-    return coarse, fine if sep else None
+    answer_type = AnswerType(coarse, fine if sep else None)
+    return answer_type.coarse, answer_type.fine

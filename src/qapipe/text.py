@@ -33,7 +33,3 @@ def terms(text: str) -> list[str]:
     # Lower each match, not the text: "İ".lower() ends in a non-alphanumeric mark.
     return [w.lower() for w in _TOKEN_RE.findall(text)]
 
-
-def remove_stopwords(tokens: list[Token], stoplist: frozenset[str]) -> list[Token]:
-    """Order-preserving stopword filter; original positions are kept."""
-    return [t for t in tokens if t.surface not in stoplist]

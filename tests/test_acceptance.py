@@ -58,7 +58,7 @@ def test_criterion_1_accuracy_formula_exactness():
         t0 = time.perf_counter()
         gold = {f"q{i}": GoldPattern(f"q{i}", ["hit"]) for i in range(10)}
         answers = [
-            AnswerRecord(f"q{i}", "hit" if i < 3 else "miss", "D1", 1.0, 1)
+            AnswerRecord(f"q{i}", "hit" if i < 3 else "miss", "D1", 1.0)
             for i in range(10)
         ]
         report = evaluate_answers(answers, gold)
@@ -66,7 +66,7 @@ def test_criterion_1_accuracy_formula_exactness():
         assert format_report(report).splitlines()[0].startswith("accuracy = 0.300")
 
         zero = evaluate_answers(
-            [AnswerRecord(f"q{i}", "miss", "D1", 1.0, 1) for i in range(10)], gold
+            [AnswerRecord(f"q{i}", "miss", "D1", 1.0) for i in range(10)], gold
         )
         assert zero.correct_count == 0
         assert format_report(zero).splitlines()[0].startswith("accuracy = 0.000")

@@ -146,6 +146,31 @@ def test_model_bad_magic(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("alpha 0.0\nspace coarse\nlabel NUM 1\n", "line 2: alpha 0.0 is not positive"),
+        ("alpha nan\nspace coarse\nlabel NUM 1\n", "line 2: alpha nan is not positive"),
+        ("alpha 1.0\nspace coarse\nlabel NUM 0\n", "line 4: count 0 is not positive"),
+        ("alpha 1.0\nspace coarse\nlabel PLANET 1\n", "line 4: unknown coarse class"),
+        ("alpha 1.0\nspace coarse\nlabel NUM 1\nfeat HUM who 1\n", "line 5: feature of undeclared"),
+        ("alpha 1e308\nspace coarse\nlabel NUM 1\nfeat NUM who 1\n", "out of numeric range"),
+    ],
+)
+def test_load_model_refuses_with_corrupt_model(tmp_path, body, message):
+    path = tmp_path / "model.nb"
+    path.write_text("QANUSNB1 1\n" + body, encoding="utf-8")
+    with pytest.raises(CorruptModel, match=message):
+        load_model(path)
+
+
+def test_load_model_names_the_line_of_undecodable_bytes(tmp_path):
+    path = tmp_path / "model.nb"
+    path.write_bytes(b"QANUSNB1 1\nalpha 1.0\nspace coarse\nlabel NUM 1\nfeat NUM \xff 1\n")
+    with pytest.raises(CorruptModel, match="line 5 is not valid UTF-8"):
+        load_model(path)
+
+
 def test_likelihoods_normalize_per_label():
     import math
 

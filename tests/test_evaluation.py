@@ -8,7 +8,6 @@ from qapipe.evaluation import (
     EmptyTestSet,
     GoldPattern,
     QidMismatch,
-    accuracy,
     evaluate_answers,
     format_report,
     judge,
@@ -19,7 +18,7 @@ from qapipe.extraction import AnswerRecord
 
 
 def record(qid, answer, doc="D1", score=1.0):
-    return AnswerRecord(qid, answer, doc if answer is not None else None, score, 1)
+    return AnswerRecord(qid, answer, doc if answer is not None else None, score)
 
 
 def test_load_gold_groups_patterns(tmp_path):
@@ -78,14 +77,26 @@ def test_judge_correctness_independent_of_pattern_order():
 
 
 def test_accuracy_exact():
-    judgments = [judge(record(f"q{i}", "hit" if i < 3 else "miss"),
-                       GoldPattern(f"q{i}", ["hit"])) for i in range(10)]
-    assert accuracy(judgments, 10) == pytest.approx(0.3)
+    answers = [record(f"q{i}", "hit" if i < 3 else "miss") for i in range(10)]
+    gold = {f"q{i}": GoldPattern(f"q{i}", ["hit"]) for i in range(10)}
+    assert evaluate_answers(answers, gold).accuracy == pytest.approx(0.3)
 
 
 def test_accuracy_empty_test_set():
     with pytest.raises(EmptyTestSet):
-        accuracy([], 0)
+        evaluate_answers([], {})
+
+
+def test_load_gold_refuses_undecodable_bytes_and_oversized_repeats(tmp_path):
+    from qapipe.errors import QAError
+
+    path = tmp_path / "gold.txt"
+    path.write_bytes(b"q1 rome\nq2 par\xe9s\n")
+    with pytest.raises(QAError, match="line 2 is not valid UTF-8"):
+        load_gold(path)
+    path.write_text("q1 a{1,99999999999}\n", encoding="utf-8")
+    with pytest.raises(BadPattern):
+        load_gold(path)
 
 
 def make_gold(n, pattern="hit"):

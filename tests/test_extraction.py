@@ -20,7 +20,7 @@ def passage_of(text, doc_id="d1", score=0.0):
 
 
 def analysis_for(terms, answer_type, qid="q1"):
-    return QuestionAnalysis(qid, "", [], list(terms), answer_type, "rule")
+    return QuestionAnalysis(qid, "", list(terms), answer_type, "rule")
 
 
 def texts(candidates):
@@ -219,7 +219,6 @@ def test_answer_question_planted():
     assert record.answer == "Elena Castwright"
     assert record.supporting_doc == "D1"
     assert record.final_score > 0
-    assert record.rank_list_size >= 1
 
 
 def test_answer_question_tokenizes_only_kept_passages(monkeypatch):
@@ -258,7 +257,6 @@ def test_answer_question_empty_query_is_nil():
     record = answer_question(idx, analysis_for([], AnswerType("HUM", "ind")))
     assert record.answer is None
     assert record.supporting_doc is None
-    assert record.rank_list_size == 0
 
 
 def test_answer_question_no_candidates_is_nil():
@@ -281,18 +279,37 @@ def test_nil_iff_no_supporting_doc():
 
 def test_answers_artifact_round_trip(tmp_path):
     records = [
-        AnswerRecord("q1", "Elena Castwright", "D1", 7.25, 3),
-        AnswerRecord("q2", None, None, 0.0, 0),
-        AnswerRecord("q3", "odd\tanswer\nwith breaks", "D2", 1.5, 1),
+        AnswerRecord("q1", "Elena Castwright", "D1", 7.25),
+        AnswerRecord("q2", None, None, 0.0),
+        AnswerRecord("q3", "odd\tanswer\nwith breaks", "D2", 1.5),
+        AnswerRecord("q\t4", "x", "AP 1\tx\\n", 1.0),
     ]
     path = tmp_path / "answers.txt"
     write_answers(records, path)
     loaded = load_answers(path)
-    assert [r.qid for r in loaded] == ["q1", "q2", "q3"]
+    assert [r.qid for r in loaded] == ["q1", "q2", "q3", "q\t4"]
+    assert loaded[3].supporting_doc == "AP 1\tx\\n"
     assert loaded[0].answer == "Elena Castwright"
     assert loaded[1].answer is None and loaded[1].supporting_doc is None
     assert loaded[2].answer == "odd\tanswer\nwith breaks"
     assert loaded[0].final_score == pytest.approx(7.25)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"q1\tx\tD1\t1.0\nq2\tx\tD1\thigh\n", "malformed answer record at line 2"),
+        (b"q1\tx\tD1\n", "malformed answer record at line 1"),
+        (b"q1\tx\tD1\t1.0\nq2\t\xff\tD1\t1.0\n", "line 2 is not valid UTF-8"),
+    ],
+)
+def test_load_answers_refuses_with_qaerror_naming_the_line(tmp_path, raw, message):
+    from qapipe.errors import QAError
+
+    path = tmp_path / "answers.txt"
+    path.write_bytes(raw)
+    with pytest.raises(QAError, match=message):
+        load_answers(path)
 
 
 def test_gazetteer_boost_outranks_closer_candidate():

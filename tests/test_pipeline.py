@@ -203,6 +203,46 @@ def test_trec_xml_questions_through_the_stage(tmp_path):
     assert analysis.answer_type.coarse == "NUM"
 
 
+def test_ids_holding_a_tab_survive_every_stage(tmp_path):
+    """A trec-sgml DOCNO and a trec-xml question id with a tab are escaped in
+    analysis.txt and answers.txt, so evaluation reads them back."""
+    from qapipe.classifier import TrainingExample, train_classifier, write_model
+    from qapipe.extraction import load_answers
+    from qapipe.questions import load_analyses
+
+    (tmp_path / "corpus.sgml").write_text(
+        "<DOC>\n<DOCNO>AP 1\tx\\n</DOCNO>\n"
+        "<TEXT>Wolfgang performed in Vienna in 1781.</TEXT>\n</DOC>\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "questions.xml").write_text(
+        '<target text="Mozart">\n<q id="1\t1">When did Wolfgang play in Vienna?</q>\n</target>\n',
+        encoding="utf-8",
+    )
+    (tmp_path / "gold.txt").write_text("1\t1 1781\n", encoding="utf-8")
+    write_model(
+        train_classifier([TrainingExample("NUM:date", "when was it built")]),
+        tmp_path / "model.nb",
+    )
+    (tmp_path / "config.qa").write_text(
+        "corpus_path = corpus.sgml\n"
+        "index_path = index.qix\n"
+        "questions_path = questions.xml\n"
+        "classifier_model_path = model.nb\n"
+        "answers_out_path = answers.txt\n"
+        "gold_path = gold.txt\n"
+        "report_out_path = report.txt\n"
+        "questions.format = trec-xml\n",
+        encoding="utf-8",
+    )
+    run_pipeline(load_config(tmp_path / "config.qa"), default_registry(), ALL_STAGES)
+    assert load_analyses(tmp_path / "analysis.txt")[0].qid == "1\t1"
+    (answer,) = load_answers(tmp_path / "answers.txt")
+    assert (answer.qid, answer.answer, answer.supporting_doc) == ("1\t1", "1781", "AP 1\tx\\n")
+    report = (tmp_path / "report.txt").read_text(encoding="utf-8")
+    assert report.startswith("accuracy = 1.000 (1/1)")
+
+
 def test_programmatic_config_gets_param_defaults(tmp_path):
     from qapipe.config import PipelineConfig
 

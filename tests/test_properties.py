@@ -1,15 +1,23 @@
 """Property tests for the field codec, the index file format, tokenization,
-passage scoring, BM25 retrieval and candidate proximity."""
+query terms, passage scoring, BM25 retrieval, candidate proximity and the
+stage-file loaders."""
 
 import math
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from qapipe.classifier import load_model
 from qapipe.corpus import Document
-from qapipe.extraction import _token_span, answer_question, extract_candidates, rank_candidates
-from qapipe.index import build_index, load_index, write_index
-from qapipe.questions import QuestionAnalysis
+from qapipe.errors import QAError
+from qapipe.evaluation import load_gold
+from qapipe.extraction import (
+    _token_span, answer_question, extract_candidates, load_answers, rank_candidates,
+)
+from qapipe.index import Posting, build_index, load_index, write_index
+from qapipe.questions import Question, QuestionAnalysis, analyze, load_analyses
+from qapipe.stopwords import STOPWORDS
 from qapipe.retrieval import (
     BM25_B, BM25_K1, DEFAULT_COVERAGE_WEIGHT, Passage, ScoredDocument, retrieve_documents,
     score_passage,
@@ -67,7 +75,9 @@ def test_index_round_trip(tmp_path_factory, docs):
     idx = build_index(docs)
     path = tmp_path_factory.mktemp("prop") / "idx.qix"
     write_index(idx, path)
-    assert load_index(path) == idx
+    loaded = load_index(path)
+    assert loaded == idx  # every term's postings included
+    assert all(type(p) is Posting for plist in loaded.postings.values() for p in plist)
 
 
 @given(st.text())
@@ -83,6 +93,28 @@ UNICODE_WORDS = ["İstanbul", "İ", "Straße", "ΣΊΣΥΦΟΣ", "ǅemal", "ﬁr
 def test_token_span_slices_back_to_its_surface(text):
     for t in tokenize(text):
         assert text[t.char_offset:t.char_end].lower() == t.surface
+
+
+def reference_query_terms(question, stoplist):
+    """analyze's query terms as they were: Token surfaces minus stopwords,
+    then the target's terms minus stopwords, deduplicated in order."""
+    words = [t.surface for t in tokenize(question.text) if t.surface not in stoplist]
+    if question.target:
+        words += [w for w in terms(question.target) if w not in stoplist]
+    return list(dict.fromkeys(words))
+
+
+question_text = st.lists(
+    st.sampled_from(UNICODE_WORDS + ["What", "is", "the", "of", "Mill", " ", "?", "_"])
+    | st.characters()
+).map("".join)
+
+
+@given(question_text, st.none() | question_text)
+def test_query_terms_match_token_reference(text, target):
+    question = Question("q1", text, target)
+    analysis = analyze(question, None, STOPWORDS)
+    assert analysis.query_terms == reference_query_terms(question, STOPWORDS)
 
 
 def reference_score_passage(passage, query_terms, index, coverage_weight):
@@ -148,7 +180,7 @@ def reference_retrieve(index, query_terms, k):
 
 
 def analysis_of(query, answer_type=AnswerType("HUM", "ind")):
-    return QuestionAnalysis("q1", " ".join(query), [], query, answer_type, "rule")
+    return QuestionAnalysis("q1", " ".join(query), query, answer_type, "rule")
 
 
 @settings(max_examples=50)
@@ -197,3 +229,77 @@ def test_rank_proximity_matches_per_candidate_reference(texts, query):
     for ranked in rank_candidates(candidates, analysis_of(query), passages):
         passage = passages[ranked.passage_index]
         assert ranked.proximity_score == reference_proximity(passage, ranked, query)
+
+
+# Near-valid stage files for each loader: real field values, values that
+# must be refused, and short arbitrary text.
+ALPHA = st.sampled_from(["1.0", "0.25", "1e308"]) | st.sampled_from(["0", "-1", "nan", "inf", "x"])
+COUNT = st.sampled_from(["1", "3", "9" * 400]) | st.sampled_from(["0", "-1", "2.5", "x"])
+LABEL = st.sampled_from(["NUM", "NUM:date", "HUM:ind"]) | st.sampled_from(
+    ["PLANET", "NUM:moon", "NUM:"])
+SHORT = st.text(max_size=4)
+
+
+def records(fields, sep):
+    return st.lists(fields.map(sep.join), max_size=6).map("\n".join)
+
+
+@st.composite
+def model_files(draw):
+    """Records in the order write_model uses, so that most drawn models are complete."""
+    lines = ["QANUSNB1 1", f"alpha {draw(ALPHA)}",
+             f"space {draw(st.sampled_from(['coarse', 'coarse+fine']) | SHORT)}"]
+    lines += [f"label {draw(LABEL)} {draw(COUNT)}" for _ in range(draw(st.integers(1, 2)))]
+    feature = st.sampled_from(["wh=who", "mill"]) | SHORT
+    lines += [f"feat {draw(LABEL)} {draw(feature)} {draw(COUNT)}"
+              for _ in range(draw(st.integers(0, 3)))]
+    return "\n".join(lines + draw(st.lists(SHORT, max_size=1)))
+
+
+STAGE_FILES = {
+    load_answers: records(st.lists(
+        st.sampled_from(["q1", "q\\t1", "NIL", "-", "D1", "1.5", "nan", "high"]) | SHORT,
+        min_size=3, max_size=5,
+    ), "\t"),
+    load_analyses: records(st.lists(
+        st.sampled_from(["q1", "mill built", "NUM", "HUM", "date", "-", "0.5", "2", "x",
+                         "model"]) | SHORT,
+        min_size=5, max_size=7,
+    ), "\t"),
+    load_model: model_files(),
+    load_gold: records(st.tuples(
+        st.sampled_from(["q1", "#", ""]) | SHORT,
+        st.sampled_from(["rome", "(", "a{1,99999999999}", "\\", "NIL"]) | SHORT,
+    ), " "),
+}
+
+
+def load_or_refuse(loader, path):
+    """The loaded object, or None when the loader raised a QAError."""
+    try:
+        return loader(path)
+    except QAError:
+        return None
+
+
+@pytest.mark.parametrize("loader", STAGE_FILES, ids=lambda f: f.__name__)
+@given(data=st.data())
+def test_stage_file_loaders_take_arbitrary_bytes(tmp_path_factory, loader, data):
+    near_valid = data.draw(STAGE_FILES[loader]).encode("utf-8")
+    raw = data.draw(st.binary() | st.binary(min_size=1, max_size=4).map(near_valid.__add__))
+    path = tmp_path_factory.mktemp("loader") / "stage-file"
+    path.write_bytes(raw)
+    load_or_refuse(loader, path)
+
+
+@pytest.mark.parametrize("loader", STAGE_FILES, ids=lambda f: f.__name__)
+@settings(max_examples=200)
+@given(data=st.data())
+def test_stage_file_loaders_load_or_refuse_near_valid_files(tmp_path_factory, loader, data):
+    path = tmp_path_factory.mktemp("loader") / "stage-file"
+    path.write_text(data.draw(STAGE_FILES[loader]), encoding="utf-8")
+    loaded = load_or_refuse(loader, path)
+    if loader is load_model and loaded is not None:  # its log-probabilities are finite
+        tables = [loaded.class_priors, loaded.unseen_log_likelihood,
+                  *loaded.term_log_likelihoods.values()]
+        assert all(math.isfinite(v) for table in tables for v in table.values())

@@ -1,9 +1,9 @@
 import pytest
 
 from qapipe.classifier import TrainingExample, train_classifier
+from qapipe.corpus import MalformedRecord
 from qapipe.questions import (
     DuplicateQid,
-    MalformedQuestion,
     Question,
     analyze,
     load_analyses,
@@ -32,7 +32,7 @@ def test_qline_duplicate_qid_fatal(tmp_path):
 def test_qline_malformed_skip_and_report(tmp_path):
     path = tmp_path / "q.txt"
     path.write_text("q1\tfine?\nno tab here\nq2\talso fine?\n", encoding="utf-8")
-    rejects: list[MalformedQuestion] = []
+    rejects: list[MalformedRecord] = []
     qs = parse_questions(path, "qline", rejects)
     assert [q.qid for q in qs] == ["q1", "q2"]
     assert len(rejects) == 1 and rejects[0].location == "line 2"
@@ -41,7 +41,7 @@ def test_qline_malformed_skip_and_report(tmp_path):
 def test_qline_splits_records_on_newline_only(tmp_path):
     path = tmp_path / "q.txt"
     path.write_text("q1\tWho built\fthe amber mill?\n", encoding="utf-8")
-    rejects: list[MalformedQuestion] = []
+    rejects: list[MalformedRecord] = []
     qs = parse_questions(path, "qline", rejects)
     assert [(q.qid, q.text) for q in qs] == [("q1", "Who built\fthe amber mill?")]
     assert rejects == []
@@ -67,7 +67,7 @@ def test_trec_xml_missing_id_rejected(tmp_path):
         '<target text="X"><q id="">Empty id?</q><q id="1.1">Good?</q></target>',
         encoding="utf-8",
     )
-    rejects: list[MalformedQuestion] = []
+    rejects: list[MalformedRecord] = []
     qs = parse_questions(path, "trec-xml", rejects)
     assert [q.qid for q in qs] == ["1.1"]
     assert len(rejects) == 1
@@ -107,6 +107,8 @@ def tiny_model():
 
 def test_analyze_query_terms(tiny_model):
     analysis = analyze(Question("q1", "What is the capital of France?"), tiny_model, STOPWORDS)
+    assert analysis.query_terms == ["capital", "france"]
+    analysis = analyze(Question("q1", "what is the capital of france"), tiny_model, STOPWORDS)
     assert analysis.query_terms == ["capital", "france"]
 
 
@@ -166,15 +168,34 @@ def test_analysis_artifact_round_trip(tmp_path, tiny_model):
     questions = [
         Question("q1", "Who carved the statue?"),
         Question("q2", "What is it?"),
+        Question("q\t3", "Who carved the statue?"),
     ]
     analyses = [analyze(q, tiny_model, STOPWORDS) for q in questions]
     path = tmp_path / "analysis.txt"
     write_analyses(analyses, path)
     loaded = load_analyses(path)
-    assert [a.qid for a in loaded] == ["q1", "q2"]
+    assert [a.qid for a in loaded] == ["q1", "q2", "q\t3"]
     assert loaded[0].query_terms == analyses[0].query_terms
     assert loaded[0].answer_type.label == analyses[0].answer_type.label
     assert loaded[1].query_terms == []
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"q1\tstatue\tHUM\tind\tsure\tmodel\n", "malformed analysis record at line 1"),
+        (b"\nq1\tstatue\tHUM\tplanet\t0.5\tmodel\n", "malformed analysis record at line 2"),
+        (b"q1\tstatue\tHUM\tind\t0.5\n", "malformed analysis record at line 1"),
+        (b"q1\tstatue\tHUM\tind\t0.5\tmodel\n\xc3(\n", "line 2 is not valid UTF-8"),
+    ],
+)
+def test_load_analyses_refuses_with_qaerror_naming_the_line(tmp_path, raw, message):
+    from qapipe.errors import QAError
+
+    path = tmp_path / "analysis.txt"
+    path.write_bytes(raw)
+    with pytest.raises(QAError, match=message):
+        load_analyses(path)
 
 
 PLANTED_GOLDEN_ANALYSES = """\

@@ -8,12 +8,12 @@ from qapipe.serde import atomic_write_text
 
 def test_failed_artifact_write_keeps_old_bytes(tmp_path):
     path = tmp_path / "answers.txt"
-    write_answers([AnswerRecord("q1", "Elena Castwright", "D1", 7.25, 1)], path)
+    write_answers([AnswerRecord("q1", "Elena Castwright", "D1", 7.25)], path)
     old = path.read_bytes()
     # A lone surrogate cannot be encoded as UTF-8: the write raises after
     # the file it writes to has been opened.
-    bad = [AnswerRecord(f"q{i}", "x" * 1000, "D1", 1.0, 1) for i in range(100)]
-    bad.append(AnswerRecord("q101", "\ud800", "D2", 1.0, 1))
+    bad = [AnswerRecord(f"q{i}", "x" * 1000, "D1", 1.0) for i in range(100)]
+    bad.append(AnswerRecord("q101", "\ud800", "D2", 1.0))
     with pytest.raises(UnicodeEncodeError):
         write_answers(bad, path)
     assert path.read_bytes() == old

@@ -1,7 +1,7 @@
 import random
 
 from qapipe.stopwords import STOPWORDS, STOPWORDS_ORDERED
-from qapipe.text import Token, remove_stopwords, tokenize
+from qapipe.text import tokenize
 
 
 def surfaces(tokens):
@@ -45,21 +45,3 @@ def test_stoplist_is_the_documented_127_words():
     assert len(STOPWORDS) == 127
     for word in ("what", "is", "the", "of", "when", "was", "he", "who", "where", "how"):
         assert word in STOPWORDS
-
-
-def test_remove_stopwords_drops_question_words():
-    tokens = tokenize("what is the capital of france")
-    assert surfaces(remove_stopwords(tokens, STOPWORDS)) == ["capital", "france"]
-
-
-def test_remove_stopwords_empty_and_identity():
-    assert remove_stopwords([], STOPWORDS) == []
-    tokens = tokenize("quantum ferrous lattice")
-    assert remove_stopwords(tokens, STOPWORDS) == tokens
-
-
-def test_remove_stopwords_keeps_original_positions():
-    tokens = tokenize("the capital of france")
-    kept = remove_stopwords(tokens, STOPWORDS)
-    assert [t.position for t in kept] == [1, 3]
-    assert kept == [Token("capital", 1, 4, 11), Token("france", 3, 15, 21)]
