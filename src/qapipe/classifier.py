@@ -10,13 +10,15 @@ Features for a question are a multiset of:
   - wh=<who|what|when|where|which|why|how|none>, first wh-word present,
   - len=<1-3|4-7|8+>, bucketed token count.
 
-Model file format (magic QANUSNB1, versioned, deterministic ordering):
+Model file format (magic QANUSNB1, framed by serde's `write_records`,
+deterministic ordering):
 
-    QANUSNB1 1
+    QANUSNB1 2
     alpha <repr>
     space <coarse|coarse+fine>
     label <label> <example_count>
     feat <label> <feature> <count>
+    sha256 <TAB> <hex digest of every byte above>
 
 Only integer counts and alpha are stored; log-probabilities are
 recomputed at load, so load(write(m)) reproduces the model exactly.
@@ -27,13 +29,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import QAError
-from .serde import atomic_write_text, read_text
-from .taxonomy import AnswerType, InvalidAnswerType, parse_label
+from .errors import QAError, UsageError
+from .serde import read_records, write_records
+from .taxonomy import AnswerType, parse_label
 from .text import terms, tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
 
 MAGIC = "QANUSNB1"
-VERSION = 1
+VERSION = 2
 
 WH_WORDS = ("who", "what", "when", "where", "which", "why", "how")
 
@@ -114,16 +116,22 @@ class ClassifierModel:
         return sorted(self.example_counts)
 
 
+def check_alpha(alpha: float) -> float:
+    """`alpha`, or UsageError when it is not positive and finite."""
+    if not 0.0 < alpha < math.inf:
+        raise UsageError(f"alpha {alpha} is not positive and finite")
+    return alpha
+
+
 def train_classifier(
     examples: list[TrainingExample],
     alpha: float = 1.0,
     label_space: str = COARSE_FINE,
 ) -> ClassifierModel:
     """Count features per label and build the smoothed model."""
-    if alpha <= 0:
-        raise ValueError(f"smoothing alpha must be positive, got {alpha}")
+    check_alpha(alpha)
     if label_space not in (COARSE_ONLY, COARSE_FINE):
-        raise ValueError(f"unknown label space: {label_space!r}")
+        raise UsageError(f"unknown label space: {label_space!r}")
     if not examples:
         raise NoExamples("no training examples")
     example_counts: dict[str, int] = {}
@@ -163,13 +171,13 @@ def classify_question(model: ClassifierModel, text: str) -> AnswerType:
 
 
 def write_model(model: ClassifierModel, path) -> None:
-    lines = [f"{MAGIC} {VERSION}", f"alpha {model.alpha!r}", f"space {model.label_space}"]
+    lines = [f"alpha {model.alpha!r}", f"space {model.label_space}"]
     for label in sorted(model.example_counts):
         lines.append(f"label {label} {model.example_counts[label]}")
     for label in sorted(model.feature_counts):
         for feat, n in sorted(model.feature_counts[label].items()):
             lines.append(f"feat {label} {feat} {n}")
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    write_records(path, MAGIC, VERSION, lines)
 
 
 def _positive_count(text: str) -> int:
@@ -180,25 +188,16 @@ def _positive_count(text: str) -> int:
 
 
 def load_model(path) -> ClassifierModel:
-    lines = read_text(path, CorruptModel).removesuffix("\n").split("\n")
-    if lines == [""]:
-        raise CorruptModel("empty model file")
-    header = lines[0].split(" ")
-    if header[0] != MAGIC:
-        raise CorruptModel(f"bad magic: {lines[0][:16]!r}")
-    if len(header) != 2 or header[1] != str(VERSION):
-        raise CorruptModel(f"model version {header[1:]} unsupported")
+    lines = read_records(path, MAGIC, VERSION, CorruptModel)
     alpha: float | None = None
     label_space: str | None = None
     example_counts: dict[str, int] = {}
     feature_counts: dict[str, dict[str, int]] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in enumerate(lines, start=2):
         kind, _, rest = line.partition(" ")
         try:
             if kind == "alpha":
-                alpha = float(rest)
-                if not 0.0 < alpha < math.inf:
-                    raise ValueError(f"alpha {alpha} is not positive and finite")
+                alpha = check_alpha(float(rest))
             elif kind == "space":
                 label_space = rest
             elif kind == "label":
@@ -213,7 +212,7 @@ def load_model(path) -> ClassifierModel:
                 feature_counts[label][feat] = _positive_count(n)
             else:
                 raise ValueError(f"unknown record kind {kind!r}")
-        except (ValueError, InvalidAnswerType) as exc:
+        except (ValueError, QAError) as exc:  # QAError: a bad alpha or label
             raise CorruptModel(f"malformed model record at line {line_no}: {exc}") from exc
     if alpha is None or label_space is None or not example_counts:
         raise CorruptModel("incomplete model file")

@@ -20,7 +20,7 @@ import sys
 
 from . import index as index_mod
 from .classifier import load_model, parse_training_file, train_classifier, write_model
-from .config import PipelineConfig, ValidationFailed, check_param_types, load_config
+from .config import ValidationFailed, check_param_types, load_config
 from .errors import QAError, UsageError
 from .extraction import AnswerSettings, answer_question
 from .pipeline import PIPELINE_ORDER, StageKind, run_pipeline
@@ -42,11 +42,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# Commands that run pipeline stages; run-all drops evaluation when no gold is set.
+_STAGE_COMMANDS = {
+    "index": [StageKind.INFO_SOURCE_PREP],
+    "process-questions": [StageKind.QUESTION_PROCESSING],
+    "answer": [StageKind.ANSWER_RETRIEVAL],
+    "evaluate": [StageKind.EVALUATION],
+    "run-all": list(PIPELINE_ORDER),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="qapipe", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("index", "process-questions", "answer", "evaluate", "run-all", "stats"):
+    for name in (*_STAGE_COMMANDS, "stats"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
 
@@ -62,51 +72,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_stages(config: PipelineConfig, stages: list[StageKind]) -> int:
+def cmd_stages(args) -> int:
+    config = load_config(args.config)
+    stages = _STAGE_COMMANDS[args.command]
+    if args.command == "run-all" and not config.gold_path:
+        stages = stages[:3]
     manifest = run_pipeline(config, default_registry(), stages)
     for run in manifest.stages_run:
         print(f"{run.stage.value}: {run.detail}")
     return EXIT_OK
 
 
-def cmd_index(args) -> int:
-    return _run_stages(load_config(args.config), [StageKind.INFO_SOURCE_PREP])
-
-
-def cmd_process_questions(args) -> int:
-    return _run_stages(load_config(args.config), [StageKind.QUESTION_PROCESSING])
-
-
-def cmd_answer(args) -> int:
-    return _run_stages(load_config(args.config), [StageKind.ANSWER_RETRIEVAL])
-
-
-def cmd_evaluate(args) -> int:
-    return _run_stages(load_config(args.config), [StageKind.EVALUATION])
-
-
-def cmd_run_all(args) -> int:
-    config = load_config(args.config)
-    stages = PIPELINE_ORDER if config.gold_path else PIPELINE_ORDER[:3]
-    return _run_stages(config, list(stages))
-
-
 def cmd_train_classifier(args) -> int:
     examples, rejected = parse_training_file(args.train_file)
+    for line in rejected:
+        print(f"rejected: {line}", file=sys.stderr)
     if not examples:
         raise UsageError("training file has no valid examples")
     total = len(examples) + len(rejected)
     if len(rejected) > 0.01 * total:
-        for line in rejected:
-            print(f"rejected: {line}", file=sys.stderr)
         raise UsageError(
             f"{len(rejected)} of {total} training lines malformed (over 1% tolerance)"
         )
-    for line in rejected:
-        print(f"rejected: {line}", file=sys.stderr)
     space = "coarse" if args.coarse_only else "coarse+fine"
-    if args.alpha <= 0:
-        raise UsageError("--alpha must be positive")
     model = train_classifier(examples, alpha=args.alpha, label_space=space)
     write_model(model, args.out)
     print(f"labels={len(model.example_counts)} vocab={len(model.vocabulary)}")
@@ -174,12 +162,8 @@ def cmd_stats(args) -> int:
 
 
 _COMMANDS = {
-    "index": cmd_index,
+    **dict.fromkeys(_STAGE_COMMANDS, cmd_stages),
     "train-classifier": cmd_train_classifier,
-    "process-questions": cmd_process_questions,
-    "answer": cmd_answer,
-    "evaluate": cmd_evaluate,
-    "run-all": cmd_run_all,
     "ask": cmd_ask,
     "stats": cmd_stats,
 }

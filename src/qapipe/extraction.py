@@ -40,12 +40,17 @@ from .retrieval import (
     segment_passages,
     split_sentences,
 )
-from .serde import atomic_write_text, escape_field, read_text, unescape_field
+from .serde import (
+    escape_field, escape_optional, read_records, unescape_field, unescape_optional,
+    write_records,
+)
 from .stopwords import STOPWORDS
 from .taxonomy import AnswerType
 from .text import tokenize
 
 GAZETTEER_BONUS = 1.0
+MAGIC = "QANUSANS"  # the answers file, framed by serde's write_records
+VERSION = 1
 
 
 class UnsupportedType(QAError):
@@ -392,39 +397,23 @@ def answer_question(
 
 
 def write_answers(records: list[AnswerRecord], path) -> None:
-    """Stage 3 artifact: qid, answer or NIL, doc or -, score."""
-    lines = []
-    for r in records:
-        lines.append(
-            "\t".join(
-                (
-                    escape_field(r.qid),
-                    "NIL" if r.answer is None else escape_field(r.answer),
-                    "-" if r.supporting_doc is None else escape_field(r.supporting_doc),
-                    f"{r.final_score:.6f}",
-                )
-            )
-        )
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    """Stage 3 artifact: qid, answer, doc, score; NIL and no doc are absent fields."""
+    write_records(path, MAGIC, VERSION, (
+        f"{escape_field(r.qid)}\t{escape_optional(r.answer)}\t"
+        f"{escape_optional(r.supporting_doc)}\t{r.final_score:.6f}"
+        for r in records
+    ))
 
 
 def load_answers(path) -> list[AnswerRecord]:
     out: list[AnswerRecord] = []
-    for line_no, line in enumerate(read_text(path, QAError).split("\n"), start=1):
-        if not line.strip():
-            continue
+    for line_no, line in enumerate(read_records(path, MAGIC, VERSION, QAError), start=2):
         try:
             qid, answer, doc, score = line.split("\t")
             final_score = float(score)
         except ValueError as exc:
             raise QAError(f"malformed answer record at line {line_no}: {exc}") from exc
-        is_nil = answer == "NIL" and doc == "-"
-        out.append(
-            AnswerRecord(
-                unescape_field(qid),
-                None if is_nil else unescape_field(answer),
-                None if doc == "-" else unescape_field(doc),
-                final_score,
-            )
-        )
+        out.append(AnswerRecord(
+            unescape_field(qid), unescape_optional(answer), unescape_optional(doc), final_score
+        ))
     return out

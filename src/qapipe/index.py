@@ -18,28 +18,26 @@ String fields are backslash-escaped (\\t, \\n, \\r, \\\\); a field that is
 exactly \\N encodes "absent". Postings reference documents by their
 ordinal, the line order of the doc section, so doc ids never need
 quoting there. Writing the same index twice yields byte-identical files.
-A truncated or damaged file raises CorruptIndex.
+The framing (header, trailing digest) is serde's `write_records`; a
+truncated or damaged file raises CorruptIndex.
 
 Loading decodes the documents but keeps each term's cells as the raw
 string, and checks the stats line against the counted cells. A term's
-cells are decoded once, the first time the term is read, into the
-(doc_id, tf) `Posting` pairs that `postings` keeps and BM25 reads;
-there is no second decode path.
+cells are decoded into (doc_id, tf) `Posting` pairs each time the term
+is read; retrieval reads a term once and memoizes its BM25 impacts.
 """
 
-import hashlib
 import math
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .corpus import Document
 from .errors import QAError
 from .serde import (
-    atomic_write_text, escape_field, escape_optional, unescape_field, unescape_optional,
+    escape_field, escape_optional, read_records, unescape_field, unescape_optional, write_records,
 )
 from .text import terms, tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
 
@@ -55,13 +53,6 @@ class CorruptIndex(QAError):
     pass
 
 
-class VersionMismatch(QAError):
-    def __init__(self, found, expected):
-        super().__init__(f"index version {found!r}, expected {expected!r}")
-        self.found = found
-        self.expected = expected
-
-
 class Posting(NamedTuple):
     doc_id: str
     term_frequency: int
@@ -70,14 +61,13 @@ class Posting(NamedTuple):
 class LazyPostings(Mapping):
     """Read-only term -> list[Posting] over the file's raw `ord:tf` cells.
 
-    A term's list is decoded the first time it is read and kept; a
-    malformed cell raises CorruptIndex naming the term at that read.
+    A term's list is decoded on each read and not kept; a malformed cell
+    raises CorruptIndex naming the term at that read.
     """
 
     def __init__(self, cells: dict[str, str], doc_ids: list[str]):
         self._cells = cells      # term -> its cells, tab-joined as in the file
         self._doc_ids = doc_ids  # doc id by ordinal
-        self._decoded: dict[str, list[Posting]] = {}
 
     def count(self, term: str) -> int:
         """Postings of `term`, counted from its cells without decoding them."""
@@ -85,20 +75,16 @@ class LazyPostings(Mapping):
         return 0 if cells is None else cells.count("\t") + 1
 
     def __getitem__(self, term: str) -> list[Posting]:
-        plist = self._decoded.get(term)
-        if plist is None:
-            cells = self._cells[term]
-            doc_ids = self._doc_ids
-            try:
-                # _make skips the keyword-taking __new__: a third of a cell's decode.
-                plist = [
-                    Posting._make((doc_ids[int(ordinal)], int(tf)))
-                    for ordinal, tf in (cell.split(":") for cell in cells.split("\t"))
-                ]
-            except (ValueError, IndexError) as exc:
-                raise CorruptIndex(f"malformed postings of term {term!r}: {exc}") from exc
-            self._decoded[term] = plist
-        return plist
+        cells = self._cells[term]
+        doc_ids = self._doc_ids
+        try:
+            # _make skips the keyword-taking __new__: a third of a cell's decode.
+            return [
+                Posting._make((doc_ids[int(ordinal)], int(tf)))
+                for ordinal, tf in (cell.split(":") for cell in cells.split("\t"))
+            ]
+        except (ValueError, IndexError) as exc:
+            raise CorruptIndex(f"malformed postings of term {term!r}: {exc}") from exc
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._cells)
@@ -186,13 +172,9 @@ def _stats_line(index: InvertedIndex) -> str:
     return f"stats\tdocs={st.doc_count}\tterms={st.distinct_terms}\tpostings={st.total_postings}"
 
 
-def _digest_line(body: bytes) -> bytes:
-    return f"sha256\t{hashlib.sha256(body).hexdigest()}\n".encode("ascii")
-
-
 def write_index(index: InvertedIndex, path) -> None:
     """Serialize deterministically: docs and terms in sorted order."""
-    lines = [f"{MAGIC} {VERSION}", _stats_line(index)]
+    lines = [_stats_line(index)]
     doc_ids = sorted(index.stored_docs)
     ordinals = {doc_id: i for i, doc_id in enumerate(doc_ids)}
     for doc_id in doc_ids:
@@ -207,35 +189,23 @@ def write_index(index: InvertedIndex, path) -> None:
     for term in sorted(index.postings):
         cells = [f"{ordinals[doc_id]}:{tf}" for doc_id, tf in index.postings[term]]
         lines.append("term\t" + term + "\t" + "\t".join(cells))
-    body = "".join(line + "\n" for line in lines)
-    atomic_write_text(path, body + _digest_line(body.encode("utf-8")).decode("ascii"))
+    write_records(path, MAGIC, VERSION, lines)
 
 
 def load_index(path) -> InvertedIndex:
     """Read an index written by write_index; load(write(x)) == x.
 
-    Magic, version and the trailing digest are checked before anything
-    is decoded, and the stats line must match the documents read and the
-    term cells counted. Postings are decoded per term on first read.
+    The framing is checked before anything is decoded, and the stats
+    line must match the documents read and the term cells counted.
+    Postings are decoded per term when read.
     """
-    raw = Path(path).read_bytes()
-    header = raw.partition(b"\n")[0].split(b" ")
-    if header[0] != MAGIC.encode("ascii"):
-        raise CorruptIndex(f"bad magic: {header[0][:16]!r}")
-    if len(header) != 2 or header[1] != str(VERSION).encode("ascii"):
-        found = header[1].decode("utf-8", "replace") if len(header) > 1 else "?"
-        raise VersionMismatch(found, VERSION)
-    cut = raw.rfind(b"\nsha256\t") + 1
-    if not cut or raw[cut:] != _digest_line(raw[:cut]):
-        raise CorruptIndex("digest mismatch: the index file is damaged or truncated")
-
+    lines = read_records(path, MAGIC, VERSION, CorruptIndex)
     docs_by_ord: list[str] = []
     doc_lengths: dict[str, int] = {}
     stored: dict[str, Document] = {}
     cells_by_term: dict[str, str] = {}
     try:
-        lines = raw[:cut].decode("utf-8").split("\n")
-        for line in lines[2:-1]:
+        for line in lines[1:]:
             kind, _, rest = line.partition("\t")
             if kind == "doc":
                 doc_id, length, headline, spans, text = rest.split("\t", 4)
@@ -264,6 +234,6 @@ def load_index(path) -> InvertedIndex:
     except (ValueError, IndexError) as exc:
         raise CorruptIndex(f"malformed index record: {exc}") from exc
     index = InvertedIndex(LazyPostings(cells_by_term, docs_by_ord), doc_lengths, stored)
-    if _stats_line(index) != lines[1]:
-        raise CorruptIndex(f"stats line {lines[1]!r} does not match the records")
+    if lines[:1] != [_stats_line(index)]:
+        raise CorruptIndex(f"stats line {lines[:1]} does not match the records")
     return index

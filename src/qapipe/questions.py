@@ -22,11 +22,13 @@ from pathlib import Path
 from .classifier import ClassifierModel, classify_question
 from .corpus import MalformedRecord
 from .errors import QAError
-from .serde import atomic_write_text, escape_field, read_text, unescape_field
+from .serde import escape_field, read_records, unescape_field, write_records
 from .taxonomy import AnswerType, InvalidAnswerType
 from .text import terms, tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
 
 QUESTION_FORMATS = ("trec-xml", "qline")
+MAGIC = "QANUSQAN"  # the analyses file, framed by serde's write_records
+VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -166,30 +168,20 @@ def analyze(
 
 def write_analyses(analyses: list[QuestionAnalysis], path) -> None:
     """Stage 2 -> 3 hand-off artifact, one record per question."""
-    lines = []
-    for a in analyses:
-        t = a.answer_type
-        lines.append(
-            "\t".join(
-                (
-                    escape_field(a.qid),
-                    " ".join(a.query_terms),
-                    t.coarse,
-                    t.fine if t.fine is not None else "-",
-                    f"{t.confidence:.6f}",
-                    a.classifier_source,
-                )
-            )
-        )
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+    write_records(path, MAGIC, VERSION, (
+        "\t".join((
+            escape_field(a.qid), " ".join(a.query_terms), a.answer_type.coarse,
+            "-" if a.answer_type.fine is None else a.answer_type.fine,
+            f"{a.answer_type.confidence:.6f}", a.classifier_source,
+        ))
+        for a in analyses
+    ))
 
 
 def load_analyses(path) -> list[QuestionAnalysis]:
     """Read the stage-2 artifact; the question text is not part of it."""
     out: list[QuestionAnalysis] = []
-    for line_no, line in enumerate(read_text(path, QAError).split("\n"), start=1):
-        if not line.strip():
-            continue
+    for line_no, line in enumerate(read_records(path, MAGIC, VERSION, QAError), start=2):
         try:
             qid, query, coarse, fine, confidence, source = line.split("\t")
             answer_type = AnswerType(coarse, None if fine == "-" else fine, float(confidence))

@@ -1,18 +1,29 @@
-"""Field escaping for the line-oriented artifact files.
+"""Field escaping and the checked record framing of the stage files.
 
 Tabs separate fields and newlines separate records, so embedded tabs,
 newlines, and backslashes are escaped. A field that is exactly \\N
 encodes "absent" (a literal backslash-N survives as \\\\N).
 
-Every artifact is written through `atomic_write_text`, so a stage that
-fails or is killed mid-write leaves the previous file, never part of one.
-Stage files are read through `read_text`, which names the line of any
-bytes that are not UTF-8.
+Every stage hand-off file (index, model, analyses, answers) is framed
+by `write_records` and read by `read_records`:
+
+    MAGIC VERSION
+    record                        (one escaped record per line)
+    ...
+    sha256 <TAB> hex digest of every byte above
+
+so a truncated, damaged or foreign file raises, never loads as another
+object. Every artifact is written through `atomic_write_text`, so a
+stage that fails or is killed mid-write leaves the previous file, never
+part of one.
 """
 
+import hashlib
 import os
 import re
 from pathlib import Path
+
+from .errors import QAError
 
 NONE_FIELD = "\\N"
 _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
@@ -54,6 +65,43 @@ def atomic_write_text(path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+class VersionMismatch(QAError):
+    """A stage file of another format version than its reader's."""
+
+
+def _digest_line(body: bytes) -> bytes:
+    return b"sha256\t%s\n" % hashlib.sha256(body).hexdigest().encode("ascii")
+
+
+def write_records(path, magic: str, version: int, lines) -> None:
+    """Write `lines` (records holding no "\\n") framed as the module docstring says."""
+    body = f"{magic} {version}\n" + "".join(line + "\n" for line in lines)
+    atomic_write_text(path, body + _digest_line(body.encode("utf-8")).decode("ascii"))
+
+
+def read_records(path, magic: str, version: int, error: type[QAError]) -> list[str]:
+    """The records of a file written by write_records under `magic` and `version`.
+
+    A wrong magic, a digest that does not match, or bytes that are not
+    UTF-8 raise `error`; any other version raises VersionMismatch.
+    """
+    raw = Path(path).read_bytes()
+    header = raw.partition(b"\n")[0].split(b" ")
+    if header[0] != magic.encode("ascii"):
+        raise error(f"{path}: bad magic {header[0][:16]!r}, expected {magic}")
+    if header[1:] != [str(version).encode("ascii")]:
+        found = b" ".join(header[1:]).decode("utf-8", "replace")
+        raise VersionMismatch(f"{path}: {magic} version {found!r}, expected {version}")
+    cut = raw.rfind(b"\nsha256\t") + 1
+    if not cut or raw[cut:] != _digest_line(raw[:cut]):
+        raise error(f"{path}: digest mismatch: the file is damaged or truncated")
+    try:
+        return raw[:cut].decode("utf-8").split("\n")[1:-1]
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line_no} is not valid UTF-8") from exc
 
 
 def read_text(path, error: type[Exception]) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -42,6 +43,13 @@ def make_record_corpus(path: Path, docs: dict[str, str]) -> Path:
     lines = [f"{doc_id}\t\t{text}" for doc_id, text in docs.items()]
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return path
+
+
+def framed(text) -> bytes:
+    """A stage file's header and records (str or bytes, each line ending in
+    "\\n") with the trailing digest line serde.write_records adds."""
+    body = text.encode("utf-8") if isinstance(text, str) else text
+    return body + b"sha256\t" + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n"
 
 
 def random_docs(n_docs: int, seed: int, vocab_size: int = 60) -> dict[str, str]:

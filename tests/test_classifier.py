@@ -14,6 +14,9 @@ from qapipe.classifier import (
     train_classifier,
     write_model,
 )
+from qapipe.errors import UsageError
+
+from conftest import framed
 
 
 def test_feature_extraction_short_question():
@@ -59,8 +62,9 @@ def test_separable_classes():
 
 
 def test_alpha_must_be_positive():
-    with pytest.raises(ValueError):
-        train_classifier(DISJOINT, alpha=0.0)
+    for alpha in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(UsageError, match="not positive and finite"):
+            train_classifier(DISJOINT, alpha=alpha)
 
 
 def test_no_examples():
@@ -159,14 +163,14 @@ def test_model_bad_magic(tmp_path):
 )
 def test_load_model_refuses_with_corrupt_model(tmp_path, body, message):
     path = tmp_path / "model.nb"
-    path.write_text("QANUSNB1 1\n" + body, encoding="utf-8")
+    path.write_bytes(framed("QANUSNB1 2\n" + body))
     with pytest.raises(CorruptModel, match=message):
         load_model(path)
 
 
 def test_load_model_names_the_line_of_undecodable_bytes(tmp_path):
     path = tmp_path / "model.nb"
-    path.write_bytes(b"QANUSNB1 1\nalpha 1.0\nspace coarse\nlabel NUM 1\nfeat NUM \xff 1\n")
+    path.write_bytes(framed(b"QANUSNB1 2\nalpha 1.0\nspace coarse\nlabel NUM 1\nfeat NUM \xff 1\n"))
     with pytest.raises(CorruptModel, match="line 5 is not valid UTF-8"):
         load_model(path)
 

@@ -78,6 +78,18 @@ def test_train_classifier_rejects_bad_file(tmp_path):
     assert "rejected" in result.stderr
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "0", "-1"])
+def test_train_classifier_refuses_alpha_not_positive_and_finite(tmp_path, alpha):
+    write_basic_setup(tmp_path)
+    result = run_cli(
+        "train-classifier", "--train-file", "train.txt", "--out", "model.nb", "--alpha", alpha,
+        cwd=tmp_path,
+    )
+    assert result.returncode == 1, result.stderr
+    assert "not positive and finite" in result.stderr
+    assert not (tmp_path / "model.nb").exists()
+
+
 def test_index_prints_stats(tmp_path):
     write_basic_setup(tmp_path)
     train(tmp_path)

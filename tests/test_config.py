@@ -8,6 +8,8 @@ from qapipe.config import (
 )
 from qapipe.pipeline import StageKind, validate_config
 
+from conftest import framed
+
 MINIMAL = (
     "corpus_path = corpus.tsv\n"
     "index_path = index.qix\n"
@@ -111,7 +113,7 @@ def test_validate_missing_corpus_file(tmp_path):
 def test_validate_artifacts_may_be_produced_in_run(tmp_path):
     (tmp_path / "corpus.tsv").write_text("d1\t\ttext\n", encoding="utf-8")
     (tmp_path / "questions.txt").write_text("q1\tWho?\n", encoding="utf-8")
-    (tmp_path / "model.nb").write_text("QANUSNB1 1\nalpha 1.0\nspace coarse\nlabel HUM 1\n", encoding="utf-8")
+    (tmp_path / "model.nb").write_bytes(framed("QANUSNB1 2\nalpha 1.0\nspace coarse\nlabel HUM 1\n"))
     config = load_config(
         write_config(tmp_path, MINIMAL + "classifier_model_path = model.nb\n")
     )

@@ -14,6 +14,8 @@ from qapipe.questions import QuestionAnalysis
 from qapipe.retrieval import Passage, segment_passages
 from qapipe.taxonomy import AnswerType
 
+from conftest import framed
+
 
 def passage_of(text, doc_id="d1", score=0.0):
     return Passage(doc_id, (0, len(text)), text, score)
@@ -295,19 +297,33 @@ def test_answers_artifact_round_trip(tmp_path):
     assert loaded[0].final_score == pytest.approx(7.25)
 
 
+def test_nil_text_and_a_dash_doc_id_survive_the_answers_file(tmp_path):
+    """NIL and "no supporting doc" are absent fields, so no answer text or
+    doc id can be mistaken for them."""
+    records = [
+        AnswerRecord("q1", "NIL", "-", 1.0),
+        AnswerRecord("q2", "Rome", "-", 2.0),
+        AnswerRecord("q3", None, None, 0.0),
+        AnswerRecord("q4", "\\N", "\\N", 3.0),
+    ]
+    path = tmp_path / "answers.txt"
+    write_answers(records, path)
+    assert load_answers(path) == records
+
+
 @pytest.mark.parametrize(
     "raw, message",
-    [
-        (b"q1\tx\tD1\t1.0\nq2\tx\tD1\thigh\n", "malformed answer record at line 2"),
-        (b"q1\tx\tD1\n", "malformed answer record at line 1"),
-        (b"q1\tx\tD1\t1.0\nq2\t\xff\tD1\t1.0\n", "line 2 is not valid UTF-8"),
+    [  # the header is line 1, so the first record is line 2
+        (b"q1\tx\tD1\t1.0\nq2\tx\tD1\thigh\n", "malformed answer record at line 3"),
+        (b"q1\tx\tD1\n", "malformed answer record at line 2"),
+        (b"q1\tx\tD1\t1.0\nq2\t\xff\tD1\t1.0\n", "line 3 is not valid UTF-8"),
     ],
 )
 def test_load_answers_refuses_with_qaerror_naming_the_line(tmp_path, raw, message):
     from qapipe.errors import QAError
 
     path = tmp_path / "answers.txt"
-    path.write_bytes(raw)
+    path.write_bytes(framed(b"QANUSANS 1\n" + raw))
     with pytest.raises(QAError, match=message):
         load_answers(path)
 

@@ -1,4 +1,3 @@
-import hashlib
 import re
 from collections import Counter
 
@@ -9,14 +8,14 @@ from qapipe.index import (
     CorruptIndex,
     DuplicateDocId,
     Posting,
-    VersionMismatch,
     build_index,
     load_index,
     write_index,
 )
 from qapipe.retrieval import retrieve_documents
+from qapipe.serde import VersionMismatch
 
-from conftest import make_record_corpus, random_docs
+from conftest import framed, make_record_corpus, random_docs
 
 
 LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -148,40 +147,23 @@ def small_index():
     )
 
 
-def test_every_bit_flip_and_truncation_is_refused(tmp_path):
-    path = tmp_path / "idx.qix"
-    write_index(small_index(), path)
-    assert load_index(path) == small_index()
-    good = path.read_bytes()
-    damaged = [good[:cut] for cut in range(len(good))]
-    for i in range(len(good)):
-        for bit in (0x01, 0x80):
-            damaged.append(good[:i] + bytes([good[i] ^ bit]) + good[i + 1:])
-    for raw in damaged:
-        path.write_bytes(raw)
-        with pytest.raises((CorruptIndex, VersionMismatch)):
-            load_index(path)
-
-
 def test_stats_line_must_match_the_records(tmp_path):
     path = tmp_path / "idx.qix"
     write_index(small_index(), path)
     body = path.read_bytes().rsplit(b"sha256\t", 1)[0].replace(b"postings=", b"postings=1")
-    path.write_bytes(body + b"sha256\t" + hashlib.sha256(body).hexdigest().encode() + b"\n")
+    path.write_bytes(framed(body))
     with pytest.raises(CorruptIndex, match="stats line"):
         load_index(path)
 
 
-def test_postings_are_decoded_on_first_read_and_kept(tmp_path):
+def test_postings_are_decoded_on_read(tmp_path):
     path = tmp_path / "idx.qix"
     write_index(small_index(), path)
     idx = load_index(path)
     assert idx.stats() == small_index().stats()
     assert "para" in idx.postings and "absent" not in idx.postings
     assert idx.postings.get("absent") is None
-    first = idx.postings["para"]
-    assert first == [Posting("d3", 2)]
-    assert idx.postings["para"] is first
+    assert idx.postings["para"] == [Posting("d3", 2)]
     assert idx.document_frequency("para") == 1
 
 
@@ -192,7 +174,7 @@ def test_malformed_cell_fails_when_its_term_is_read(tmp_path):
     body = path.read_bytes().rsplit(b"sha256\t", 1)[0]
     assert b"\nterm\tb\t0:1\n" in body
     body = body.replace(b"\nterm\tb\t0:1\n", b"\nterm\tb\t0:x\n")
-    path.write_bytes(body + b"sha256\t" + hashlib.sha256(body).hexdigest().encode() + b"\n")
+    path.write_bytes(framed(body))
     idx = load_index(path)
     with pytest.raises(CorruptIndex, match="term 'b'"):
         idx.postings["b"]

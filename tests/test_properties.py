@@ -1,6 +1,6 @@
 """Property tests for the field codec, the index file format, tokenization,
-query terms, passage scoring, BM25 retrieval, candidate proximity and the
-stage-file loaders."""
+query terms, passage scoring, BM25 retrieval, candidate proximity, the
+stage-file round trips and the stage-file loaders."""
 
 import math
 from collections import Counter
@@ -8,23 +8,31 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qapipe.classifier import load_model
+from qapipe.classifier import (
+    COARSE_FINE, COARSE_ONLY, CorruptModel, TrainingExample, load_model, train_classifier,
+    write_model,
+)
 from qapipe.corpus import Document
 from qapipe.errors import QAError
 from qapipe.evaluation import load_gold
 from qapipe.extraction import (
-    _token_span, answer_question, extract_candidates, load_answers, rank_candidates,
+    AnswerRecord, _token_span, answer_question, extract_candidates, load_answers,
+    rank_candidates, write_answers,
 )
-from qapipe.index import Posting, build_index, load_index, write_index
-from qapipe.questions import Question, QuestionAnalysis, analyze, load_analyses
+from qapipe.index import CorruptIndex, Posting, build_index, load_index, write_index
+from qapipe.questions import (
+    Question, QuestionAnalysis, analyze, load_analyses, write_analyses,
+)
 from qapipe.stopwords import STOPWORDS
 from qapipe.retrieval import (
     BM25_B, BM25_K1, DEFAULT_COVERAGE_WEIGHT, Passage, ScoredDocument, retrieve_documents,
     score_passage,
 )
-from qapipe.taxonomy import AnswerType
-from qapipe.serde import escape_field, unescape_field
+from qapipe.taxonomy import FINE_CLASSES, AnswerType
+from qapipe.serde import VersionMismatch, escape_field, unescape_field
 from qapipe.text import terms, tokenize
+
+from conftest import framed
 
 # Escape letters, the characters escaping rewrites, and the line breaks
 # that str.splitlines() would split on but escape_field leaves alone.
@@ -231,8 +239,90 @@ def test_rank_proximity_matches_per_candidate_reference(texts, query):
         assert ranked.proximity_score == reference_proximity(passage, ranked, query)
 
 
+# The stage hand-off files round-trip: load(write(x)) == x.
+LABELS = sorted([*FINE_CLASSES] + [f"{c}:{f}" for c, fines in FINE_CLASSES.items() for f in fines])
+answer_types = st.sampled_from(sorted(FINE_CLASSES)).flatmap(lambda coarse: st.builds(
+    AnswerType, st.just(coarse), st.sampled_from([None, *sorted(FINE_CLASSES[coarse])]),
+    st.integers(0, 10**6).map(lambda n: n / 10**6),  # written with 6 decimals
+))
+# NIL, "-" and \N are answer texts and doc ids like any other.
+field_text = st.sampled_from(["NIL", "-", "\\N", ""]) | tricky_text
+scores = st.integers(-10**9, 10**9).map(lambda n: n / 1000)
+
+
+@given(st.lists(st.builds(
+    AnswerRecord, qid=field_text, answer=st.none() | field_text,
+    supporting_doc=st.none() | field_text, final_score=scores,
+), max_size=5))
+def test_answers_round_trip(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("prop") / "answers.txt"
+    write_answers(records, path)
+    assert load_answers(path) == records
+
+
+@given(st.lists(st.builds(
+    QuestionAnalysis, qid=field_text, text=st.just(""),
+    query_terms=st.lists(st.from_regex(r"[a-z0-9]{1,6}", fullmatch=True), max_size=4),
+    answer_type=answer_types, classifier_source=st.sampled_from(["model", "rule", "default"]),
+), max_size=5))
+def test_analyses_round_trip(tmp_path_factory, analyses):
+    path = tmp_path_factory.mktemp("prop") / "analysis.txt"
+    write_analyses(analyses, path)
+    assert load_analyses(path) == analyses
+
+
+@given(
+    st.lists(st.builds(TrainingExample, label=st.sampled_from(LABELS), text=st.text(max_size=30)),
+             min_size=1, max_size=8),
+    st.sampled_from([1.0, 0.25, 1e-9, 3.5]),
+    st.sampled_from([COARSE_ONLY, COARSE_FINE]),
+)
+def test_models_round_trip(tmp_path_factory, examples, alpha, space):
+    model = train_classifier(examples, alpha, space)
+    path = tmp_path_factory.mktemp("prop") / "model.nb"
+    write_model(model, path)
+    loaded = load_model(path)
+    assert loaded == model
+    assert loaded.term_log_likelihoods == model.term_log_likelihoods
+
+
+def written_stage_files(tmp_path):
+    """Small instances of the four stage files: (loader, its error, bytes)."""
+    path = tmp_path / "stage-file"
+    docs = [Document("d1", None, "a b a", ()), Document("d\t2", "Head", "x\ny", ((0, 1),))]
+    write_index(build_index(docs), path)
+    index = path.read_bytes()
+    write_model(train_classifier([TrainingExample("HUM:ind", "who built it"),
+                                  TrainingExample("NUM", "when")], 0.5), path)
+    model = path.read_bytes()
+    write_analyses([QuestionAnalysis("q1", "", ["mill"], AnswerType("HUM", "ind", 0.5), "model"),
+                    QuestionAnalysis("q\t2", "", [], AnswerType("DESC", None, 0.0), "default")],
+                   path)
+    analyses = path.read_bytes()
+    write_answers([AnswerRecord("q1", "Rolf", "d1", 1.5), AnswerRecord("q2", None, None, 0.0)],
+                  path)
+    answers = path.read_bytes()
+    return [(load_index, CorruptIndex, index), (load_model, CorruptModel, model),
+            (load_analyses, QAError, analyses), (load_answers, QAError, answers)]
+
+
+def test_every_truncation_and_bit_flip_of_a_stage_file_is_refused(tmp_path):
+    path = tmp_path / "stage-file"
+    for loader, error, good in written_stage_files(tmp_path):
+        path.write_bytes(good)
+        loader(path)
+        damaged = [good[:cut] for cut in range(len(good))]
+        damaged += [good[:i] + bytes([good[i] ^ (1 << bit)]) + good[i + 1:]
+                    for i in range(len(good)) for bit in range(8)]
+        for raw in damaged:
+            path.write_bytes(raw)
+            with pytest.raises((error, VersionMismatch)):
+                loader(path)
+
+
 # Near-valid stage files for each loader: real field values, values that
-# must be refused, and short arbitrary text.
+# must be refused, and short arbitrary text. The three framed files carry
+# a valid digest, so the loaders' record checks run behind it.
 ALPHA = st.sampled_from(["1.0", "0.25", "1e308"]) | st.sampled_from(["0", "-1", "nan", "inf", "x"])
 COUNT = st.sampled_from(["1", "3", "9" * 400]) | st.sampled_from(["0", "-1", "2.5", "x"])
 LABEL = st.sampled_from(["NUM", "NUM:date", "HUM:ind"]) | st.sampled_from(
@@ -240,32 +330,36 @@ LABEL = st.sampled_from(["NUM", "NUM:date", "HUM:ind"]) | st.sampled_from(
 SHORT = st.text(max_size=4)
 
 
-def records(fields, sep):
-    return st.lists(fields.map(sep.join), max_size=6).map("\n".join)
+def records(fields, sep, header=None):
+    """Lines of `fields` joined by `sep`: framed under `header`, or plain text."""
+    lines = st.lists(fields.map(sep.join), max_size=6)
+    if header is None:
+        return lines.map(lambda ls: "\n".join(ls).encode("utf-8"))
+    return lines.map(lambda ls: framed("".join(line + "\n" for line in [header, *ls])))
 
 
 @st.composite
 def model_files(draw):
     """Records in the order write_model uses, so that most drawn models are complete."""
-    lines = ["QANUSNB1 1", f"alpha {draw(ALPHA)}",
+    lines = ["QANUSNB1 2", f"alpha {draw(ALPHA)}",
              f"space {draw(st.sampled_from(['coarse', 'coarse+fine']) | SHORT)}"]
     lines += [f"label {draw(LABEL)} {draw(COUNT)}" for _ in range(draw(st.integers(1, 2)))]
     feature = st.sampled_from(["wh=who", "mill"]) | SHORT
     lines += [f"feat {draw(LABEL)} {draw(feature)} {draw(COUNT)}"
               for _ in range(draw(st.integers(0, 3)))]
-    return "\n".join(lines + draw(st.lists(SHORT, max_size=1)))
+    return framed("".join(line + "\n" for line in lines + draw(st.lists(SHORT, max_size=1))))
 
 
 STAGE_FILES = {
     load_answers: records(st.lists(
-        st.sampled_from(["q1", "q\\t1", "NIL", "-", "D1", "1.5", "nan", "high"]) | SHORT,
+        st.sampled_from(["q1", "q\\t1", "\\N", "NIL", "-", "D1", "1.5", "nan", "high"]) | SHORT,
         min_size=3, max_size=5,
-    ), "\t"),
+    ), "\t", "QANUSANS 1"),
     load_analyses: records(st.lists(
         st.sampled_from(["q1", "mill built", "NUM", "HUM", "date", "-", "0.5", "2", "x",
                          "model"]) | SHORT,
         min_size=5, max_size=7,
-    ), "\t"),
+    ), "\t", "QANUSQAN 1"),
     load_model: model_files(),
     load_gold: records(st.tuples(
         st.sampled_from(["q1", "#", ""]) | SHORT,
@@ -285,7 +379,7 @@ def load_or_refuse(loader, path):
 @pytest.mark.parametrize("loader", STAGE_FILES, ids=lambda f: f.__name__)
 @given(data=st.data())
 def test_stage_file_loaders_take_arbitrary_bytes(tmp_path_factory, loader, data):
-    near_valid = data.draw(STAGE_FILES[loader]).encode("utf-8")
+    near_valid = data.draw(STAGE_FILES[loader])
     raw = data.draw(st.binary() | st.binary(min_size=1, max_size=4).map(near_valid.__add__))
     path = tmp_path_factory.mktemp("loader") / "stage-file"
     path.write_bytes(raw)
@@ -297,7 +391,7 @@ def test_stage_file_loaders_take_arbitrary_bytes(tmp_path_factory, loader, data)
 @given(data=st.data())
 def test_stage_file_loaders_load_or_refuse_near_valid_files(tmp_path_factory, loader, data):
     path = tmp_path_factory.mktemp("loader") / "stage-file"
-    path.write_text(data.draw(STAGE_FILES[loader]), encoding="utf-8")
+    path.write_bytes(data.draw(STAGE_FILES[loader]))
     loaded = load_or_refuse(loader, path)
     if loader is load_model and loaded is not None:  # its log-probabilities are finite
         tables = [loaded.class_priors, loaded.unseen_log_likelihood,

@@ -2,7 +2,10 @@ import pytest
 
 from qapipe.classifier import TrainingExample, train_classifier
 from qapipe.corpus import MalformedRecord
+from qapipe.errors import QAError
 from qapipe.questions import (
+    MAGIC,
+    VERSION,
     DuplicateQid,
     Question,
     analyze,
@@ -11,7 +14,10 @@ from qapipe.questions import (
     rule_fallback,
     write_analyses,
 )
+from qapipe.serde import read_records
 from qapipe.stopwords import STOPWORDS
+
+from conftest import framed
 
 
 def test_qline_three_questions(tmp_path):
@@ -182,18 +188,19 @@ def test_analysis_artifact_round_trip(tmp_path, tiny_model):
 
 @pytest.mark.parametrize(
     "raw, message",
-    [
-        (b"q1\tstatue\tHUM\tind\tsure\tmodel\n", "malformed analysis record at line 1"),
-        (b"\nq1\tstatue\tHUM\tplanet\t0.5\tmodel\n", "malformed analysis record at line 2"),
-        (b"q1\tstatue\tHUM\tind\t0.5\n", "malformed analysis record at line 1"),
-        (b"q1\tstatue\tHUM\tind\t0.5\tmodel\n\xc3(\n", "line 2 is not valid UTF-8"),
+    [  # the header is line 1, so the first record is line 2; a blank record is malformed
+        (b"q1\tstatue\tHUM\tind\tsure\tmodel\n", "malformed analysis record at line 2"),
+        (b"\nq1\tstatue\tHUM\tplanet\t0.5\tmodel\n", "malformed analysis record at line 2: not enough"),
+        (b"q1\tstatue\tHUM\tplanet\t0.5\tmodel\n", "at line 2: unknown fine class"),
+        (b"q1\tstatue\tHUM\tind\t0.5\n", "malformed analysis record at line 2"),
+        (b"q1\tstatue\tHUM\tind\t0.5\tmodel\n\xc3(\n", "line 3 is not valid UTF-8"),
     ],
 )
 def test_load_analyses_refuses_with_qaerror_naming_the_line(tmp_path, raw, message):
     from qapipe.errors import QAError
 
     path = tmp_path / "analysis.txt"
-    path.write_bytes(raw)
+    path.write_bytes(framed(b"QANUSQAN 1\n" + raw))
     with pytest.raises(QAError, match=message):
         load_analyses(path)
 
@@ -233,7 +240,8 @@ def test_planted_fixture_analyses_match_frozen_golden(tmp_path):
     qs = parse_questions(paths["questions"], "qline")
     out = tmp_path / "analysis.txt"
     write_analyses([analyze(q, model, STOPWORDS) for q in qs], out)
-    assert out.read_text(encoding="utf-8") == PLANTED_GOLDEN_ANALYSES
+    records = read_records(out, MAGIC, VERSION, QAError)
+    assert "".join(line + "\n" for line in records) == PLANTED_GOLDEN_ANALYSES
 
 
 def test_classifier_tie_breaks_lexicographically():

@@ -12,10 +12,8 @@ def test_failed_artifact_write_keeps_old_bytes(tmp_path):
     old = path.read_bytes()
     # A lone surrogate cannot be encoded as UTF-8: the write raises after
     # the file it writes to has been opened.
-    bad = [AnswerRecord(f"q{i}", "x" * 1000, "D1", 1.0) for i in range(100)]
-    bad.append(AnswerRecord("q101", "\ud800", "D2", 1.0))
     with pytest.raises(UnicodeEncodeError):
-        write_answers(bad, path)
+        atomic_write_text(path, "x" * 100_000 + "\ud800")
     assert path.read_bytes() == old
     assert os.listdir(tmp_path) == ["answers.txt"]
     assert load_answers(path)[0].answer == "Elena Castwright"
