@@ -1,7 +1,8 @@
 """Pluggable four-stage factoid question answering pipeline.
 
-The framework (pipeline, config, registry) and the reference components
-(indexing, question analysis, answer retrieval, evaluation) it ships with.
+The framework (pipeline and config: a system is one engine per stage) and
+the reference engines (indexing, question analysis, answer retrieval,
+evaluation) it ships with.
 """
 
 __version__ = "0.1.0"
@@ -12,17 +13,10 @@ from .corpus import Document, parse_corpus
 from .evaluation import EvaluationReport, evaluate_answers, judge, load_gold
 from .extraction import AnswerRecord, answer_question, extract_candidates, rank_candidates
 from .index import InvertedIndex, build_index, load_index, write_index
-from .pipeline import (
-    ComponentRegistry,
-    RunManifest,
-    StageComponent,
-    StageKind,
-    run_pipeline,
-    validate_config,
-)
+from .pipeline import RunManifest, StageKind, run_pipeline, validate_config
 from .questions import Question, QuestionAnalysis, analyze, parse_questions
 from .retrieval import retrieve_documents, score_passage, segment_passages
-from .stages import default_registry
+from .stages import default_engines
 from .stopwords import STOPWORDS
 from .taxonomy import AnswerType
 from .text import Token, tokenize
@@ -31,7 +25,6 @@ __all__ = [
     "AnswerRecord",
     "AnswerType",
     "ClassifierModel",
-    "ComponentRegistry",
     "Document",
     "EvaluationReport",
     "InvertedIndex",
@@ -40,14 +33,13 @@ __all__ = [
     "QuestionAnalysis",
     "RunManifest",
     "STOPWORDS",
-    "StageComponent",
     "StageKind",
     "Token",
     "analyze",
     "answer_question",
     "build_index",
     "classify_question",
-    "default_registry",
+    "default_engines",
     "evaluate_answers",
     "extract_candidates",
     "judge",

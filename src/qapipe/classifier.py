@@ -27,10 +27,9 @@ recomputed at load, so load(write(m)) reproduces the model exactly.
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import QAError, UsageError
-from .serde import read_records, write_records
+from .serde import read_records, read_text, write_records
 from .taxonomy import AnswerType, parse_label
 from .text import terms, tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
 
@@ -226,9 +225,7 @@ def parse_training_file(path) -> tuple[list[TrainingExample], list[str]]:
     """Read `LABEL question text` lines; invalid lines go to the rejects list."""
     examples: list[TrainingExample] = []
     rejected: list[str] = []
-    for line_no, line in enumerate(
-        Path(path).read_text(encoding="utf-8").split("\n"), start=1
-    ):
+    for line_no, line in enumerate(read_text(path, UsageError).split("\n"), start=1):
         if not line.strip():
             continue
         label, _, question = line.partition(" ")

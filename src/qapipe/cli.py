@@ -21,11 +21,11 @@ import sys
 from . import index as index_mod
 from .classifier import load_model, parse_training_file, train_classifier, write_model
 from .config import ValidationFailed, check_param_types, load_config
-from .errors import QAError, UsageError
+from .errors import UsageError
 from .extraction import AnswerSettings, answer_question
-from .pipeline import PIPELINE_ORDER, StageKind, run_pipeline
+from .pipeline import StageKind, run_pipeline
 from .questions import Question, analyze
-from .stages import default_registry
+from .stages import default_engines
 from .stopwords import STOPWORDS
 
 EXIT_OK = 0
@@ -48,7 +48,7 @@ _STAGE_COMMANDS = {
     "process-questions": [StageKind.QUESTION_PROCESSING],
     "answer": [StageKind.ANSWER_RETRIEVAL],
     "evaluate": [StageKind.EVALUATION],
-    "run-all": list(PIPELINE_ORDER),
+    "run-all": list(StageKind),
 }
 
 
@@ -77,7 +77,7 @@ def cmd_stages(args) -> int:
     stages = _STAGE_COMMANDS[args.command]
     if args.command == "run-all" and not config.gold_path:
         stages = stages[:3]
-    manifest = run_pipeline(config, default_registry(), stages)
+    manifest = run_pipeline(config, default_engines(), stages)
     for run in manifest.stages_run:
         print(f"{run.stage.value}: {run.detail}")
     return EXIT_OK
@@ -176,10 +176,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except QAError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except Exception as exc:  # never panic to the shell
+    except Exception as exc:  # QAError or any other: never panic to the shell
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

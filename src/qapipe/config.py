@@ -33,8 +33,11 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .corpus import CORPUS_FORMATS
 from .errors import UsageError
 from .extraction import AnswerSettings
+from .questions import QUESTION_FORMATS
+from .serde import read_text
 
 REQUIRED_PATH_KEYS = ("corpus_path", "index_path", "questions_path", "answers_out_path")
 OPTIONAL_PATH_KEYS = ("classifier_model_path", "gold_path", "report_out_path")
@@ -48,8 +51,8 @@ _STAGE3 = AnswerSettings()
 
 # key -> (kind, default or None, choices for _CHOICE)
 PARAM_SPECS: dict[str, tuple] = {
-    "corpus.format": (_CHOICE, "trec-sgml", ("trec-sgml", "record-lines")),
-    "questions.format": (_CHOICE, "qline", ("trec-xml", "qline")),
+    "corpus.format": (_CHOICE, "trec-sgml", CORPUS_FORMATS),
+    "questions.format": (_CHOICE, "qline", QUESTION_FORMATS),
     "questions.analysis_out": (_PATH, "analysis.txt", None),
     "retrieval.k": (_INT, str(_STAGE3.k), None),
     "retrieval.max_passages": (_INT, str(_STAGE3.max_passages), None),
@@ -138,7 +141,7 @@ def load_config(path) -> PipelineConfig:
         raise MissingFile(f"config file not found: {path}")
     base = path.parent
     raw: dict[str, str] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+    for line_no, line in enumerate(read_text(path, UsageError).split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

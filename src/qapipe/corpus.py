@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import QAError
-from .serde import atomic_write_text
+from .serde import atomic_write_text, read_text
 
 CORPUS_FORMATS = ("trec-sgml", "record-lines")
 
@@ -53,7 +53,7 @@ def parse_corpus(path, fmt: str, rejects: list[MalformedRecord] | None = None):
     """Yield Documents from `path` in file order; errors go to `rejects`."""
     if fmt not in CORPUS_FORMATS:
         raise UnknownCorpusFormat(f"unknown corpus format: {fmt!r}")
-    raw = Path(path).read_text(encoding="utf-8")
+    raw = read_text(path, QAError)
     sink = rejects if rejects is not None else []
     if fmt == "trec-sgml":
         yield from _parse_trec_sgml(raw, sink)

@@ -27,7 +27,6 @@ deduplicates case-insensitively keeping the earliest source.
 import dataclasses
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import QAError
 from .index import InvertedIndex
@@ -41,8 +40,8 @@ from .retrieval import (
     split_sentences,
 )
 from .serde import (
-    escape_field, escape_optional, read_records, unescape_field, unescape_optional,
-    write_records,
+    escape_field, escape_optional, read_records, read_text, unescape_field,
+    unescape_optional, write_records,
 )
 from .stopwords import STOPWORDS
 from .taxonomy import AnswerType
@@ -88,7 +87,7 @@ def load_gazetteer(path) -> frozenset[str]:
     """One name per line, case-insensitive membership."""
     names = {
         line.strip().lower()
-        for line in Path(path).read_text(encoding="utf-8").split("\n")
+        for line in read_text(path, QAError).split("\n")
         if line.strip()
     }
     return frozenset(names)

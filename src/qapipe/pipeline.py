@@ -1,5 +1,9 @@
-"""Four-stage pipeline skeleton: stage contracts, component registry,
-validation, and serial run orchestration.
+"""Four-stage pipeline skeleton: stage contracts, validation, and serial
+run orchestration.
+
+A QA system is one engine per stage, a mapping from `StageKind` to a
+callable that takes the config and returns a one-line detail for the
+manifest. `StageKind`'s definition order is the pipeline order.
 
 Stages hand off through files at the paths named in the config, never
 through memory, so any subset of stages can run in its own process and
@@ -8,11 +12,11 @@ wall-clock data lives only in the run manifest.
 """
 
 import time
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Callable
 
 from .config import ConfigIssue, PipelineConfig, ValidationFailed, check_param_types
 from .errors import QAError, UsageError
@@ -26,16 +30,7 @@ class StageKind(Enum):
     EVALUATION = "evaluation"
 
 
-PIPELINE_ORDER = (
-    StageKind.INFO_SOURCE_PREP,
-    StageKind.QUESTION_PROCESSING,
-    StageKind.ANSWER_RETRIEVAL,
-    StageKind.EVALUATION,
-)
-
-
-class DuplicateName(QAError):
-    pass
+Engine = Callable[[PipelineConfig], str]  # runs one stage, returns its detail line
 
 
 class OrderViolation(UsageError):
@@ -47,47 +42,6 @@ class StageFailure(QAError):
         super().__init__(f"stage {stage.value} failed: {cause}")
         self.stage = stage
         self.cause = cause
-
-
-@dataclass(frozen=True)
-class StageResult:
-    """What an engine reports; its inputs and outputs come from the config."""
-
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class StageComponent:
-    stage: StageKind
-    name: str
-    run: Callable[[PipelineConfig], StageResult]
-
-
-class ComponentRegistry:
-    """Components per stage; first registered is the stage default."""
-
-    def __init__(self):
-        self._by_stage: dict[StageKind, dict[str, StageComponent]] = {
-            stage: {} for stage in PIPELINE_ORDER
-        }
-
-    def register(self, component: StageComponent) -> None:
-        bucket = self._by_stage[component.stage]
-        if component.name in bucket:
-            raise DuplicateName(
-                f"component {component.name!r} already registered for {component.stage.value}"
-            )
-        bucket[component.name] = component
-
-    def get(self, stage: StageKind, name: str | None = None) -> StageComponent:
-        bucket = self._by_stage[stage]
-        if not bucket:
-            raise QAError(f"no component registered for stage {stage.value}")
-        if name is None:
-            return next(iter(bucket.values()))
-        if name not in bucket:
-            raise QAError(f"no component {name!r} for stage {stage.value}")
-        return bucket[name]
 
 
 def analysis_out_path(config: PipelineConfig) -> str:
@@ -103,7 +57,8 @@ def stage_inputs(config: PipelineConfig, stage: StageKind) -> list[str]:
             paths.append(config.classifier_model_path)
         return paths
     if stage is StageKind.ANSWER_RETRIEVAL:
-        return [config.index_path, analysis_out_path(config)]
+        gazetteers = (config.param("extract.persons"), config.param("extract.locations"))
+        return [config.index_path, analysis_out_path(config), *filter(None, gazetteers)]
     paths = [config.answers_out_path]
     if config.gold_path:
         paths.append(config.gold_path)
@@ -122,7 +77,7 @@ def stage_outputs(config: PipelineConfig, stage: StageKind) -> list[str]:
 
 def _producers(config: PipelineConfig) -> dict[str, StageKind]:
     """Artifact path -> the stage that produces it; the report is no stage's input."""
-    return {path: stage for stage in PIPELINE_ORDER[:-1] for path in stage_outputs(config, stage)}
+    return {path: stage for stage in list(StageKind)[:-1] for path in stage_outputs(config, stage)}
 
 
 def validate_config(
@@ -131,7 +86,7 @@ def validate_config(
     """Empty list iff every requested stage can run against this config."""
     issues = check_param_types(config)
     producers = _producers(config)
-    for stage in PIPELINE_ORDER:
+    for stage in StageKind:
         if stage not in stages_requested:
             continue
         if stage is StageKind.QUESTION_PROCESSING and not config.classifier_model_path:
@@ -148,18 +103,12 @@ def validate_config(
         for path in stage_outputs(config, stage):
             if not Path(path).parent.is_dir():
                 issues.append(ConfigIssue("MissingDir", str(Path(path).parent)))
-    if StageKind.ANSWER_RETRIEVAL in stages_requested:
-        for key in ("extract.persons", "extract.locations"):
-            gaz = config.param(key)
-            if gaz and not Path(gaz).is_file():
-                issues.append(ConfigIssue("MissingFile", gaz))
     return issues
 
 
 @dataclass(frozen=True)
 class StageRun:
     stage: StageKind
-    component: str
     duration_s: float
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
@@ -175,16 +124,18 @@ class RunManifest:
 
 def run_pipeline(
     config: PipelineConfig,
-    registry: ComponentRegistry,
+    engines: Mapping[StageKind, Engine],
     stages: list[StageKind],
 ) -> RunManifest:
-    """Run the requested stages serially; abort on first failure."""
+    """Run the requested stages serially with their engines; abort on first failure."""
     if not stages:
         raise OrderViolation("no stages requested")
-    order = {stage: i for i, stage in enumerate(PIPELINE_ORDER)}
+    order = {stage: i for i, stage in enumerate(StageKind)}
     indices = [order[s] for s in stages]
     if indices != sorted(set(indices)):
         raise OrderViolation(f"stages out of pipeline order: {[s.value for s in stages]}")
+    if missing := [s.value for s in stages if s not in engines]:
+        raise UsageError(f"no engine for stages: {missing}")
 
     issues = validate_config(config, set(stages))
     producers = _producers(config)
@@ -202,20 +153,18 @@ def run_pipeline(
         config_digest=config.digest(),
     )
     for stage in stages:
-        component = registry.get(stage)
         t0 = time.perf_counter()
         try:
-            result = component.run(config)
+            detail = engines[stage](config)
         except Exception as exc:
             raise StageFailure(stage, exc) from exc
         manifest.stages_run.append(
             StageRun(
                 stage=stage,
-                component=component.name,
                 duration_s=time.perf_counter() - t0,
                 inputs=tuple(stage_inputs(config, stage)),
                 outputs=tuple(stage_outputs(config, stage)),
-                detail=result.detail,
+                detail=detail,
             )
         )
     anchor = config.report_out_path or config.answers_out_path
@@ -235,12 +184,11 @@ def write_manifest(manifest: RunManifest, path) -> None:
     for run in manifest.stages_run:
         lines = [
             f"stage = {run.stage.value}",
-            f"  component = {run.component}",
             f"  duration_s = {run.duration_s:.6f}",
             f"  inputs = {', '.join(run.inputs) or '-'}",
             f"  outputs = {', '.join(run.outputs) or '-'}",
         ] + ([f"  detail = {run.detail}"] if run.detail else [])
         blocks[run.stage.value] = "\n".join(lines)
     header = [f"started_at = {manifest.started_at}", f"config_digest = {manifest.config_digest}"]
-    body = header + [blocks[stage.value] for stage in PIPELINE_ORDER if stage.value in blocks]
+    body = header + [blocks[stage.value] for stage in StageKind if stage.value in blocks]
     atomic_write_text(path, "".join(part + "\n" for part in body))

@@ -17,12 +17,11 @@ table overriding low-confidence model output.
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from .classifier import ClassifierModel, classify_question
 from .corpus import MalformedRecord
 from .errors import QAError
-from .serde import escape_field, read_records, unescape_field, write_records
+from .serde import escape_field, read_records, read_text, unescape_field, write_records
 from .taxonomy import AnswerType, InvalidAnswerType
 from .text import terms, tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
 
@@ -65,7 +64,7 @@ def parse_questions(
     """Parse the question file; duplicate qids are fatal."""
     if fmt not in QUESTION_FORMATS:
         raise UnknownQuestionFormat(f"unknown question format: {fmt!r}")
-    raw = Path(path).read_text(encoding="utf-8")
+    raw = read_text(path, QAError)
     sink = rejects if rejects is not None else []
     questions = (
         _parse_trec_xml(raw, sink) if fmt == "trec-xml" else _parse_qline(raw, sink)
@@ -167,15 +166,19 @@ def analyze(
 
 
 def write_analyses(analyses: list[QuestionAnalysis], path) -> None:
-    """Stage 2 -> 3 hand-off artifact, one record per question."""
-    write_records(path, MAGIC, VERSION, (
-        "\t".join((
+    """Stage 2 -> 3 hand-off artifact, one record per question. Query terms
+    are joined by spaces, so an empty term or one holding whitespace is refused."""
+
+    def record(a: QuestionAnalysis) -> str:
+        if any(term.split() != [term] for term in a.query_terms):
+            raise QAError(f"question {a.qid!r}: query term empty or holding whitespace")
+        return "\t".join((
             escape_field(a.qid), " ".join(a.query_terms), a.answer_type.coarse,
             "-" if a.answer_type.fine is None else a.answer_type.fine,
-            f"{a.answer_type.confidence:.6f}", a.classifier_source,
+            f"{a.answer_type.confidence:.6f}", escape_field(a.classifier_source),
         ))
-        for a in analyses
-    ))
+
+    write_records(path, MAGIC, VERSION, map(record, analyses))
 
 
 def load_analyses(path) -> list[QuestionAnalysis]:
@@ -187,5 +190,7 @@ def load_analyses(path) -> list[QuestionAnalysis]:
             answer_type = AnswerType(coarse, None if fine == "-" else fine, float(confidence))
         except (ValueError, InvalidAnswerType) as exc:
             raise QAError(f"malformed analysis record at line {line_no}: {exc}") from exc
-        out.append(QuestionAnalysis(unescape_field(qid), "", query.split(), answer_type, source))
+        out.append(QuestionAnalysis(
+            unescape_field(qid), "", query.split(), answer_type, unescape_field(source)
+        ))
     return out

@@ -1,50 +1,8 @@
 import pytest
 
 from qapipe.config import ValidationFailed, load_config
-from qapipe.pipeline import (
-    ComponentRegistry,
-    DuplicateName,
-    OrderViolation,
-    StageComponent,
-    StageFailure,
-    StageKind,
-    run_pipeline,
-)
-from qapipe.stages import default_registry
-
-
-def component(stage, name, fn=None):
-    from qapipe.pipeline import StageResult
-
-    return StageComponent(stage, name, fn or (lambda config: StageResult()))
-
-
-def test_register_and_lookup():
-    registry = ComponentRegistry()
-    comp = component(StageKind.QUESTION_PROCESSING, "default-qp")
-    registry.register(comp)
-    assert registry.get(StageKind.QUESTION_PROCESSING, "default-qp") is comp
-
-
-def test_duplicate_name_rejected():
-    registry = ComponentRegistry()
-    registry.register(component(StageKind.EVALUATION, "same"))
-    with pytest.raises(DuplicateName):
-        registry.register(component(StageKind.EVALUATION, "same"))
-
-
-def test_first_registered_is_default():
-    registry = ComponentRegistry()
-    first = component(StageKind.EVALUATION, "first")
-    registry.register(first)
-    registry.register(component(StageKind.EVALUATION, "second"))
-    assert registry.get(StageKind.EVALUATION) is first
-
-
-def test_same_name_allowed_across_stages():
-    registry = ComponentRegistry()
-    registry.register(component(StageKind.EVALUATION, "x"))
-    registry.register(component(StageKind.ANSWER_RETRIEVAL, "x"))
+from qapipe.pipeline import OrderViolation, StageFailure, StageKind, run_pipeline
+from qapipe.stages import default_engines
 
 
 def fixture_config(tmp_path):
@@ -67,7 +25,7 @@ ALL_STAGES = [
 
 def test_full_run_manifest(tmp_path):
     config = fixture_config(tmp_path)
-    manifest = run_pipeline(config, default_registry(), ALL_STAGES)
+    manifest = run_pipeline(config, default_engines(), ALL_STAGES)
     assert [r.stage for r in manifest.stages_run] == ALL_STAGES
     assert all(r.duration_s > 0 for r in manifest.stages_run)
     assert (tmp_path / "run_manifest.txt").is_file()
@@ -79,7 +37,7 @@ def test_stages_must_respect_order(tmp_path):
     with pytest.raises(OrderViolation):
         run_pipeline(
             config,
-            default_registry(),
+            default_engines(),
             [StageKind.QUESTION_PROCESSING, StageKind.INFO_SOURCE_PREP],
         )
 
@@ -87,13 +45,13 @@ def test_stages_must_respect_order(tmp_path):
 def test_retrieval_without_artifacts_is_order_violation(tmp_path):
     config = fixture_config(tmp_path)
     with pytest.raises(OrderViolation):
-        run_pipeline(config, default_registry(), [StageKind.ANSWER_RETRIEVAL])
+        run_pipeline(config, default_engines(), [StageKind.ANSWER_RETRIEVAL])
 
 
 def test_evaluation_alone_runs_from_persisted_artifacts(tmp_path):
     config = fixture_config(tmp_path)
-    run_pipeline(config, default_registry(), ALL_STAGES[:3])
-    manifest = run_pipeline(config, default_registry(), [StageKind.EVALUATION])
+    run_pipeline(config, default_engines(), ALL_STAGES[:3])
+    manifest = run_pipeline(config, default_engines(), [StageKind.EVALUATION])
     assert len(manifest.stages_run) == 1
     assert manifest.stages_run[0].stage is StageKind.EVALUATION
 
@@ -106,7 +64,7 @@ def manifest_stages(path):
 def test_separate_runs_add_up_to_one_manifest(tmp_path):
     config = fixture_config(tmp_path)
     for stages in (ALL_STAGES[:1], ALL_STAGES[1:3], ALL_STAGES[3:], ALL_STAGES[:1]):
-        run_pipeline(config, default_registry(), stages)
+        run_pipeline(config, default_engines(), stages)
     assert manifest_stages(tmp_path / "run_manifest.txt") == [s.value for s in ALL_STAGES]
 
 
@@ -114,12 +72,12 @@ def test_manifest_of_another_config_is_replaced(tmp_path):
     import dataclasses
 
     config = fixture_config(tmp_path)
-    run_pipeline(config, default_registry(), ALL_STAGES[:3])
+    run_pipeline(config, default_engines(), ALL_STAGES[:3])
     changed = dataclasses.replace(
         config, stage_params={**config.stage_params, "weights.redundancy": "0.25"}
     )
     assert changed.digest() != config.digest()
-    run_pipeline(changed, default_registry(), ALL_STAGES[3:])
+    run_pipeline(changed, default_engines(), ALL_STAGES[3:])
     assert manifest_stages(tmp_path / "run_manifest.txt") == ["evaluation"]
 
 
@@ -129,23 +87,19 @@ def test_validation_failure_raised_before_running(tmp_path):
 
     os.remove(config.corpus_path)
     with pytest.raises(ValidationFailed):
-        run_pipeline(config, default_registry(), ALL_STAGES)
+        run_pipeline(config, default_engines(), ALL_STAGES)
 
 
 def test_stage_failure_aborts_and_keeps_prior_artifacts(tmp_path):
-    from qapipe.pipeline import StageResult
-
     config = fixture_config(tmp_path)
-    registry = ComponentRegistry()
-    registry.register(default_registry().get(StageKind.INFO_SOURCE_PREP))
 
     def explode(_config):
         raise RuntimeError("boom")
 
-    registry.register(StageComponent(StageKind.QUESTION_PROCESSING, "broken", explode))
+    engines = {**default_engines(), StageKind.QUESTION_PROCESSING: explode}
     with pytest.raises(StageFailure) as exc:
         run_pipeline(
-            config, registry, [StageKind.INFO_SOURCE_PREP, StageKind.QUESTION_PROCESSING]
+            config, engines, [StageKind.INFO_SOURCE_PREP, StageKind.QUESTION_PROCESSING]
         )
     assert exc.value.stage is StageKind.QUESTION_PROCESSING
     import os
@@ -153,21 +107,31 @@ def test_stage_failure_aborts_and_keeps_prior_artifacts(tmp_path):
     assert os.path.isfile(config.index_path)  # stage 1 artifact intact
 
 
+def test_missing_engine_refused_before_any_stage_runs(tmp_path):
+    from qapipe.errors import UsageError
+
+    config = fixture_config(tmp_path)
+    engines = {StageKind.INFO_SOURCE_PREP: default_engines()[StageKind.INFO_SOURCE_PREP]}
+    with pytest.raises(UsageError, match="question-processing"):
+        run_pipeline(config, engines, ALL_STAGES[:2])
+    assert not (tmp_path / "index.qix").exists()
+
+
 def test_rerun_single_stage_is_byte_identical(tmp_path):
     config = fixture_config(tmp_path)
-    registry = default_registry()
-    run_pipeline(config, registry, [StageKind.INFO_SOURCE_PREP])
+    engines = default_engines()
+    run_pipeline(config, engines, [StageKind.INFO_SOURCE_PREP])
     from pathlib import Path
 
     first = Path(config.index_path).read_bytes()
-    run_pipeline(config, registry, [StageKind.INFO_SOURCE_PREP])
+    run_pipeline(config, engines, [StageKind.INFO_SOURCE_PREP])
     assert Path(config.index_path).read_bytes() == first
 
 
 def test_empty_stage_list_rejected(tmp_path):
     config = fixture_config(tmp_path)
     with pytest.raises(OrderViolation):
-        run_pipeline(config, default_registry(), [])
+        run_pipeline(config, default_engines(), [])
 
 
 def test_trec_xml_questions_through_the_stage(tmp_path):
@@ -196,7 +160,7 @@ def test_trec_xml_questions_through_the_stage(tmp_path):
         encoding="utf-8",
     )
     config = load_config(tmp_path / "config.qa")
-    run_pipeline(config, default_registry(), [StageKind.QUESTION_PROCESSING])
+    run_pipeline(config, default_engines(), [StageKind.QUESTION_PROCESSING])
     (analysis,) = load_analyses(tmp_path / "analysis.txt")
     assert analysis.qid == "1.1"
     assert analysis.query_terms == ["born", "mozart"]  # target terms appended
@@ -235,7 +199,7 @@ def test_ids_holding_a_tab_survive_every_stage(tmp_path):
         "questions.format = trec-xml\n",
         encoding="utf-8",
     )
-    run_pipeline(load_config(tmp_path / "config.qa"), default_registry(), ALL_STAGES)
+    run_pipeline(load_config(tmp_path / "config.qa"), default_engines(), ALL_STAGES)
     assert load_analyses(tmp_path / "analysis.txt")[0].qid == "1\t1"
     (answer,) = load_answers(tmp_path / "answers.txt")
     assert (answer.qid, answer.answer, answer.supporting_doc) == ("1\t1", "1781", "AP 1\tx\\n")
@@ -262,7 +226,8 @@ def test_gazetteer_wired_through_answer_stage(tmp_path):
     body = (tmp_path / "config.qa").read_text(encoding="utf-8")
     (tmp_path / "config.qa").write_text(body + "extract.persons = people.txt\n", encoding="utf-8")
     config = load_config(tmp_path / "config.qa")
-    run_pipeline(config, default_registry(), ALL_STAGES)
+    manifest = run_pipeline(config, default_engines(), ALL_STAGES)
+    assert str(tmp_path / "people.txt") in manifest.stages_run[2].inputs
     report = (tmp_path / "report.txt").read_text(encoding="utf-8")
     assert "accuracy = 1.000" in report
     answers = (tmp_path / "answers.txt").read_text(encoding="utf-8")
@@ -297,7 +262,7 @@ def test_desc_sentence_choice_uses_coverage_weight(tmp_path):
         encoding="utf-8",
     )
     config = load_config(tmp_path / "config.qa")
-    run_pipeline(config, default_registry(), ALL_STAGES[:3])
+    run_pipeline(config, default_engines(), ALL_STAGES[:3])
     (record,) = load_answers(tmp_path / "answers.txt")
     assert record.answer == "Zeta zeta zeta is noted here."
 
@@ -314,8 +279,8 @@ def test_rerun_on_fixed_input_removes_stale_rejects(tmp_path, stage, source, sid
     good = (tmp_path / source).read_text(encoding="utf-8")
     first, rest = good.split("\n", 1)
     (tmp_path / source).write_text(f"{first}\nno tabs here\n{rest}", encoding="utf-8")
-    run_pipeline(config, default_registry(), [stage])
+    run_pipeline(config, default_engines(), [stage])
     assert (tmp_path / sidecar).read_text(encoding="utf-8").startswith("line 2\t")
     (tmp_path / source).write_text(good, encoding="utf-8")
-    run_pipeline(config, default_registry(), [stage])
+    run_pipeline(config, default_engines(), [stage])
     assert not (tmp_path / sidecar).exists()

@@ -2,7 +2,11 @@ import os
 
 import pytest
 
-from qapipe.extraction import AnswerRecord, load_answers, write_answers
+from qapipe.classifier import parse_training_file
+from qapipe.corpus import parse_corpus
+from qapipe.errors import QAError
+from qapipe.extraction import AnswerRecord, load_answers, load_gazetteer, write_answers
+from qapipe.questions import parse_questions
 from qapipe.serde import atomic_write_text
 
 
@@ -31,3 +35,20 @@ def test_failed_replace_leaves_no_temp_file(tmp_path, monkeypatch):
         atomic_write_text(path, "new\n")
     assert path.read_bytes() == b"old\n"
     assert os.listdir(tmp_path) == ["artifact.txt"]
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [
+        lambda path: list(parse_corpus(path, "record-lines")),
+        lambda path: parse_questions(path, "qline"),
+        parse_training_file,
+        load_gazetteer,
+    ],
+    ids=["corpus", "questions", "training-file", "gazetteer"],
+)
+def test_input_parsers_name_the_line_of_undecodable_bytes(tmp_path, parse):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"d1\tHUM:ind who\tfirst\nd2\tsecond \xff\n")
+    with pytest.raises(QAError, match=r"input\.txt: line 2 is not valid UTF-8"):
+        parse(path)

@@ -4,9 +4,9 @@ stats line; a rename or format change must fail here, not in a bench run."""
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 from qapipe.classifier import parse_training_file, train_classifier, write_model
+from qapipe.pipeline import StageKind
 from qapipe.synth import write_fixture
 
 from conftest import SRC_DIR
@@ -28,6 +28,9 @@ def test_trace_shim_runs_all_stages(tmp_path):
     spans = (tmp_path / "spans").read_text(encoding="utf-8").splitlines()
     names = {line.split("\t")[2] for line in spans}
     assert {"index.load", "serde.unescape", "extraction.answer_question"} <= names
+    # The shim replaces stages.run_* after import; an engine map captured at
+    # import time would run the unwrapped engines and drop these spans.
+    assert {"pipeline.run"} | {f"pipeline.stage.{kind.value}" for kind in StageKind} <= names
 
     with (tmp_path / "index.qix").open(encoding="utf-8") as f:
         f.readline()
