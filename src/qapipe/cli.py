@@ -11,7 +11,8 @@ One binary, one subcommand per invocation:
     qapipe ask --config CFG [QUESTION]    one-shot or stdin REPL answering
     qapipe stats --config CFG             index and model statistics
 
-Exit codes: 0 success, 1 usage or validation error, 2 runtime failure.
+Exit codes: 0 success, 1 usage or validation error or a missing input
+file, 2 runtime failure.
 Diagnostics go to standard error only.
 """
 
@@ -20,7 +21,7 @@ import sys
 
 from . import index as index_mod
 from .classifier import load_model, parse_training_file, train_classifier, write_model
-from .config import ValidationFailed, check_param_types, load_config
+from .config import load_config
 from .errors import UsageError
 from .extraction import AnswerSettings, answer_question
 from .pipeline import StageKind, run_pipeline
@@ -103,23 +104,9 @@ def cmd_train_classifier(args) -> int:
 
 def cmd_ask(args) -> int:
     config = load_config(args.config)
-    issues = check_param_types(config)
-    if issues:
-        raise ValidationFailed(issues)
-    try:
-        settings = AnswerSettings.from_config(config)
-    except FileNotFoundError as exc:
-        raise UsageError(f"gazetteer not found: {exc.filename}") from exc
-    try:
-        idx = index_mod.load_index(config.index_path)
-    except FileNotFoundError as exc:
-        raise UsageError(f"index not found: {config.index_path}") from exc
-    model = None
-    if config.classifier_model_path:
-        try:
-            model = load_model(config.classifier_model_path)
-        except FileNotFoundError as exc:
-            raise UsageError(f"model not found: {config.classifier_model_path}") from exc
+    settings = AnswerSettings.from_config(config)
+    idx = index_mod.load_index(config.index_path)
+    model = load_model(config.classifier_model_path) if config.classifier_model_path else None
 
     def respond(qid: str, text: str) -> None:
         analysis = analyze(Question(qid, text), model, STOPWORDS)
@@ -175,6 +162,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except FileNotFoundError as exc:
+        print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # QAError or any other: never panic to the shell
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,11 @@
 """Pipeline configuration: flat `key = value` files with # comments.
 
-Relative paths are resolved against the config file's directory at load
-time. Unknown keys are rejected at load; value typing and path existence
-are checked at validation time, per requested stage, because a config
-may legitimately name artifacts that a later stage will create.
+Relative paths are resolved against the config file's directory, and an
+empty value leaves its key unset. Building a `PipelineConfig`, loaded or
+not, parses every stage parameter to its typed value and refuses an
+unknown key or a bad value, such as a weight that is not finite. Path
+existence is checked at validation time, per requested stage, because a
+config may legitimately name artifacts that a later stage will create.
 
 Path keys:
     corpus_path, index_path, questions_path, answers_out_path   (required)
@@ -14,12 +16,12 @@ Path keys:
 Stage parameters and their defaults:
     corpus.format        trec-sgml | record-lines     (trec-sgml)
     questions.format     trec-xml | qline             (qline)
-    questions.analysis_out   stage-2 artifact path    (analysis.txt)
-    retrieval.k              documents to retrieve
-    retrieval.max_passages   passages to keep
-    weights.coverage         passage coverage bonus
-    weights.proximity        candidate proximity
-    weights.redundancy       candidate redundancy
+    questions.analysis_out   stage-2 artifact path    (analysis.txt beside answers)
+    retrieval.k              documents to retrieve, >= 1
+    retrieval.max_passages   passages to keep, >= 1
+    weights.coverage         passage coverage bonus, finite
+    weights.proximity        candidate proximity, finite
+    weights.redundancy       candidate redundancy, finite
     extract.persons          persons gazetteer path   (unset)
     extract.locations        locations gazetteer path (unset)
 
@@ -30,6 +32,8 @@ included, so the two answer a question alike.
 """
 
 import hashlib
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,25 +46,50 @@ from .serde import read_text
 REQUIRED_PATH_KEYS = ("corpus_path", "index_path", "questions_path", "answers_out_path")
 OPTIONAL_PATH_KEYS = ("classifier_model_path", "gold_path", "report_out_path")
 
-_INT = "int"
-_FLOAT = "float"
-_PATH = "path"
-_CHOICE = "choice"
+
+def _choice(*choices: str) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}")
+        return text
+
+    return parse
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
+
+
+def _path(text: str) -> str:
+    if not text:
+        raise ValueError("must not be empty")
+    return text
+
 
 _STAGE3 = AnswerSettings()
 
-# key -> (kind, default or None, choices for _CHOICE)
-PARAM_SPECS: dict[str, tuple] = {
-    "corpus.format": (_CHOICE, "trec-sgml", CORPUS_FORMATS),
-    "questions.format": (_CHOICE, "qline", QUESTION_FORMATS),
-    "questions.analysis_out": (_PATH, "analysis.txt", None),
-    "retrieval.k": (_INT, str(_STAGE3.k), None),
-    "retrieval.max_passages": (_INT, str(_STAGE3.max_passages), None),
-    "weights.coverage": (_FLOAT, str(_STAGE3.coverage_weight), None),
-    "weights.proximity": (_FLOAT, str(_STAGE3.proximity_weight), None),
-    "weights.redundancy": (_FLOAT, str(_STAGE3.redundancy_weight), None),
-    "extract.persons": (_PATH, None, None),
-    "extract.locations": (_PATH, None, None),
+# key -> (parse: text -> typed value or ValueError, typed default or None)
+PARAM_SPECS: dict[str, tuple[Callable[[str], object], object]] = {
+    "corpus.format": (_choice(*CORPUS_FORMATS), "trec-sgml"),
+    "questions.format": (_choice(*QUESTION_FORMATS), "qline"),
+    "questions.analysis_out": (_path, None),  # analysis.txt next to answers_out_path
+    "retrieval.k": (_count, _STAGE3.k),
+    "retrieval.max_passages": (_count, _STAGE3.max_passages),
+    "weights.coverage": (_finite, _STAGE3.coverage_weight),
+    "weights.proximity": (_finite, _STAGE3.proximity_weight),
+    "weights.redundancy": (_finite, _STAGE3.redundancy_weight),
+    "extract.persons": (_path, None),
+    "extract.locations": (_path, None),
 }
 
 
@@ -104,27 +133,28 @@ class PipelineConfig:
     classifier_model_path: str | None = None
     gold_path: str | None = None
     report_out_path: str | None = None
-    stage_params: dict[str, str] = field(default_factory=dict)
+    stage_params: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        # Fill defaults so directly constructed configs behave like loaded
-        # ones; load_config resolves these against the config directory first.
-        for key, (kind, default, _) in PARAM_SPECS.items():
-            if key in self.stage_params or default is None:
-                continue
-            if key == "questions.analysis_out":
-                self.stage_params[key] = str(Path(self.answers_out_path).parent / default)
-            else:
-                self.stage_params[key] = default
+        """Parse `str(value)` of each given stage parameter, then fill defaults."""
+        params = {}
+        for key, value in self.stage_params.items():
+            if key not in PARAM_SPECS:
+                raise UnknownKey(key)
+            try:
+                params[key] = PARAM_SPECS[key][0](str(value))
+            except ValueError as exc:
+                raise UsageError(f"config key {key}: bad value {str(value)!r}: {exc}") from None
+        for key, (_, default) in PARAM_SPECS.items():
+            if default is not None:
+                params.setdefault(key, default)
+        analysis = Path(self.answers_out_path).parent / "analysis.txt"
+        params.setdefault("questions.analysis_out", str(analysis))
+        self.stage_params = params
 
-    def param(self, key: str) -> str | None:
+    def param(self, key: str):
+        """The typed value of a stage parameter, or None when it is unset."""
         return self.stage_params.get(key)
-
-    def int_param(self, key: str) -> int:
-        return int(self.stage_params[key])
-
-    def float_param(self, key: str) -> float:
-        return float(self.stage_params[key])
 
     def digest(self) -> str:
         """Content hash of the resolved configuration."""
@@ -135,12 +165,13 @@ class PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    """Parse, resolve paths, and apply stage-parameter defaults."""
+    """Read a config file, resolve its paths, and build the config from it."""
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"config file not found: {path}")
-    base = path.parent
-    raw: dict[str, str] = {}
+    path_keys = REQUIRED_PATH_KEYS + OPTIONAL_PATH_KEYS
+    seen: set[str] = set()
+    values: dict[str, str] = {}
     for line_no, line in enumerate(read_text(path, UsageError).split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -151,59 +182,21 @@ def load_config(path) -> PipelineConfig:
         key, value = key.strip(), value.strip()
         if not key:
             raise ParseError(line_no, "empty key")
-        if key in raw:
-            raise ParseError(line_no, f"duplicate key {key}")
-        raw[key] = value
-
-    known_paths = set(REQUIRED_PATH_KEYS) | set(OPTIONAL_PATH_KEYS)
-    for key in raw:
-        if key not in known_paths and key not in PARAM_SPECS:
+        if key not in path_keys and key not in PARAM_SPECS:
             raise UnknownKey(key)
+        if key in seen:
+            raise ParseError(line_no, f"duplicate key {key}")
+        seen.add(key)
+        if not value:
+            continue  # an empty value leaves the key unset
+        if key in path_keys or PARAM_SPECS[key][0] is _path:
+            if "\0" in value:
+                raise ParseError(line_no, f"{key}: a path cannot hold a NUL byte")
+            value = str((path.parent / value).resolve())
+        values[key] = value
+
     for key in REQUIRED_PATH_KEYS:
-        if not raw.get(key):
+        if key not in values:
             raise ParseError(0, f"missing required path key {key}")
-
-    def resolve(value: str) -> str:
-        return str((base / value).resolve()) if value else value
-
-    params: dict[str, str] = {}
-    for key, (kind, default, _) in PARAM_SPECS.items():
-        value = raw.get(key, default)
-        if value is None:
-            continue
-        params[key] = resolve(value) if kind == _PATH else value
-
-    return PipelineConfig(
-        corpus_path=resolve(raw["corpus_path"]),
-        index_path=resolve(raw["index_path"]),
-        questions_path=resolve(raw["questions_path"]),
-        answers_out_path=resolve(raw["answers_out_path"]),
-        classifier_model_path=resolve(raw["classifier_model_path"])
-        if raw.get("classifier_model_path")
-        else None,
-        gold_path=resolve(raw["gold_path"]) if raw.get("gold_path") else None,
-        report_out_path=resolve(raw["report_out_path"]) if raw.get("report_out_path") else None,
-        stage_params=params,
-    )
-
-
-def check_param_types(config: PipelineConfig) -> list[ConfigIssue]:
-    issues = []
-    for key, value in config.stage_params.items():
-        kind, _, choices = PARAM_SPECS[key]
-        if kind == _INT:
-            try:
-                if int(value) < 1:
-                    issues.append(ConfigIssue("BadParam", f"{key} must be >= 1"))
-            except ValueError:
-                issues.append(ConfigIssue("BadParam", f"{key} not an integer: {value!r}"))
-        elif kind == _FLOAT:
-            try:
-                float(value)
-            except ValueError:
-                issues.append(ConfigIssue("BadParam", f"{key} not a number: {value!r}"))
-        elif kind == _CHOICE and value not in choices:
-            issues.append(
-                ConfigIssue("BadParam", f"{key} must be one of {', '.join(choices)}")
-            )
-    return issues
+    paths = {key: values.pop(key) for key in path_keys if key in values}
+    return PipelineConfig(**paths, stage_params=values)

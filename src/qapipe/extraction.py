@@ -106,18 +106,19 @@ class AnswerSettings:
 
     @classmethod
     def from_config(cls, config) -> "AnswerSettings":
-        """Read a PipelineConfig's stage-3 keys and load the gazetteers it names.
+        """Take a PipelineConfig's stage-3 values, which the config parsed and
+        checked when it was built, and load the gazetteers it names.
 
         Raises FileNotFoundError for a named gazetteer file that is missing.
         """
         persons = config.param("extract.persons")
         locations = config.param("extract.locations")
         return cls(
-            k=config.int_param("retrieval.k"),
-            max_passages=config.int_param("retrieval.max_passages"),
-            coverage_weight=config.float_param("weights.coverage"),
-            proximity_weight=config.float_param("weights.proximity"),
-            redundancy_weight=config.float_param("weights.redundancy"),
+            k=config.param("retrieval.k"),
+            max_passages=config.param("retrieval.max_passages"),
+            coverage_weight=config.param("weights.coverage"),
+            proximity_weight=config.param("weights.proximity"),
+            redundancy_weight=config.param("weights.redundancy"),
             gazetteers=Gazetteers(
                 persons=load_gazetteer(persons) if persons else frozenset(),
                 locations=load_gazetteer(locations) if locations else frozenset(),

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 
-from .config import ConfigIssue, PipelineConfig, ValidationFailed, check_param_types
+from .config import ConfigIssue, PipelineConfig, ValidationFailed
 from .errors import QAError, UsageError
 from .serde import atomic_write_text
 
@@ -44,10 +44,6 @@ class StageFailure(QAError):
         self.cause = cause
 
 
-def analysis_out_path(config: PipelineConfig) -> str:
-    return config.stage_params["questions.analysis_out"]
-
-
 def stage_inputs(config: PipelineConfig, stage: StageKind) -> list[str]:
     if stage is StageKind.INFO_SOURCE_PREP:
         return [config.corpus_path]
@@ -57,8 +53,8 @@ def stage_inputs(config: PipelineConfig, stage: StageKind) -> list[str]:
             paths.append(config.classifier_model_path)
         return paths
     if stage is StageKind.ANSWER_RETRIEVAL:
-        gazetteers = (config.param("extract.persons"), config.param("extract.locations"))
-        return [config.index_path, analysis_out_path(config), *filter(None, gazetteers)]
+        keys = ("questions.analysis_out", "extract.persons", "extract.locations")
+        return [config.index_path, *filter(None, map(config.param, keys))]
     paths = [config.answers_out_path]
     if config.gold_path:
         paths.append(config.gold_path)
@@ -69,7 +65,7 @@ def stage_outputs(config: PipelineConfig, stage: StageKind) -> list[str]:
     if stage is StageKind.INFO_SOURCE_PREP:
         return [config.index_path]
     if stage is StageKind.QUESTION_PROCESSING:
-        return [analysis_out_path(config)]
+        return [config.param("questions.analysis_out")]
     if stage is StageKind.ANSWER_RETRIEVAL:
         return [config.answers_out_path]
     return [config.report_out_path] if config.report_out_path else []
@@ -84,7 +80,7 @@ def validate_config(
     config: PipelineConfig, stages_requested: set[StageKind]
 ) -> list[ConfigIssue]:
     """Empty list iff every requested stage can run against this config."""
-    issues = check_param_types(config)
+    issues = []
     producers = _producers(config)
     for stage in StageKind:
         if stage not in stages_requested:

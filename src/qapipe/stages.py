@@ -10,7 +10,7 @@ from . import corpus, extraction, index, questions
 from .classifier import load_model
 from .config import PipelineConfig
 from .evaluation import evaluate_answers, format_report, load_gold, write_report
-from .pipeline import Engine, StageKind, analysis_out_path
+from .pipeline import Engine, StageKind
 from .stopwords import STOPWORDS
 
 
@@ -28,7 +28,7 @@ def run_info_source_prep(config: PipelineConfig) -> str:
 
 
 def run_question_processing(config: PipelineConfig) -> str:
-    out_path = analysis_out_path(config)
+    out_path = config.param("questions.analysis_out")
     rejects: list[corpus.MalformedRecord] = []
     parsed = questions.parse_questions(
         config.questions_path, config.param("questions.format"), rejects
@@ -42,7 +42,7 @@ def run_question_processing(config: PipelineConfig) -> str:
 
 def run_answer_retrieval(config: PipelineConfig) -> str:
     idx = index.load_index(config.index_path)
-    analyses = questions.load_analyses(analysis_out_path(config))
+    analyses = questions.load_analyses(config.param("questions.analysis_out"))
     settings = extraction.AnswerSettings.from_config(config)
     records = [extraction.answer_question(idx, analysis, settings) for analysis in analyses]
     extraction.write_answers(records, config.answers_out_path)

@@ -245,7 +245,7 @@ def test_ask_and_answer_agree_on_gazetteer_config(tmp_path):
 
 @pytest.mark.parametrize(
     "extra, message",
-    [("retrieval.k = abc", "BadParam"), ("extract.persons = missing.txt", "missing.txt")],
+    [("retrieval.k = abc", "retrieval.k"), ("extract.persons = missing.txt", "missing.txt")],
 )
 def test_ask_rejects_bad_config_like_answer(tmp_path, extra, message):
     write_basic_setup(tmp_path)
@@ -257,3 +257,41 @@ def test_ask_rejects_bad_config_like_answer(tmp_path, extra, message):
     assert result.returncode == 1, result.stderr
     assert message in result.stderr
     assert result.stdout == ""
+
+
+def test_train_classifier_missing_file_exits_1(tmp_path):
+    result = run_cli("train-classifier", "--train-file", "nope.txt", "--out", "m.nb", cwd=tmp_path)
+    assert result.returncode == 1
+    assert "nope.txt" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "extra", ["retrieval.k = abc", "retrieval.k = 0", "weights.coverage = nan",
+              "weights.proximity = inf"],
+)
+def test_bad_value_exits_1_under_every_command(tmp_path, monkeypatch, capsys, extra):
+    from qapipe.cli import main
+
+    write_basic_setup(tmp_path)
+    with open(tmp_path / "config.qa", "a", encoding="utf-8") as cfg:
+        cfg.write(extra + "\n")
+    monkeypatch.chdir(tmp_path)
+    for argv in (["stats"], ["index"], ["ask", "Who built the amber mill?"]):
+        assert main([argv[0], "--config", "config.qa", *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and extra.partition(" ")[0] in err
+
+
+def test_answer_on_a_damaged_index_exits_2(tmp_path):
+    write_basic_setup(tmp_path)
+    train(tmp_path)
+    assert run_cli("run-all", "--config", "config.qa", cwd=tmp_path).returncode == 0
+    index = tmp_path / "index.qix"
+    raw = bytearray(index.read_bytes())
+    raw[len(raw) // 2] ^= 1
+    index.write_bytes(bytes(raw))
+    result = run_cli("answer", "--config", "config.qa", cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: ") and "index.qix" in line

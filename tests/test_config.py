@@ -1,11 +1,15 @@
+import dataclasses
+
 import pytest
 
 from qapipe.config import (
     MissingFile,
     ParseError,
+    PipelineConfig,
     UnknownKey,
     load_config,
 )
+from qapipe.errors import UsageError
 from qapipe.pipeline import StageKind, validate_config
 
 from conftest import framed
@@ -26,11 +30,11 @@ def write_config(tmp_path, body, name="config.qa"):
 
 def test_defaults_applied(tmp_path):
     config = load_config(write_config(tmp_path, MINIMAL))
-    assert config.stage_params["retrieval.k"] == "50"
-    assert config.stage_params["retrieval.max_passages"] == "20"
-    assert config.stage_params["weights.coverage"] == "2.0"
-    assert config.stage_params["weights.proximity"] == "1.0"
-    assert config.stage_params["weights.redundancy"] == "0.5"
+    assert config.stage_params["retrieval.k"] == 50
+    assert config.stage_params["retrieval.max_passages"] == 20
+    assert config.stage_params["weights.coverage"] == 2.0
+    assert config.stage_params["weights.proximity"] == 1.0
+    assert config.stage_params["weights.redundancy"] == 0.5
     assert config.stage_params["corpus.format"] == "trec-sgml"
 
 
@@ -68,7 +72,14 @@ def test_duplicate_key_rejected(tmp_path):
 def test_comments_and_blanks_ignored(tmp_path):
     body = "# a comment\n\n" + MINIMAL + "# retrieval.k = 9\n"
     config = load_config(write_config(tmp_path, body))
-    assert config.stage_params["retrieval.k"] == "50"
+    assert config.stage_params["retrieval.k"] == 50
+
+
+def test_nul_byte_in_a_path_is_a_parse_error(tmp_path):
+    path = write_config(tmp_path, MINIMAL + "extract.persons = a\x00b\n")
+    with pytest.raises(ParseError) as exc:
+        load_config(path)
+    assert exc.value.line == 5
 
 
 def test_nonexistent_questions_path_accepted_at_load(tmp_path):
@@ -89,13 +100,10 @@ def test_validate_missing_gold_only_when_evaluation_requested(tmp_path):
     assert "MissingGoldPath" in codes(with_eval)
 
 
-def test_validate_bad_int_param(tmp_path):
-    (tmp_path / "corpus.tsv").write_text("d1\t\ttext\n", encoding="utf-8")
-    config = load_config(write_config(tmp_path, MINIMAL + "retrieval.k = abc\n"))
-    issues = validate_config(config, {StageKind.INFO_SOURCE_PREP})
-    bad = [i for i in issues if i.code == "BadParam"]
-    assert len(bad) == 1
-    assert "retrieval.k" in bad[0].detail and "integer" in bad[0].detail
+def test_bad_integer_refused_at_load(tmp_path):
+    with pytest.raises(UsageError) as exc:
+        load_config(write_config(tmp_path, MINIMAL + "retrieval.k = abc\n"))
+    assert "retrieval.k" in str(exc.value) and "'abc'" in str(exc.value)
 
 
 def test_validate_all_good_is_empty(tmp_path):
@@ -145,8 +153,8 @@ def test_digest_deterministic_and_sensitive(tmp_path):
 
 def test_typed_param_accessors(tmp_path):
     config = load_config(write_config(tmp_path, MINIMAL + "retrieval.k = 7\n"))
-    assert config.int_param("retrieval.k") == 7
-    assert config.float_param("weights.coverage") == pytest.approx(2.0)
+    assert config.param("retrieval.k") == 7
+    assert config.param("weights.coverage") == pytest.approx(2.0)
 
 
 def test_missing_required_path_rejected(tmp_path):
@@ -169,3 +177,48 @@ def test_gazetteer_params_resolved_and_validated(tmp_path):
     (tmp_path / "people.txt").write_text("Maria Voss\n", encoding="utf-8")
     issues = validate_config(config, {StageKind.INFO_SOURCE_PREP})
     assert issues == []
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("retrieval.k", "0"), ("weights.coverage", "nan"), ("weights.proximity", "inf"),
+     ("corpus.format", "xml")],
+)
+def test_bad_value_refused_at_load(tmp_path, key, value):
+    with pytest.raises(UsageError) as exc:
+        load_config(write_config(tmp_path, MINIMAL + f"{key} = {value}\n"))
+    assert key in str(exc.value) and repr(value) in str(exc.value)
+
+
+def test_empty_value_is_unset(tmp_path):
+    body = MINIMAL + "questions.analysis_out =\nextract.persons =\nretrieval.k =\n"
+    config = load_config(write_config(tmp_path, body))
+    assert config.param("questions.analysis_out") == str(tmp_path / "analysis.txt")
+    assert config.param("extract.persons") is None
+    assert config.param("retrieval.k") == 50
+
+
+def test_loaded_and_constructed_configs_agree(tmp_path):
+    body = MINIMAL.replace("answers_out_path = answers.txt", "answers_out_path = out/answers.txt")
+    loaded = load_config(write_config(tmp_path, body))
+    built = PipelineConfig(
+        corpus_path=str(tmp_path / "corpus.tsv"),
+        index_path=str(tmp_path / "index.qix"),
+        questions_path=str(tmp_path / "questions.txt"),
+        answers_out_path=str(tmp_path / "out" / "answers.txt"),
+    )
+    assert loaded.param("questions.analysis_out") == str(tmp_path / "out" / "analysis.txt")
+    assert loaded.stage_params == built.stage_params
+    assert loaded.digest() == built.digest()
+
+
+def test_constructed_config_parses_each_value(tmp_path):
+    config = load_config(write_config(tmp_path, MINIMAL))
+    as_text = dataclasses.replace(config, stage_params={"weights.redundancy": "0.25"})
+    as_float = dataclasses.replace(config, stage_params={"weights.redundancy": 0.25})
+    assert as_text.param("weights.redundancy") == as_float.param("weights.redundancy") == 0.25
+    assert as_text.digest() == as_float.digest()
+    with pytest.raises(UnknownKey):
+        dataclasses.replace(config, stage_params={"retrieval.K": "9"})
+    with pytest.raises(UsageError):
+        dataclasses.replace(config, stage_params={"retrieval.max_passages": -3})

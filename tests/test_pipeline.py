@@ -216,7 +216,7 @@ def test_programmatic_config_gets_param_defaults(tmp_path):
         questions_path=str(tmp_path / "q.txt"),
         answers_out_path=str(tmp_path / "a.txt"),
     )
-    assert config.int_param("retrieval.k") == 50
+    assert config.param("retrieval.k") == 50
     assert config.stage_params["questions.analysis_out"] == str(tmp_path / "analysis.txt")
 
 

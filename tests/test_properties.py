@@ -1,6 +1,7 @@
 """Property tests for the field codec, the index file format, tokenization,
 query terms, passage scoring, BM25 retrieval, candidate proximity, the
-stage-file round trips and the stage-file loaders."""
+stage-file round trips, the stage-file loaders and the parsers of the
+files a user writes."""
 
 import math
 from collections import Counter
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qapipe.classifier import (
-    COARSE_FINE, COARSE_ONLY, CorruptModel, TrainingExample, load_model, train_classifier,
-    write_model,
+    COARSE_FINE, COARSE_ONLY, CorruptModel, TrainingExample, load_model, parse_training_file,
+    train_classifier, write_model,
 )
-from qapipe.corpus import Document
+from qapipe.config import OPTIONAL_PATH_KEYS, PARAM_SPECS, REQUIRED_PATH_KEYS, load_config
+from qapipe.corpus import Document, parse_corpus
 from qapipe.errors import QAError
 from qapipe.evaluation import load_gold
 from qapipe.extraction import (
@@ -21,7 +23,7 @@ from qapipe.extraction import (
 )
 from qapipe.index import CorruptIndex, Posting, build_index, load_index, write_index
 from qapipe.questions import (
-    Question, QuestionAnalysis, analyze, load_analyses, write_analyses,
+    Question, QuestionAnalysis, analyze, load_analyses, parse_questions, write_analyses,
 )
 from qapipe.stopwords import STOPWORDS
 from qapipe.retrieval import (
@@ -407,3 +409,57 @@ def test_stage_file_loaders_load_or_refuse_near_valid_files(tmp_path_factory, lo
         tables = [loaded.class_priors, loaded.unseen_log_likelihood,
                   *loaded.term_log_likelihoods.values()]
         assert all(math.isfinite(v) for table in tables for v in table.values())
+
+
+def lines_of(*pieces):
+    """Up to eight lines, each one of `pieces` or short arbitrary text."""
+    return st.lists(st.sampled_from(pieces) | SHORT, max_size=8).map("\n".join)
+
+
+def parse_trec_sgml(path):
+    return list(parse_corpus(path, "trec-sgml"))
+
+
+def parse_record_lines(path):
+    return list(parse_corpus(path, "record-lines"))
+
+
+def parse_trec_xml(path):
+    return parse_questions(path, "trec-xml")
+
+
+def parse_qline(path):
+    return parse_questions(path, "qline")
+
+
+CONFIG_LINE = st.tuples(
+    st.sampled_from([*REQUIRED_PATH_KEYS, *OPTIONAL_PATH_KEYS, *PARAM_SPECS]) | SHORT,
+    st.sampled_from(["", "a.txt", "a\x00b", "0", "3", "-1", "2.5", "1e400", "nan", "qline",
+                     "trec-xml", "record-lines"]) | SHORT,
+).map(" = ".join)
+REQUIRED_LINES = [f"{key} = {key}.txt" for key in REQUIRED_PATH_KEYS]
+
+# Near-valid input for each parser of a file a user writes; load_gold is
+# fed near-valid and arbitrary bytes with the stage-file loaders above.
+USER_FILES = {
+    parse_trec_sgml: lines_of("<DOC>", "</DOC>", "<DOCNO> d1 </DOCNO>", "<DOCNO></DOCNO>",
+                              "<HEADLINE>h</HEADLINE>", "<TEXT>", "</TEXT>", "<P>", "</P>"),
+    parse_record_lines: lines_of("d1\t\tmill", "d1\th\tx", "\t\t", "d1\tx"),
+    parse_trec_xml: lines_of('<target text="mill">', "</target>", '<q id="1">Who built it?</q>',
+                             '<q id="">x</q>', '<q id="2"></q>'),
+    parse_qline: lines_of("q1\tWho built it?", "q1\t", "\tWho?", "q2\tWhen?\tx"),
+    parse_training_file: lines_of("HUM:ind who built it", "NUM when", "PLANET what", "HUM",
+                                  "NUM: x"),
+    load_config: st.lists(CONFIG_LINE | SHORT, max_size=6).map(
+        lambda lines: "\n".join(REQUIRED_LINES + lines)),
+}
+
+
+@pytest.mark.parametrize("parser", USER_FILES, ids=lambda f: f.__name__)
+@given(data=st.data())
+def test_user_file_parsers_take_arbitrary_text(tmp_path_factory, parser, data):
+    text = data.draw(USER_FILES[parser] | st.text())
+    raw = data.draw(st.just(text.encode("utf-8")) | st.binary())
+    path = tmp_path_factory.mktemp("parser") / "input"
+    path.write_bytes(raw)
+    load_or_refuse(parser, path)
