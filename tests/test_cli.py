@@ -245,7 +245,11 @@ def test_ask_and_answer_agree_on_gazetteer_config(tmp_path):
 
 @pytest.mark.parametrize(
     "extra, message",
-    [("retrieval.k = abc", "retrieval.k"), ("extract.persons = missing.txt", "missing.txt")],
+    [
+        # The id is the one this case had when the error carried a BadParam code.
+        pytest.param("retrieval.k = abc", "retrieval.k", id="retrieval.k = abc-BadParam"),
+        ("extract.persons = missing.txt", "missing.txt"),
+    ],
 )
 def test_ask_rejects_bad_config_like_answer(tmp_path, extra, message):
     write_basic_setup(tmp_path)
