@@ -11,8 +11,8 @@ One binary, one subcommand per invocation:
     qapipe ask --config CFG [QUESTION]    one-shot or stdin REPL answering
     qapipe stats --config CFG             index and model statistics
 
-Exit codes: 0 success, 1 usage or validation error or a missing input
-file, 2 runtime failure.
+Exit codes: 0 success, 1 usage or validation error or an input path
+that is missing or a directory, 2 runtime failure.
 Diagnostics go to standard error only.
 """
 
@@ -163,8 +163,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        problem = "is a directory" if isinstance(exc, IsADirectoryError) else "file not found"
+        print(f"error: {problem}: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # QAError or any other: never panic to the shell
         print(f"error: {exc}", file=sys.stderr)

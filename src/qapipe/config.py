@@ -1,11 +1,12 @@
 """Pipeline configuration: flat `key = value` files with # comments.
 
 Relative paths are resolved against the config file's directory, and an
-empty value leaves its key unset. Building a `PipelineConfig`, loaded or
-not, parses every stage parameter to its typed value and refuses an
-unknown key or a bad value, such as a weight that is not finite. Path
-existence is checked at validation time, per requested stage, because a
-config may legitimately name artifacts that a later stage will create.
+empty value leaves its key unset, as a None value does in a config built
+in code. Building a `PipelineConfig`, loaded or not, parses every stage
+parameter to its typed value and refuses an unknown key or a bad value,
+such as a weight that is not finite. Path existence is checked at
+validation time, per requested stage, because a config may legitimately
+name artifacts that a later stage will create.
 
 Path keys:
     corpus_path, index_path, questions_path, answers_out_path   (required)
@@ -136,11 +137,16 @@ class PipelineConfig:
     stage_params: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        """Parse `str(value)` of each given stage parameter, then fill defaults."""
+        """Parse `str(value)` of each given stage parameter, then fill defaults.
+
+        A value of None leaves its key unset, as an empty value in a file does.
+        """
         params = {}
         for key, value in self.stage_params.items():
             if key not in PARAM_SPECS:
                 raise UnknownKey(key)
+            if value is None:
+                continue
             try:
                 params[key] = PARAM_SPECS[key][0](str(value))
             except ValueError as exc:

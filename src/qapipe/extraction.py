@@ -15,9 +15,11 @@ Extraction dispatches on the expected answer type:
   DESC            the passage's highest-scoring sentence
 
 Ranking scores each candidate by its passage score plus a proximity
-term (inverse token distance to each query term in the passage) plus a
+term (inverse word distance to each query term in the passage) plus a
 redundancy term (how many passages repeat the candidate verbatim), then
-deduplicates case-insensitively keeping the earliest source.
+deduplicates case-insensitively keeping the earliest source. The words
+a candidate covers are found by bisecting its passage's word offsets,
+built once per passage with a candidate; no positional tokens are built.
 
 `AnswerSettings` holds every stage-3 setting and its default. The
 `answer` stage and the `ask` command both build it with
@@ -26,6 +28,7 @@ deduplicates case-insensitively keeping the earliest source.
 
 import dataclasses
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import QAError
@@ -45,7 +48,7 @@ from .serde import (
 )
 from .stopwords import STOPWORDS
 from .taxonomy import AnswerType
-from .text import tokenize
+from .text import TOKEN_RE, terms, tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
 
 GAZETTEER_BONUS = 1.0
 MAGIC = "QANUSANS"  # the answers file, framed by serde's write_records
@@ -267,19 +270,23 @@ def extract_candidates(
     ]
 
 
-def _token_span(passage: Passage, candidate: CandidateAnswer, tokens) -> tuple[int, int]:
-    rel_start = candidate.char_offset - passage.char_span[0]
-    rel_end = rel_start + len(candidate.text)
-    covering = [
-        t.position
-        for t in tokens
-        if t.char_offset < rel_end and t.char_end > rel_start
-    ]
-    if covering:
-        return min(covering), max(covering)
-    nearest = min(tokens, key=lambda t: abs(t.char_offset - rel_start), default=None)
-    pos = nearest.position if nearest else 0
-    return pos, pos
+def _token_span(starts, ends, rel_start: int, rel_end: int) -> tuple[int, int]:
+    """Positions of the first and last word covering [rel_start, rel_end).
+
+    `starts` and `ends` are the words' offsets, both sorted. When no word
+    covers the span, both positions are those of the word starting nearest
+    rel_start, the earlier one on a tie, or 0 when there are no words.
+    """
+    first = bisect_right(ends, rel_start)
+    last = bisect_left(starts, rel_end) - 1
+    if first <= last:
+        return first, last
+    if not starts:
+        return 0, 0
+    i = bisect_left(starts, rel_start)
+    if i == len(starts) or (i > 0 and rel_start - starts[i - 1] <= starts[i] - rel_start):
+        i -= 1
+    return i, i
 
 
 def rank_candidates(
@@ -291,17 +298,22 @@ def rank_candidates(
     """Score, deduplicate, and order candidates best-first."""
     if not candidates:
         return []
-    # A question's only positional tokens: once per kept passage with a
-    # candidate, with the positions of each query term in that passage.
+    # Once per kept passage with a candidate: its words' offsets, and the
+    # word positions of each query term in it.
     query = set(analysis.query_terms)
-    passage_tokens = {}
+    passage_words = {}
     for i in {c.passage_index for c in candidates}:
-        tokens = tokenize(passages[i].text)
+        text = passages[i].text
+        starts, ends = [], []
+        for m in TOKEN_RE.finditer(text):
+            a, b = m.span()
+            starts.append(a)
+            ends.append(b)
         positions: dict[str, list[int]] = {}
-        for t in tokens:
-            if t.surface in query:
-                positions.setdefault(t.surface, []).append(t.position)
-        passage_tokens[i] = tokens, positions
+        for position, word in enumerate(terms(text)):
+            if word in query:
+                positions.setdefault(word, []).append(position)
+        passage_words[i] = starts, ends, positions
     lowered_passages = [p.text.lower() for p in passages]
 
     redundancy: dict[str, int] = {}
@@ -312,9 +324,9 @@ def rank_candidates(
 
     scored: list[CandidateAnswer] = []
     for cand in candidates:
-        passage = passages[cand.passage_index]
-        tokens, positions = passage_tokens[cand.passage_index]
-        first, last = _token_span(passage, cand, tokens)
+        starts, ends, positions = passage_words[cand.passage_index]
+        rel_start = cand.char_offset - passages[cand.passage_index].char_span[0]
+        first, last = _token_span(starts, ends, rel_start, rel_start + len(cand.text))
         prox = 0.0
         for term in analysis.query_terms:
             occurrences = positions.get(term)

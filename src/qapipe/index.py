@@ -25,6 +25,8 @@ Loading decodes the documents but keeps each term's cells as the raw
 string, and checks the stats line against the counted cells. A term's
 cells are decoded into (doc_id, tf) `Posting` pairs each time the term
 is read; retrieval reads a term once and memoizes its BM25 impacts.
+Passage scoring memoizes each passage's terms, keyed by its text, the
+same way; neither memo is written to the file.
 """
 
 import math
@@ -110,6 +112,10 @@ class InvertedIndex:
     stored_docs: dict[str, Document]
     # term -> [(doc_id, BM25 impact)], filled by retrieval on a term's first use.
     bm25_impacts: dict[str, list[tuple[str, float]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # passage text -> its terms, interned; filled by retrieval's passage scoring.
+    passage_terms: dict[str, tuple[str, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _idf: dict[str, float] = field(default_factory=dict, init=False, repr=False, compare=False)

@@ -7,10 +7,14 @@ adding an occurrence of a matched term never lowers a passage score.
 Passages are source paragraphs when the document has paragraph markup;
 otherwise sentences are split on ./?/! followed by whitespace and an
 uppercase letter, and windowed 3 at a time with stride 2.
+
+Both per-question reads of the index are memoized on it: a term's BM25
+impacts, and a passage's terms, keyed by the passage text.
 """
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 from .corpus import Document
@@ -130,11 +134,18 @@ def score_passage(
     index: InvertedIndex,
     coverage_weight: float = DEFAULT_COVERAGE_WEIGHT,
 ) -> float:
-    """Sum of idf-weighted log term counts plus a query-coverage bonus."""
+    """Sum of idf-weighted log term counts plus a query-coverage bonus.
+
+    The passage's terms are memoized on the index, keyed by the text,
+    which is all they depend on.
+    """
     if not query_terms:
         return 0.0
-    # A query has a few terms, so counting each in the list beats a Counter.
-    words = terms(passage.text)
+    memo = index.passage_terms
+    words = memo.get(passage.text)
+    if words is None:
+        words = memo[passage.text] = tuple(map(sys.intern, terms(passage.text)))
+    # A query has a few terms, so counting each in the tuple beats a Counter.
     score = 0.0
     matched = 0
     for term in query_terms:

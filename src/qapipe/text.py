@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass
 
 # Alphanumeric runs, unicode-aware; underscore counts as a separator.
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 @dataclass(frozen=True)
@@ -24,12 +24,12 @@ def tokenize(text: str) -> list[Token]:
     """Split text into lowercased alphanumeric tokens with positions."""
     return [
         Token(m.group(0).lower(), i, m.start(), m.end())
-        for i, m in enumerate(_TOKEN_RE.finditer(text))
+        for i, m in enumerate(TOKEN_RE.finditer(text))
     ]
 
 
 def terms(text: str) -> list[str]:
     """The surfaces of tokenize(text), without building a Token per word."""
     # Lower each match, not the text: "İ".lower() ends in a non-alphanumeric mark.
-    return [w.lower() for w in _TOKEN_RE.findall(text)]
+    return [w.lower() for w in TOKEN_RE.findall(text)]
 

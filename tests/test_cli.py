@@ -269,6 +269,13 @@ def test_train_classifier_missing_file_exits_1(tmp_path):
     assert "nope.txt" in result.stderr
 
 
+def test_train_classifier_directory_exits_1(tmp_path):
+    result = run_cli("train-classifier", "--train-file", ".", "--out", "m.nb", cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stderr == "error: is a directory: .\n"
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize(
     "extra", ["retrieval.k = abc", "retrieval.k = 0", "weights.coverage = nan",
               "weights.proximity = inf"],

@@ -198,6 +198,18 @@ def test_empty_value_is_unset(tmp_path):
     assert config.param("retrieval.k") == 50
 
 
+def test_none_value_is_unset(tmp_path):
+    body = MINIMAL + "extract.persons = persons.txt\nretrieval.k = 9\n"
+    config = load_config(write_config(tmp_path, body))
+    unset = dataclasses.replace(config, stage_params={
+        **config.stage_params, "extract.persons": None, "retrieval.k": None,
+        "questions.analysis_out": None,
+    })
+    assert unset.param("extract.persons") is None
+    assert unset.param("retrieval.k") == 50
+    assert unset.digest() == load_config(write_config(tmp_path, MINIMAL)).digest()
+
+
 def test_loaded_and_constructed_configs_agree(tmp_path):
     body = MINIMAL.replace("answers_out_path = answers.txt", "answers_out_path = out/answers.txt")
     loaded = load_config(write_config(tmp_path, body))

@@ -223,20 +223,27 @@ def test_answer_question_planted():
     assert record.final_score > 0
 
 
-def test_answer_question_tokenizes_only_kept_passages(monkeypatch):
-    """Structural guard: positional tokens only for the passages kept."""
-    import importlib
-
-    from qapipe.extraction import AnswerSettings
-
-    paragraphs = [f"Maria Voss led the amber guild in hall {i}." for i in range(12)]
+def guild_hall_index():
+    """Four copies of one twelve-paragraph document: 48 passages, 12 texts."""
+    paragraphs = [f"Maria Voss led the amber guild in hall {i}. It stood by the mill."
+                  for i in range(12)]
     text = "\n\n".join(paragraphs)
     starts = [text.index(p) for p in paragraphs]
     spans = tuple((a, a + len(p)) for a, p in zip(starts, paragraphs))
     docs = [Document(f"d{n}", None, text, spans) for n in range(4)]
-    idx = build_index(docs)
     assert sum(len(segment_passages(d)) for d in docs) == 48
+    return build_index(docs)
 
+
+def test_answer_question_tokenizes_only_kept_passages(monkeypatch):
+    """Structural guard: no positional tokens at all, and word offsets only
+    for the passages kept."""
+    import importlib
+
+    from qapipe import extraction
+    from qapipe.extraction import AnswerSettings
+
+    idx = guild_hall_index()
     tokenized: list[str] = []
     for name in ("index", "retrieval", "extraction", "classifier", "questions"):
         module = importlib.import_module(f"qapipe.{name}")
@@ -247,11 +254,42 @@ def test_answer_question_tokenizes_only_kept_passages(monkeypatch):
             return real(text)
 
         monkeypatch.setattr(module, "tokenize", counting)
+    offsets_built: list[str] = []
+
+    class CountingPattern:
+        def finditer(self, text, real=extraction.TOKEN_RE):
+            offsets_built.append(text)
+            return real.finditer(text)
+
+    monkeypatch.setattr(extraction, "TOKEN_RE", CountingPattern())
     settings = AnswerSettings(max_passages=5)
     analysis = analysis_for(["amber", "guild"], AnswerType("HUM", "ind"))
     record = answer_question(idx, analysis, settings)
     assert record.answer == "Maria Voss"
-    assert 1 <= len(tokenized) <= settings.max_passages
+    assert tokenized == []
+    assert 1 <= len(offsets_built) <= settings.max_passages
+
+
+def test_second_question_reads_only_passages_it_has_not_seen(monkeypatch):
+    """Structural guard: passage terms are read once per text and index."""
+    from qapipe import retrieval
+
+    idx = guild_hall_index()
+    read: list[str] = []
+    real = retrieval.terms
+    monkeypatch.setattr(retrieval, "terms", lambda text: read.append(text) or real(text))
+    answer_question(idx, analysis_for(["amber", "guild"], AnswerType("HUM", "ind")))
+    paragraphs = {p.text for p in segment_passages(idx.stored_docs["d0"])}
+    assert sorted(read) == sorted(paragraphs)
+
+    seen = set(read)
+    read.clear()
+    # The same documents again; the DESC branch also scores each kept
+    # passage's sentences, which no question has scored yet.
+    record = answer_question(idx, analysis_for(["guild", "hall"], AnswerType("DESC", None)))
+    assert record.answer is not None
+    assert read and len(read) == len(set(read))
+    assert seen.isdisjoint(read)
 
 
 def test_answer_question_empty_query_is_nil():

@@ -1,13 +1,13 @@
 """Property tests for the field codec, the index file format, tokenization,
-query terms, passage scoring, BM25 retrieval, candidate proximity, the
-stage-file round trips, the stage-file loaders and the parsers of the
-files a user writes."""
+query terms, passage scoring and its memo, BM25 retrieval, candidate word
+spans and proximity, the stage-file round trips, the stage-file loaders
+and the parsers of the files a user writes."""
 
 import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qapipe.classifier import (
     COARSE_FINE, COARSE_ONLY, CorruptModel, TrainingExample, load_model, parse_training_file,
@@ -28,11 +28,11 @@ from qapipe.questions import (
 from qapipe.stopwords import STOPWORDS
 from qapipe.retrieval import (
     BM25_B, BM25_K1, DEFAULT_COVERAGE_WEIGHT, Passage, ScoredDocument, retrieve_documents,
-    score_passage,
+    score_passage, segment_passages, split_sentences,
 )
 from qapipe.taxonomy import FINE_CLASSES, AnswerType
 from qapipe.serde import VersionMismatch, escape_field, unescape_field
-from qapipe.text import terms, tokenize
+from qapipe.text import TOKEN_RE, terms, tokenize
 
 from conftest import framed
 
@@ -157,6 +157,32 @@ def test_score_passage_matches_token_reference(docs, text, query, weight):
     )
 
 
+# The second paragraph's sentence spans (0, 5) within it, as the first paragraph does.
+@example(["amber", "built"], ["amber"], 0.0)
+@given(st.lists(words_text | st.text(max_size=12), min_size=1, max_size=4), queries,
+       st.sampled_from([0.0, DEFAULT_COVERAGE_WEIGHT]))
+def test_score_passage_is_the_same_on_a_warm_memo(paragraphs, query, weight):
+    """A passage scores alike on a fresh index and on one whose memo holds
+    every other passage and DESC sentence of its document. A sentence's
+    span is relative to its passage, so it can equal the span of another
+    passage of the same document."""
+    text = "\n".join(paragraphs)
+    starts = [sum(len(p) + 1 for p in paragraphs[:i]) for i in range(len(paragraphs))]
+    doc = Document("d", None, text, tuple((a, a + len(p)) for a, p in zip(starts, paragraphs)))
+    passages = segment_passages(doc)
+    sentences = [Passage("d", (a, b), p.text[a:b]) for p in passages
+                 for a, b in split_sentences(p.text)]
+    warm = build_index([doc])
+    for passage in passages:  # the DESC branch scores each sentence of the passage
+        extract_candidates(passage, AnswerType("DESC", None), query, index=warm)
+        score_passage(passage, query, warm, weight)
+    for passage in passages + sentences:
+        fresh = build_index([doc])
+        assert score_passage(passage, query, warm, weight) == score_passage(
+            passage, query, fresh, weight
+        )
+
+
 @given(corpora.filter(bool).flatmap(lambda d: st.tuples(st.just(d), st.permutations(sorted(d)))),
        queries, st.integers(1, 5))
 def test_bm25_top_k_ignores_corpus_order(docs_and_order, query, k):
@@ -207,10 +233,38 @@ def test_loaded_index_retrieves_and_answers_as_the_built_one(tmp_path_factory, d
         )
 
 
+def reference_token_span(tokens, rel_start, rel_end):
+    """_token_span as it was before bisect: a scan of every Token."""
+    covering = [
+        t.position for t in tokens if t.char_offset < rel_end and t.char_end > rel_start
+    ]
+    if covering:
+        return min(covering), max(covering)
+    nearest = min(tokens, key=lambda t: abs(t.char_offset - rel_start), default=None)
+    pos = nearest.position if nearest else 0
+    return pos, pos
+
+
+# Short words and runs of blanks, so that a point falls between two words
+# at equal distance from their starts.
+spaced_text = st.lists(st.sampled_from(["a", "bb", "Ccc", " ", "  ", ".", "_", "İ"])).map("".join)
+
+
+@example("bb  a", 2, 3)  # "bb" starts at 0 and "a" at 4, each 2 from offset 2: "bb" wins
+@given(spaced_text | st.text(), st.integers(-3, 30), st.integers(-3, 30))
+def test_token_span_bisect_matches_token_scan(text, rel_start, rel_end):
+    spans = [m.span() for m in TOKEN_RE.finditer(text)]
+    starts, ends = [a for a, _ in spans], [b for _, b in spans]
+    assert _token_span(starts, ends, rel_start, rel_end) == reference_token_span(
+        tokenize(text), rel_start, rel_end
+    )
+
+
 def reference_proximity(passage, candidate, query_terms):
     """rank_candidates' proximity as it was: positions listed per candidate and term."""
     tokens = tokenize(passage.text)
-    first, last = _token_span(passage, candidate, tokens)
+    rel_start = candidate.char_offset - passage.char_span[0]
+    first, last = reference_token_span(tokens, rel_start, rel_start + len(candidate.text))
     prox = 0.0
     for term in query_terms:
         occurrences = [t.position for t in tokens if t.surface == term]
@@ -439,8 +493,7 @@ CONFIG_LINE = st.tuples(
 ).map(" = ".join)
 REQUIRED_LINES = [f"{key} = {key}.txt" for key in REQUIRED_PATH_KEYS]
 
-# Near-valid input for each parser of a file a user writes; load_gold is
-# fed near-valid and arbitrary bytes with the stage-file loaders above.
+# Near-valid input for each parser of a file a user writes.
 USER_FILES = {
     parse_trec_sgml: lines_of("<DOC>", "</DOC>", "<DOCNO> d1 </DOCNO>", "<DOCNO></DOCNO>",
                               "<HEADLINE>h</HEADLINE>", "<TEXT>", "</TEXT>", "<P>", "</P>"),
@@ -448,6 +501,8 @@ USER_FILES = {
     parse_trec_xml: lines_of('<target text="mill">', "</target>", '<q id="1">Who built it?</q>',
                              '<q id="">x</q>', '<q id="2"></q>'),
     parse_qline: lines_of("q1\tWho built it?", "q1\t", "\tWho?", "q2\tWhen?\tx"),
+    load_gold: lines_of("q1 rome", "q1 (", "q2 a{1,99999999999}", "q1", " NIL", "# q3 x",
+                        "q1 \\", "q4 [z-a]"),
     parse_training_file: lines_of("HUM:ind who built it", "NUM when", "PLANET what", "HUM",
                                   "NUM: x"),
     load_config: st.lists(CONFIG_LINE | SHORT, max_size=6).map(
