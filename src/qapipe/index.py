@@ -10,7 +10,7 @@ File format (versioned, line-oriented UTF-8, magic header QANUSIDX):
     QANUSIDX 2
     stats <TAB> docs=N <TAB> terms=T <TAB> postings=P
     doc <TAB> id <TAB> length <TAB> headline <TAB> spans <TAB> text
-    ...                                         (docs sorted by doc_id)
+    ...                               (doc ids strictly ascending)
     term <TAB> t <TAB> ord:tf <TAB> ord:tf ...   (terms sorted)
     sha256 <TAB> hex digest of every byte above
 
@@ -21,12 +21,12 @@ quoting there. Writing the same index twice yields byte-identical files.
 The framing (header, trailing digest) is serde's `write_records`; a
 truncated or damaged file raises CorruptIndex.
 
-Loading decodes the documents but keeps each term's cells as the raw
-string, and checks the stats line against the counted cells. A term's
-cells are decoded into (doc_id, tf) `Posting` pairs each time the term
-is read; retrieval reads a term once and memoizes its BM25 impacts.
-Passage scoring memoizes each passage's terms, keyed by its text, the
-same way; neither memo is written to the file.
+Built and loaded indexes hold one form: the decoded documents, and each
+term's cells as the tab-joined string the file stores. Building counts
+documents in doc id order, so a document's position is its ordinal, and
+writing copies the cells. A term's cells are decoded into (doc_id, tf)
+`Posting` pairs on each read. Retrieval memoizes each term's BM25
+impacts and each passage's terms; neither memo is written to the file.
 """
 
 import math
@@ -61,24 +61,26 @@ class Posting(NamedTuple):
 
 
 class LazyPostings(Mapping):
-    """Read-only term -> list[Posting] over the file's raw `ord:tf` cells.
+    """Read-only term -> list[Posting] over the file's raw `ord:tf` cells,
+    as load_index reads them and build_index makes them; write_index
+    copies `cells` and `doc_ids` as they are.
 
     A term's list is decoded on each read and not kept; a malformed cell
     raises CorruptIndex naming the term at that read.
     """
 
     def __init__(self, cells: dict[str, str], doc_ids: list[str]):
-        self._cells = cells      # term -> its cells, tab-joined as in the file
-        self._doc_ids = doc_ids  # doc id by ordinal
+        self.cells = cells      # term -> its cells, tab-joined as in the file
+        self.doc_ids = doc_ids  # doc id by ordinal, ascending
 
     def count(self, term: str) -> int:
         """Postings of `term`, counted from its cells without decoding them."""
-        cells = self._cells.get(term)
+        cells = self.cells.get(term)
         return 0 if cells is None else cells.count("\t") + 1
 
     def __getitem__(self, term: str) -> list[Posting]:
-        cells = self._cells[term]
-        doc_ids = self._doc_ids
+        cells = self.cells[term]
+        doc_ids = self.doc_ids
         try:
             # _make skips the keyword-taking __new__: a third of a cell's decode.
             return [
@@ -89,10 +91,10 @@ class LazyPostings(Mapping):
             raise CorruptIndex(f"malformed postings of term {term!r}: {exc}") from exc
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._cells)
+        return iter(self.cells)
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return len(self.cells)
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ class IndexStats:
 class InvertedIndex:
     """An index is not modified once built or loaded: its statistics are memoized."""
 
-    postings: Mapping[str, list[Posting]]
+    postings: LazyPostings
     doc_lengths: dict[str, int]
     stored_docs: dict[str, Document]
     # term -> [(doc_id, BM25 impact)], filled by retrieval on a term's first use.
@@ -131,9 +133,7 @@ class InvertedIndex:
         return sum(self.doc_lengths.values()) / len(self.doc_lengths)
 
     def document_frequency(self, term: str) -> int:
-        if isinstance(self.postings, LazyPostings):
-            return self.postings.count(term)
-        return len(self.postings.get(term, ()))
+        return self.postings.count(term)
 
     def idf(self, term: str) -> float:
         """BM25 inverse document frequency, non-negative by construction."""
@@ -154,23 +154,23 @@ class InvertedIndex:
 
 
 def build_index(documents: Iterable[Document]) -> InvertedIndex:
-    """Index a document stream; doc_ids must be unique."""
-    tf_acc: dict[str, dict[str, int]] = {}
-    doc_lengths: dict[str, int] = {}
+    """Index a document stream; doc_ids must be unique. Documents are counted
+    in doc id order, so a document's position is its ordinal in the file."""
     stored: dict[str, Document] = {}
     for doc in documents:
         if doc.doc_id in stored:
             raise DuplicateDocId(f"duplicate doc_id: {doc.doc_id}")
-        words = terms(doc.text)
-        doc_lengths[doc.doc_id] = len(words)
         stored[doc.doc_id] = doc
+    doc_ids = sorted(stored)
+    doc_lengths: dict[str, int] = {}
+    cells: dict[str, list[str]] = {}
+    for ordinal, doc_id in enumerate(doc_ids):
+        words = terms(stored[doc_id].text)
+        doc_lengths[doc_id] = len(words)
         for term, tf in Counter(words).items():
-            tf_acc.setdefault(term, {})[doc.doc_id] = tf
-    postings = {
-        term: [Posting(doc_id, tf) for doc_id, tf in sorted(by_doc.items())]
-        for term, by_doc in tf_acc.items()
-    }
-    return InvertedIndex(postings, doc_lengths, stored)
+            cells.setdefault(term, []).append(f"{ordinal}:{tf}")
+    joined = {term: "\t".join(term_cells) for term, term_cells in cells.items()}
+    return InvertedIndex(LazyPostings(joined, doc_ids), doc_lengths, stored)
 
 
 def _stats_line(index: InvertedIndex) -> str:
@@ -179,11 +179,9 @@ def _stats_line(index: InvertedIndex) -> str:
 
 
 def write_index(index: InvertedIndex, path) -> None:
-    """Serialize deterministically: docs and terms in sorted order."""
+    """Serialize deterministically: docs in ordinal order, terms sorted, cells as held."""
     lines = [_stats_line(index)]
-    doc_ids = sorted(index.stored_docs)
-    ordinals = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-    for doc_id in doc_ids:
+    for doc_id in index.postings.doc_ids:
         doc = index.stored_docs[doc_id]
         spans = ",".join(f"{a}:{b}" for a, b in doc.paragraph_spans) or "-"
         lines.append(
@@ -192,18 +190,17 @@ def write_index(index: InvertedIndex, path) -> None:
                 escape_optional(doc.headline), spans, escape_field(doc.text),
             )
         )
-    for term in sorted(index.postings):
-        cells = [f"{ordinals[doc_id]}:{tf}" for doc_id, tf in index.postings[term]]
-        lines.append("term\t" + term + "\t" + "\t".join(cells))
+    for term, cells in sorted(index.postings.cells.items()):
+        lines.append("term\t" + term + "\t" + cells)
     write_records(path, MAGIC, VERSION, lines)
 
 
 def load_index(path) -> InvertedIndex:
     """Read an index written by write_index; load(write(x)) == x.
 
-    The framing is checked before anything is decoded, and the stats
-    line must match the documents read and the term cells counted.
-    Postings are decoded per term when read.
+    The framing is checked before anything is decoded, the doc ids must
+    strictly ascend, and the stats line must match the documents read and
+    the term cells counted. Postings are decoded per term when read.
     """
     lines = read_records(path, MAGIC, VERSION, CorruptIndex)
     docs_by_ord: list[str] = []
@@ -216,6 +213,8 @@ def load_index(path) -> InvertedIndex:
             if kind == "doc":
                 doc_id, length, headline, spans, text = rest.split("\t", 4)
                 doc_id = unescape_field(doc_id)
+                if docs_by_ord and doc_id <= docs_by_ord[-1]:
+                    raise CorruptIndex(f"doc id {doc_id!r} does not follow {docs_by_ord[-1]!r}")
                 span_list = (
                     tuple(
                         (int(a), int(b))

@@ -7,6 +7,7 @@ from qapipe.corpus import Document, parse_corpus
 from qapipe.index import (
     CorruptIndex,
     DuplicateDocId,
+    LazyPostings,
     Posting,
     build_index,
     load_index,
@@ -182,3 +183,54 @@ def test_malformed_cell_fails_when_its_term_is_read(tmp_path):
         retrieve_documents(idx, ["a", "b"], 5)
     assert idx.postings["a"] == [Posting("d1", 2)]
     assert [d.doc_id for d in retrieve_documents(idx, ["para"], 5)] == ["d3"]
+
+
+def test_built_and_loaded_index_share_one_form(tmp_path, monkeypatch):
+    """A built index holds its cells as the file stores them: counting and
+    writing it decode no term."""
+    path = tmp_path / "idx.qix"
+    write_index(small_index(), path)
+    loaded = load_index(path)
+    built = small_index()
+    assert type(built.postings) is type(loaded.postings)
+
+    def no_decode(self, term):
+        raise AssertionError(f"term {term!r} decoded")
+
+    monkeypatch.setattr(LazyPostings, "__getitem__", no_decode)
+    assert built.stats() == loaded.stats()
+    assert built.document_frequency("para") == loaded.document_frequency("para") == 1
+    assert built.document_frequency("absent") == 0
+    write_index(built, tmp_path / "again.qix")
+    assert (tmp_path / "again.qix").read_bytes() == path.read_bytes()
+
+
+A_LINE = b"doc\ta\t2\t\\N\t-\tapple pie\n"
+B_LINE = b"doc\tb\t2\t\\N\t-\tcherry pie\n"
+
+
+def load_altered_two_doc_index(tmp_path, *replacements: tuple[bytes, bytes]):
+    """Load the index of docs a and b with each (old, new) replaced, re-digested."""
+    path = tmp_path / "idx.qix"
+    write_index(build_index([doc("a", "apple pie"), doc("b", "cherry pie")]), path)
+    body = path.read_bytes().rsplit(b"sha256\t", 1)[0]
+    assert A_LINE + B_LINE in body
+    for old, new in replacements:
+        assert old in body
+        body = body.replace(old, new)
+    path.write_bytes(framed(body))
+    return load_index(path)
+
+
+def test_repeated_doc_id_rejected(tmp_path):
+    """Doc b renamed to a would load as one document that pie's two postings
+    both point at: df 2 > N 1, and a negative idf."""
+    with pytest.raises(CorruptIndex, match="doc id 'a' does not follow 'a'"):
+        load_altered_two_doc_index(
+            tmp_path, (B_LINE, B_LINE.replace(b"doc\tb", b"doc\ta")), (b"docs=2", b"docs=1"))
+
+
+def test_descending_doc_ids_rejected(tmp_path):
+    """Swapped doc lines would load, and write back as different bytes."""
+    with pytest.raises(CorruptIndex, match="doc id 'a' does not follow 'b'"):
+        load_altered_two_doc_index(tmp_path, (A_LINE + B_LINE, B_LINE + A_LINE))

@@ -31,7 +31,9 @@ from qapipe.retrieval import (
     score_passage, segment_passages, split_sentences,
 )
 from qapipe.taxonomy import FINE_CLASSES, AnswerType
-from qapipe.serde import VersionMismatch, escape_field, unescape_field
+from qapipe.serde import (
+    VersionMismatch, escape_field, escape_optional, unescape_field, write_records,
+)
 from qapipe.text import TOKEN_RE, terms, tokenize
 
 from conftest import framed
@@ -68,26 +70,67 @@ def test_unescape_matches_reference_loop(s):
     assert unescape_field(s) == reference_unescape(s)
 
 
+# Words drawn from a few, so that terms recur across documents.
+shared_words = st.lists(st.sampled_from(["pie", "Pie", "apple", "x1", "\t", "\n"]), max_size=8)
 documents = st.builds(
     Document,
     doc_id=tricky_text,
     headline=st.none() | tricky_text,
-    text=tricky_text,
+    text=tricky_text | shared_words.map(" ".join),
     paragraph_spans=st.lists(
         st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=3
     ).map(tuple),
 )
 
 
+def reference_write_index(docs, path):
+    """build_index and write_index as they were: a dict of Posting lists
+    sorted by doc id, each cell re-encoded through an ordinals map."""
+    tf_acc: dict[str, dict[str, int]] = {}
+    doc_lengths: dict[str, int] = {}
+    stored: dict[str, Document] = {}
+    for doc in docs:
+        words = terms(doc.text)
+        doc_lengths[doc.doc_id] = len(words)
+        stored[doc.doc_id] = doc
+        for term, tf in Counter(words).items():
+            tf_acc.setdefault(term, {})[doc.doc_id] = tf
+    postings = {
+        term: [Posting(doc_id, tf) for doc_id, tf in sorted(by_doc.items())]
+        for term, by_doc in tf_acc.items()
+    }
+    total = sum(map(len, postings.values()))
+    lines = [f"stats\tdocs={len(stored)}\tterms={len(postings)}\tpostings={total}"]
+    doc_ids = sorted(stored)
+    ordinals = {doc_id: i for i, doc_id in enumerate(doc_ids)}
+    for doc_id in doc_ids:
+        doc = stored[doc_id]
+        spans = ",".join(f"{a}:{b}" for a, b in doc.paragraph_spans) or "-"
+        lines.append(
+            "doc\t{}\t{}\t{}\t{}\t{}".format(
+                escape_field(doc.doc_id), doc_lengths[doc_id],
+                escape_optional(doc.headline), spans, escape_field(doc.text),
+            )
+        )
+    for term in sorted(postings):
+        cells = [f"{ordinals[doc_id]}:{tf}" for doc_id, tf in postings[term]]
+        lines.append("term\t" + term + "\t" + "\t".join(cells))
+    write_records(path, "QANUSIDX", 2, lines)
+
+
 @settings(max_examples=50)
 @given(st.lists(documents, max_size=5, unique_by=lambda d: d.doc_id))
 def test_index_round_trip(tmp_path_factory, docs):
     idx = build_index(docs)
-    path = tmp_path_factory.mktemp("prop") / "idx.qix"
-    write_index(idx, path)
-    loaded = load_index(path)
+    out = tmp_path_factory.mktemp("prop")
+    write_index(idx, out / "idx.qix")
+    reference_write_index(docs, out / "ref.qix")
+    assert (out / "idx.qix").read_bytes() == (out / "ref.qix").read_bytes()
+    loaded = load_index(out / "idx.qix")
     assert loaded == idx  # every term's postings included
     assert all(type(p) is Posting for plist in loaded.postings.values() for p in plist)
+    write_index(loaded, out / "again.qix")
+    assert (out / "again.qix").read_bytes() == (out / "idx.qix").read_bytes()
 
 
 @given(st.text())
