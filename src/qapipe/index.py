@@ -24,7 +24,8 @@ truncated or damaged file raises CorruptIndex.
 Built and loaded indexes hold one form: the decoded documents, and each
 term's cells as the tab-joined string the file stores. Building counts
 documents in doc id order, so a document's position is its ordinal, and
-writing copies the cells. A term's cells are decoded into (doc_id, tf)
+writing streams each line to the file, copying the cells; the whole file
+is never held in memory. A term's cells are decoded into (doc_id, tf)
 `Posting` pairs on each read. Retrieval memoizes each term's BM25
 impacts and each passage's terms; neither memo is written to the file.
 """
@@ -167,8 +168,13 @@ def build_index(documents: Iterable[Document]) -> InvertedIndex:
     for ordinal, doc_id in enumerate(doc_ids):
         words = terms(stored[doc_id].text)
         doc_lengths[doc_id] = len(words)
+        prefix = f"{ordinal}:"
         for term, tf in Counter(words).items():
-            cells.setdefault(term, []).append(f"{ordinal}:{tf}")
+            term_cells = cells.get(term)
+            if term_cells is None:
+                cells[term] = [f"{prefix}{tf}"]
+            else:
+                term_cells.append(f"{prefix}{tf}")
     joined = {term: "\t".join(term_cells) for term, term_cells in cells.items()}
     return InvertedIndex(LazyPostings(joined, doc_ids), doc_lengths, stored)
 
@@ -178,21 +184,22 @@ def _stats_line(index: InvertedIndex) -> str:
     return f"stats\tdocs={st.doc_count}\tterms={st.distinct_terms}\tpostings={st.total_postings}"
 
 
-def write_index(index: InvertedIndex, path) -> None:
-    """Serialize deterministically: docs in ordinal order, terms sorted, cells as held."""
-    lines = [_stats_line(index)]
+def _index_lines(index: InvertedIndex) -> Iterator[str]:
+    yield _stats_line(index)
     for doc_id in index.postings.doc_ids:
         doc = index.stored_docs[doc_id]
         spans = ",".join(f"{a}:{b}" for a, b in doc.paragraph_spans) or "-"
-        lines.append(
-            "doc\t{}\t{}\t{}\t{}\t{}".format(
-                escape_field(doc.doc_id), index.doc_lengths[doc_id],
-                escape_optional(doc.headline), spans, escape_field(doc.text),
-            )
+        yield "doc\t{}\t{}\t{}\t{}\t{}".format(
+            escape_field(doc.doc_id), index.doc_lengths[doc_id],
+            escape_optional(doc.headline), spans, escape_field(doc.text),
         )
     for term, cells in sorted(index.postings.cells.items()):
-        lines.append("term\t" + term + "\t" + cells)
-    write_records(path, MAGIC, VERSION, lines)
+        yield "term\t" + term + "\t" + cells
+
+
+def write_index(index: InvertedIndex, path) -> None:
+    """Serialize deterministically: docs in ordinal order, terms sorted, cells as held."""
+    write_records(path, MAGIC, VERSION, _index_lines(index))
 
 
 def load_index(path) -> InvertedIndex:

@@ -13,14 +13,18 @@ by `write_records` and read by `read_records`:
     sha256 <TAB> hex digest of every byte above
 
 so a truncated, damaged or foreign file raises, never loads as another
-object. Every artifact is written through `atomic_write_text`, so a
-stage that fails or is killed mid-write leaves the previous file, never
-part of one.
+object. The records are streamed: each is encoded once, written to the
+file and fed to the digest as it comes, so the whole file is never held
+in memory. Every artifact is written through one atomic writer,
+`atomic_write`, so a stage that fails or is killed mid-write, or whose
+records raise partway, leaves the previous file, never part of one.
 """
 
 import hashlib
 import os
 import re
+from collections.abc import Iterable
+from itertools import chain
 from pathlib import Path
 
 from .errors import QAError
@@ -39,6 +43,8 @@ def escape_field(s: str) -> str:
 def unescape_field(s: str) -> str:
     """Invert escape_field; an unknown escape yields its character, and a
     lone trailing backslash is kept."""
+    if "\\" not in s:
+        return s
     return _ESCAPE_RE.sub(lambda m: _UNESCAPES.get(m.group(1), m.group(1)), s)
 
 
@@ -50,35 +56,49 @@ def unescape_optional(s: str) -> str | None:
     return None if s == NONE_FIELD else unescape_field(s)
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Replace `path` with `text` (UTF-8): readers see the old bytes or the new.
+def atomic_write(path, chunks: Iterable[bytes]) -> None:
+    """Replace `path` with the bytes of `chunks`: readers see the old bytes or the new.
 
-    The text goes to a temporary file in the same directory, which then
-    takes the target's name with `os.replace`; a failed write removes it.
+    The chunks go to a temporary file in the same directory, which then
+    takes the target's name with `os.replace`. A failed write, or an
+    exception raised by `chunks` itself, removes the temporary file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as out:
-            out.write(text)
+        with open(tmp, "wb") as out:
+            out.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def atomic_write_text(path, text: str) -> None:
+    """Replace `path` with `text` in UTF-8, through atomic_write."""
+    atomic_write(path, map(str.encode, [text]))  # encoded once the file is open
+
+
 class VersionMismatch(QAError):
     """A stage file of another format version than its reader's."""
 
 
-def _digest_line(body: bytes) -> bytes:
-    return b"sha256\t%s\n" % hashlib.sha256(body).hexdigest().encode("ascii")
+def _digest_line(digest) -> bytes:
+    return b"sha256\t%s\n" % digest.hexdigest().encode("ascii")
 
 
-def write_records(path, magic: str, version: int, lines) -> None:
+def write_records(path, magic: str, version: int, lines: Iterable[str]) -> None:
     """Write `lines` (records holding no "\\n") framed as the module docstring says."""
-    body = f"{magic} {version}\n" + "".join(line + "\n" for line in lines)
-    atomic_write_text(path, body + _digest_line(body.encode("utf-8")).decode("ascii"))
+    digest = hashlib.sha256()
+
+    def chunks():
+        for line in chain([f"{magic} {version}"], lines):
+            data = (line + "\n").encode("utf-8")
+            digest.update(data)
+            yield data
+        yield _digest_line(digest)
+
+    atomic_write(path, chunks())
 
 
 def read_records(path, magic: str, version: int, error: type[QAError]) -> list[str]:
@@ -95,7 +115,7 @@ def read_records(path, magic: str, version: int, error: type[QAError]) -> list[s
         found = b" ".join(header[1:]).decode("utf-8", "replace")
         raise VersionMismatch(f"{path}: {magic} version {found!r}, expected {version}")
     cut = raw.rfind(b"\nsha256\t") + 1
-    if not cut or raw[cut:] != _digest_line(raw[:cut]):
+    if not cut or raw[cut:] != _digest_line(hashlib.sha256(raw[:cut])):
         raise error(f"{path}: digest mismatch: the file is damaged or truncated")
     try:
         return raw[:cut].decode("utf-8").split("\n")[1:-1]

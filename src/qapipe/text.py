@@ -3,6 +3,13 @@
 The rule is deliberately simple: a token is a maximal run of alphanumeric
 characters, lowercased. Punctuation produces no tokens and there is no
 stemming, so query terms match document terms exactly.
+
+`terms` takes ASCII text (all of a typical corpus) in one C-level pass:
+lower the text, map every byte that is not an ASCII letter or digit to a
+space, and split. Other text keeps the per-match regex, and each word is
+lowered on its own, not the text as a whole: "İ".lower() is "i" and a
+combining dot, which is not alphanumeric, so lowering first would split
+the word.
 """
 
 import re
@@ -10,6 +17,10 @@ from dataclasses import dataclass
 
 # Alphanumeric runs, unicode-aware; underscore counts as a separator.
 TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+# Keeps the ASCII letters and digits, the ASCII characters TOKEN_RE matches,
+# and maps every other byte to a space.
+ASCII_TABLE = bytes(c if chr(c).isascii() and chr(c).isalnum() else ord(" ") for c in range(256))
 
 
 @dataclass(frozen=True)
@@ -30,6 +41,6 @@ def tokenize(text: str) -> list[Token]:
 
 def terms(text: str) -> list[str]:
     """The surfaces of tokenize(text), without building a Token per word."""
-    # Lower each match, not the text: "İ".lower() ends in a non-alphanumeric mark.
+    if text.isascii():
+        return text.lower().encode("ascii").translate(ASCII_TABLE).decode("ascii").split()
     return [w.lower() for w in TOKEN_RE.findall(text)]
-

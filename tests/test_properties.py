@@ -1,9 +1,10 @@
-"""Property tests for the field codec, the index file format, tokenization,
-query terms, passage scoring and its memo, BM25 retrieval, candidate word
+"""Property tests for the field codec, the record writer, the index file
+format, tokenization and its ASCII path, query terms, passage scoring and its memo, BM25 retrieval, candidate word
 spans and proximity, the stage-file round trips, the stage-file loaders
 and the parsers of the files a user writes."""
 
 import math
+import string
 from collections import Counter
 
 import pytest
@@ -32,9 +33,9 @@ from qapipe.retrieval import (
 )
 from qapipe.taxonomy import FINE_CLASSES, AnswerType
 from qapipe.serde import (
-    VersionMismatch, escape_field, escape_optional, unescape_field, write_records,
+    VersionMismatch, escape_field, escape_optional, read_records, unescape_field, write_records,
 )
-from qapipe.text import TOKEN_RE, terms, tokenize
+from qapipe.text import ASCII_TABLE, TOKEN_RE, terms, tokenize
 
 from conftest import framed
 
@@ -140,6 +141,56 @@ def test_terms_are_the_token_surfaces(text):
 
 # Words with non-ASCII case mappings; "İ" lowers to two characters.
 UNICODE_WORDS = ["İstanbul", "İ", "Straße", "ΣΊΣΥΦΟΣ", "ǅemal", "ﬁre", "x"]
+
+
+def reference_terms(text):
+    """terms() as it was before its ASCII path: each regex match, lowered."""
+    return [w.lower() for w in TOKEN_RE.findall(text)]
+
+
+# ASCII weighted to what the table maps to a space: punctuation, "_",
+# whitespace and control characters, between letters and digits.
+ascii_text = st.text(
+    st.sampled_from(string.punctuation + string.whitespace + "\x00\x1c\x1f\x7f")
+    | st.characters(max_codepoint=127),
+    max_size=40,
+)
+# Non-ASCII text: case mappings that change length, final sigma, and
+# letters and digits outside ASCII, mixed with any other character.
+unicode_text = st.lists(
+    st.sampled_from(UNICODE_WORDS + ["ΑΣ", "σ", "ς", "٣٤", "²", "Ⅻ", "_", " ", "."])
+    | st.characters(),
+    max_size=12,
+).map("".join)
+
+
+@given(ascii_text)
+def test_terms_of_ascii_text_match_the_per_match_reference(text):
+    assert terms(text) == reference_terms(text)
+
+
+@given(unicode_text)
+def test_terms_of_unicode_text_match_the_per_match_reference(text):
+    assert terms(text) == reference_terms(text)
+
+
+def test_ascii_table_keeps_exactly_what_the_token_regex_matches():
+    for code in range(128):
+        kept = chr(code) if TOKEN_RE.fullmatch(chr(code)) else " "
+        assert chr(ASCII_TABLE[code]) == kept, repr(chr(code))
+
+
+@given(
+    st.from_regex(r"[A-Z0-9]{1,8}", fullmatch=True),
+    st.integers(0, 99),
+    st.lists(tricky_text.map(lambda s: s.replace("\n", "")), max_size=8),
+)
+def test_write_records_writes_the_framed_records(tmp_path_factory, magic, version, lines):
+    path = tmp_path_factory.mktemp("records") / "file"
+    write_records(path, magic, version, iter(lines))
+    header = f"{magic} {version}\n"
+    assert path.read_bytes() == framed(header + "".join(line + "\n" for line in lines))
+    assert read_records(path, magic, version, QAError) == lines
 
 
 @given(st.lists(st.sampled_from(UNICODE_WORDS + [" ", ".", "_"]) | st.characters()).map("".join))

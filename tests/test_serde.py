@@ -7,7 +7,7 @@ from qapipe.corpus import parse_corpus
 from qapipe.errors import QAError
 from qapipe.extraction import AnswerRecord, load_answers, load_gazetteer, write_answers
 from qapipe.questions import parse_questions
-from qapipe.serde import atomic_write_text
+from qapipe.serde import atomic_write_text, write_records
 
 
 def test_failed_artifact_write_keeps_old_bytes(tmp_path):
@@ -35,6 +35,34 @@ def test_failed_replace_leaves_no_temp_file(tmp_path, monkeypatch):
         atomic_write_text(path, "new\n")
     assert path.read_bytes() == b"old\n"
     assert os.listdir(tmp_path) == ["artifact.txt"]
+
+
+@pytest.mark.parametrize(
+    "last, error",
+    [(RuntimeError("the records failed"), RuntimeError),
+     ("term\tbad\ud800\t0:1", UnicodeEncodeError)],  # a lone surrogate is not UTF-8
+    ids=["raising-generator", "lone-surrogate"],
+)
+def test_failed_streamed_write_keeps_old_bytes(tmp_path, last, error):
+    path = tmp_path / "index.qix"
+    write_records(path, "QANUSIDX", 2, ["stats\tdocs=0\tterms=0\tpostings=0"])
+    old = path.read_bytes()
+    temp_sizes = []
+
+    def records():
+        for i in range(5000):
+            yield f"term\tt{i}\t{i}:1"
+        # The records so far were written as they came, not held for the end.
+        temp_sizes.extend(p.stat().st_size for p in tmp_path.glob(".*.tmp"))
+        if isinstance(last, Exception):
+            raise last
+        yield last
+
+    with pytest.raises(error):
+        write_records(path, "QANUSIDX", 2, records())
+    assert len(temp_sizes) == 1 and temp_sizes[0] > 0
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["index.qix"]
 
 
 @pytest.mark.parametrize(
