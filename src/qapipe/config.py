@@ -1,12 +1,14 @@
 """Pipeline configuration: flat `key = value` files with # comments.
 
-Relative paths are resolved against the config file's directory, and an
-empty value leaves its key unset, as a None value does in a config built
-in code. Building a `PipelineConfig`, loaded or not, parses every stage
-parameter to its typed value and refuses an unknown key or a bad value,
-such as a weight that is not finite. Path existence is checked at
-validation time, per requested stage, because a config may legitimately
-name artifacts that a later stage will create.
+A comment takes a whole line: a # after a value is part of the value, as
+a path may hold one. Relative paths are resolved against the config
+file's directory, and an empty value leaves its key unset, as a None
+value does in a config built in code. Building a `PipelineConfig`,
+loaded or not, parses every stage parameter to its typed value and
+refuses an unknown key or a bad value, such as a weight that is not
+finite. Path existence is checked at validation time, per requested
+stage, because a config may legitimately name artifacts that a later
+stage will create.
 
 Path keys:
     corpus_path, index_path, questions_path, answers_out_path   (required)
@@ -94,10 +96,6 @@ PARAM_SPECS: dict[str, tuple[Callable[[str], object], object]] = {
 }
 
 
-class MissingFile(UsageError):
-    pass
-
-
 class ParseError(UsageError):
     def __init__(self, line, message):
         super().__init__(f"config line {line}: {message}")
@@ -173,8 +171,6 @@ class PipelineConfig:
 def load_config(path) -> PipelineConfig:
     """Read a config file, resolve its paths, and build the config from it."""
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"config file not found: {path}")
     path_keys = REQUIRED_PATH_KEYS + OPTIONAL_PATH_KEYS
     seen: set[str] = set()
     values: dict[str, str] = {}

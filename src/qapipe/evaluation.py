@@ -3,9 +3,10 @@
 Gold files follow the answer-patterns convention: one `qid pattern` per
 line, with repeated qids supplying alternative patterns. An answer is
 correct when any of its qid's patterns matches anywhere in the answer
-string, case-insensitively. Accuracy is correct answers over the total
-number of gold questions; gold questions the system never answered
-count as wrong.
+string, case-insensitively. `load_gold` maps each qid to its patterns,
+and `judge` takes an answer and its qid's patterns. Accuracy is correct
+answers over the total number of gold questions; gold questions the
+system never answered count as wrong.
 """
 
 import re
@@ -33,16 +34,6 @@ class EmptyTestSet(QAError):
     pass
 
 
-class QidMismatch(QAError):
-    pass
-
-
-@dataclass
-class GoldPattern:
-    qid: str
-    patterns: list[str]
-
-
 @dataclass(frozen=True)
 class JudgedAnswer:
     qid: str
@@ -64,9 +55,9 @@ class EvaluationReport:
         return self.correct_count / self.total_questions
 
 
-def load_gold(path) -> dict[str, GoldPattern]:
-    """Patterns grouped by qid, compile-checked eagerly, file order kept."""
-    gold: dict[str, GoldPattern] = {}
+def load_gold(path) -> dict[str, list[str]]:
+    """qid -> its patterns, compile-checked eagerly, file order kept."""
+    gold: dict[str, list[str]] = {}
     for line_no, line in enumerate(read_text(path, QAError).split("\n"), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -78,30 +69,28 @@ def load_gold(path) -> dict[str, GoldPattern]:
             re.compile(pattern, re.IGNORECASE)
         except (re.error, OverflowError, RecursionError) as exc:
             raise BadPattern(qid, pattern, str(exc)) from exc
-        gold.setdefault(qid, GoldPattern(qid, [])).patterns.append(pattern)
+        gold.setdefault(qid, []).append(pattern)
     if not gold:
         raise EmptyGold("gold file contains no patterns")
     return gold
 
 
-def judge(answer: AnswerRecord, gold: GoldPattern) -> JudgedAnswer:
-    """Unanchored, case-insensitive pattern match over the answer string."""
-    if answer.qid != gold.qid:
-        raise QidMismatch(f"answer qid {answer.qid} vs gold qid {gold.qid}")
+def judge(answer: AnswerRecord, patterns: list[str]) -> JudgedAnswer:
+    """Unanchored, case-insensitive match of its qid's patterns over the answer."""
     if answer.answer is None:
         # NIL is wrong unless the gold standard literally expects NIL.
-        for pattern in gold.patterns:
+        for pattern in patterns:
             if pattern == NIL:
                 return JudgedAnswer(answer.qid, NIL, True, pattern)
         return JudgedAnswer(answer.qid, NIL, False)
-    for pattern in gold.patterns:
+    for pattern in patterns:
         if re.search(pattern, answer.answer, re.IGNORECASE):
             return JudgedAnswer(answer.qid, answer.answer, True, pattern)
     return JudgedAnswer(answer.qid, answer.answer, False)
 
 
 def evaluate_answers(
-    answers: list[AnswerRecord], gold: dict[str, GoldPattern]
+    answers: list[AnswerRecord], gold: dict[str, list[str]]
 ) -> EvaluationReport:
     """Judge every gold question, in gold-file order."""
     if not gold:
@@ -109,13 +98,13 @@ def evaluate_answers(
     by_qid = {a.qid: a for a in answers}
     per_question: list[JudgedAnswer] = []
     unanswered: list[str] = []
-    for qid, pattern in gold.items():
+    for qid, patterns in gold.items():
         record = by_qid.get(qid)
         if record is None:
             unanswered.append(qid)
             per_question.append(JudgedAnswer(qid, "-", False))
         else:
-            per_question.append(judge(record, pattern))
+            per_question.append(judge(record, patterns))
     correct = sum(1 for j in per_question if j.correct)
     ignored = sum(1 for a in answers if a.qid not in gold)
     return EvaluationReport(len(gold), correct, per_question, unanswered, ignored)

@@ -80,12 +80,6 @@ class AnswerRecord:
     final_score: float
 
 
-@dataclass(frozen=True)
-class Gazetteers:
-    persons: frozenset[str] = frozenset()
-    locations: frozenset[str] = frozenset()
-
-
 def load_gazetteer(path) -> frozenset[str]:
     """One name per line, case-insensitive membership."""
     names = {
@@ -105,7 +99,8 @@ class AnswerSettings:
     coverage_weight: float = DEFAULT_COVERAGE_WEIGHT
     proximity_weight: float = 1.0
     redundancy_weight: float = 0.5
-    gazetteers: Gazetteers = Gazetteers()
+    persons: frozenset[str] = frozenset()    # gazetteer names, lowercased
+    locations: frozenset[str] = frozenset()
 
     @classmethod
     def from_config(cls, config) -> "AnswerSettings":
@@ -122,10 +117,8 @@ class AnswerSettings:
             coverage_weight=config.param("weights.coverage"),
             proximity_weight=config.param("weights.proximity"),
             redundancy_weight=config.param("weights.redundancy"),
-            gazetteers=Gazetteers(
-                persons=load_gazetteer(persons) if persons else frozenset(),
-                locations=load_gazetteer(locations) if locations else frozenset(),
-            ),
+            persons=load_gazetteer(persons) if persons else frozenset(),
+            locations=load_gazetteer(locations) if locations else frozenset(),
         )
 
 
@@ -255,8 +248,7 @@ def extract_candidates(
         raise UnsupportedType(f"no extraction branch for {answer_type.label}")
 
     base = passage.char_span[0]
-    gazetteers = settings.gazetteers
-    gaz = {"HUM": gazetteers.persons, "LOC": gazetteers.locations}.get(coarse, frozenset())
+    gaz = {"HUM": settings.persons, "LOC": settings.locations}.get(coarse, frozenset())
     return [
         CandidateAnswer(
             text=hit,

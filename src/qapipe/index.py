@@ -21,21 +21,22 @@ quoting there. Writing the same index twice yields byte-identical files.
 The framing (header, trailing digest) is serde's `write_records`; a
 truncated or damaged file raises CorruptIndex.
 
-Built and loaded indexes hold one form: the decoded documents, and each
-term's cells as the tab-joined string the file stores. Building counts
-documents in doc id order, so a document's position is its ordinal, and
-writing streams each line to the file, copying the cells; the whole file
-is never held in memory. A term's cells are decoded into (doc_id, tf)
-`Posting` pairs on each read. Retrieval memoizes each term's BM25
-impacts and each passage's terms; neither memo is written to the file.
+Built and loaded indexes hold one form: the decoded documents, the doc
+ids by ordinal, and each term's cells as the tab-joined string the file
+stores. Building counts documents in doc id order, so a document's
+position is its ordinal, and writing streams each line to the file,
+copying the cells; the whole file is never held in memory.
+`postings(term)` decodes a term's cells into (doc_id, tf) pairs on each
+call. Retrieval memoizes each term's BM25 impacts and each passage's
+terms; neither memo is written to the file.
 """
 
 import math
 from collections import Counter
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .corpus import Document
 from .errors import QAError
@@ -56,48 +57,6 @@ class CorruptIndex(QAError):
     pass
 
 
-class Posting(NamedTuple):
-    doc_id: str
-    term_frequency: int
-
-
-class LazyPostings(Mapping):
-    """Read-only term -> list[Posting] over the file's raw `ord:tf` cells,
-    as load_index reads them and build_index makes them; write_index
-    copies `cells` and `doc_ids` as they are.
-
-    A term's list is decoded on each read and not kept; a malformed cell
-    raises CorruptIndex naming the term at that read.
-    """
-
-    def __init__(self, cells: dict[str, str], doc_ids: list[str]):
-        self.cells = cells      # term -> its cells, tab-joined as in the file
-        self.doc_ids = doc_ids  # doc id by ordinal, ascending
-
-    def count(self, term: str) -> int:
-        """Postings of `term`, counted from its cells without decoding them."""
-        cells = self.cells.get(term)
-        return 0 if cells is None else cells.count("\t") + 1
-
-    def __getitem__(self, term: str) -> list[Posting]:
-        cells = self.cells[term]
-        doc_ids = self.doc_ids
-        try:
-            # _make skips the keyword-taking __new__: a third of a cell's decode.
-            return [
-                Posting._make((doc_ids[int(ordinal)], int(tf)))
-                for ordinal, tf in (cell.split(":") for cell in cells.split("\t"))
-            ]
-        except (ValueError, IndexError) as exc:
-            raise CorruptIndex(f"malformed postings of term {term!r}: {exc}") from exc
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.cells)
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-
 @dataclass(frozen=True)
 class IndexStats:
     doc_count: int
@@ -110,7 +69,8 @@ class IndexStats:
 class InvertedIndex:
     """An index is not modified once built or loaded: its statistics are memoized."""
 
-    postings: LazyPostings
+    doc_ids: list[str]       # doc id by ordinal, ascending
+    cells: dict[str, str]    # term -> its `ord:tf` cells, tab-joined as in the file
     doc_lengths: dict[str, int]
     stored_docs: dict[str, Document]
     # term -> [(doc_id, BM25 impact)], filled by retrieval on a term's first use.
@@ -134,7 +94,24 @@ class InvertedIndex:
         return sum(self.doc_lengths.values()) / len(self.doc_lengths)
 
     def document_frequency(self, term: str) -> int:
-        return self.postings.count(term)
+        """Postings of `term`, counted from its cells without decoding them."""
+        cells = self.cells.get(term)
+        return 0 if cells is None else cells.count("\t") + 1
+
+    def postings(self, term: str) -> list[tuple[str, int]]:
+        """(doc_id, tf) per cell of `term`, decoded on each call and not kept;
+        [] for a term not indexed. A malformed cell raises CorruptIndex naming it."""
+        cells = self.cells.get(term)
+        if cells is None:
+            return []
+        doc_ids = self.doc_ids
+        try:
+            return [
+                (doc_ids[int(ordinal)], int(tf))
+                for ordinal, tf in (cell.split(":") for cell in cells.split("\t"))
+            ]
+        except (ValueError, IndexError) as exc:
+            raise CorruptIndex(f"malformed postings of term {term!r}: {exc}") from exc
 
     def idf(self, term: str) -> float:
         """BM25 inverse document frequency, non-negative by construction."""
@@ -148,8 +125,8 @@ class InvertedIndex:
     def stats(self) -> IndexStats:
         return IndexStats(
             doc_count=self.doc_count,
-            distinct_terms=len(self.postings),
-            total_postings=sum(map(self.document_frequency, self.postings)),
+            distinct_terms=len(self.cells),
+            total_postings=sum(map(self.document_frequency, self.cells)),
             avg_doc_length=self.avg_doc_length,
         )
 
@@ -176,7 +153,7 @@ def build_index(documents: Iterable[Document]) -> InvertedIndex:
             else:
                 term_cells.append(f"{prefix}{tf}")
     joined = {term: "\t".join(term_cells) for term, term_cells in cells.items()}
-    return InvertedIndex(LazyPostings(joined, doc_ids), doc_lengths, stored)
+    return InvertedIndex(doc_ids, joined, doc_lengths, stored)
 
 
 def _stats_line(index: InvertedIndex) -> str:
@@ -186,14 +163,14 @@ def _stats_line(index: InvertedIndex) -> str:
 
 def _index_lines(index: InvertedIndex) -> Iterator[str]:
     yield _stats_line(index)
-    for doc_id in index.postings.doc_ids:
+    for doc_id in index.doc_ids:
         doc = index.stored_docs[doc_id]
         spans = ",".join(f"{a}:{b}" for a, b in doc.paragraph_spans) or "-"
         yield "doc\t{}\t{}\t{}\t{}\t{}".format(
             escape_field(doc.doc_id), index.doc_lengths[doc_id],
             escape_optional(doc.headline), spans, escape_field(doc.text),
         )
-    for term, cells in sorted(index.postings.cells.items()):
+    for term, cells in sorted(index.cells.items()):
         yield "term\t" + term + "\t" + cells
 
 
@@ -207,7 +184,7 @@ def load_index(path) -> InvertedIndex:
 
     The framing is checked before anything is decoded, the doc ids must
     strictly ascend, and the stats line must match the documents read and
-    the term cells counted. Postings are decoded per term when read.
+    the term cells counted. Postings are decoded per term by `postings`.
     """
     lines = read_records(path, MAGIC, VERSION, CorruptIndex)
     docs_by_ord: list[str] = []
@@ -245,7 +222,7 @@ def load_index(path) -> InvertedIndex:
                 raise CorruptIndex(f"unknown record kind {kind!r}")
     except (ValueError, IndexError) as exc:
         raise CorruptIndex(f"malformed index record: {exc}") from exc
-    index = InvertedIndex(LazyPostings(cells_by_term, docs_by_ord), doc_lengths, stored)
+    index = InvertedIndex(docs_by_ord, cells_by_term, doc_lengths, stored)
     if lines[:1] != [_stats_line(index)]:
         raise CorruptIndex(f"stats line {lines[:1]} does not match the records")
     return index

@@ -49,7 +49,7 @@ def _term_impacts(index: InvertedIndex, term: str) -> list[tuple[str, float]]:
     avg = index.avg_doc_length
     idf = index.idf(term)
     impacts = []
-    for doc_id, tf in index.postings.get(term, ()):
+    for doc_id, tf in index.postings(term):
         dl = index.doc_lengths[doc_id]
         denom = tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avg)
         impacts.append((doc_id, idf * tf * (BM25_K1 + 1.0) / denom))

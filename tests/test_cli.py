@@ -276,6 +276,16 @@ def test_train_classifier_directory_exits_1(tmp_path):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("is_dir, problem", [(True, "is a directory"), (False, "file not found")])
+def test_config_path_that_is_no_file_exits_1(tmp_path, is_dir, problem):
+    if is_dir:
+        (tmp_path / "cfg").mkdir()
+    result = run_cli("stats", "--config", "cfg", cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stderr == f"error: {problem}: cfg\n"
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize(
     "extra", ["retrieval.k = abc", "retrieval.k = 0", "weights.coverage = nan",
               "weights.proximity = inf"],

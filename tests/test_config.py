@@ -1,9 +1,9 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from qapipe.config import (
-    MissingFile,
     ParseError,
     PipelineConfig,
     UnknownKey,
@@ -52,8 +52,27 @@ def test_unknown_key_rejected_at_load(tmp_path):
 
 
 def test_missing_config_file(tmp_path):
-    with pytest.raises(MissingFile):
+    with pytest.raises(FileNotFoundError):
         load_config(tmp_path / "nope.qa")
+
+
+def test_readme_config_example_loads(tmp_path):
+    """The README's ini block loads, with the values its comments describe."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    config = load_config(write_config(tmp_path, block))
+    here = tmp_path.resolve()
+    assert config.corpus_path == str(here / "corpus.tsv")
+    assert config.report_out_path == str(here / "report.txt")
+    assert config.param("corpus.format") == "record-lines"
+    assert config.param("questions.format") == "qline"
+    assert config.param("questions.analysis_out") == str(here / "analysis.txt")
+    assert config.param("retrieval.k") == 50
+    assert config.param("retrieval.max_passages") == 20
+    assert [config.param(f"weights.{w}") for w in ("coverage", "proximity", "redundancy")] == [
+        2.0, 1.0, 0.5]
+    assert config.param("extract.persons") == str(here / "people.txt")
+    assert config.param("extract.locations") == str(here / "places.txt")
 
 
 def test_parse_error_reports_line(tmp_path):

@@ -6,8 +6,6 @@ from qapipe.evaluation import (
     BadPattern,
     EmptyGold,
     EmptyTestSet,
-    GoldPattern,
-    QidMismatch,
     evaluate_answers,
     format_report,
     judge,
@@ -25,8 +23,7 @@ def test_load_gold_groups_patterns(tmp_path):
     path = tmp_path / "gold.txt"
     path.write_text("q1 rome\nq1 roma\nq2 paris\n", encoding="utf-8")
     gold = load_gold(path)
-    assert gold["q1"].patterns == ["rome", "roma"]
-    assert gold["q2"].patterns == ["paris"]
+    assert gold == {"q1": ["rome", "roma"], "q2": ["paris"]}
     assert list(gold) == ["q1", "q2"]
 
 
@@ -45,40 +42,35 @@ def test_load_gold_empty(tmp_path):
 
 
 def test_judge_unanchored_case_insensitive():
-    j = judge(record("q1", "12 January 2004"), GoldPattern("q1", [r"january\s+2004"]))
+    j = judge(record("q1", "12 January 2004"), [r"january\s+2004"])
     assert j.correct and j.matched_pattern == r"january\s+2004"
 
 
 def test_judge_nil_is_wrong():
-    j = judge(record("q1", None), GoldPattern("q1", ["rome"]))
+    j = judge(record("q1", None), ["rome"])
     assert not j.correct and j.given == "NIL"
 
 
 def test_judge_nil_matches_literal_nil_pattern():
-    j = judge(record("q1", None), GoldPattern("q1", ["NIL"]))
+    j = judge(record("q1", None), ["NIL"])
     assert j.correct
 
 
 def test_judge_anchored_pattern_fails_on_longer_string():
-    j = judge(record("q1", "Gordon Moore and others"), GoldPattern("q1", ["^Gordon Moore$"]))
+    j = judge(record("q1", "Gordon Moore and others"), ["^Gordon Moore$"])
     assert not j.correct
-
-
-def test_judge_qid_mismatch():
-    with pytest.raises(QidMismatch):
-        judge(record("q1", "x"), GoldPattern("q2", ["x"]))
 
 
 def test_judge_correctness_independent_of_pattern_order():
     r = record("q1", "the amber citadel")
-    a = judge(r, GoldPattern("q1", ["amber", "nothing"]))
-    b = judge(r, GoldPattern("q1", ["nothing", "amber"]))
+    a = judge(r, ["amber", "nothing"])
+    b = judge(r, ["nothing", "amber"])
     assert a.correct == b.correct == True  # noqa: E712
 
 
 def test_accuracy_exact():
     answers = [record(f"q{i}", "hit" if i < 3 else "miss") for i in range(10)]
-    gold = {f"q{i}": GoldPattern(f"q{i}", ["hit"]) for i in range(10)}
+    gold = {f"q{i}": ["hit"] for i in range(10)}
     assert evaluate_answers(answers, gold).accuracy == pytest.approx(0.3)
 
 
@@ -100,7 +92,7 @@ def test_load_gold_refuses_undecodable_bytes_and_oversized_repeats(tmp_path):
 
 
 def make_gold(n, pattern="hit"):
-    return {f"q{i}": GoldPattern(f"q{i}", [pattern]) for i in range(n)}
+    return {f"q{i}": [pattern] for i in range(n)}
 
 
 def test_evaluate_three_of_ten():
@@ -147,7 +139,7 @@ def test_report_zero_correct():
 
 
 def test_report_per_question_lines():
-    gold = {"q1": GoldPattern("q1", ["rome"]), "q2": GoldPattern("q2", ["paris"])}
+    gold = {"q1": ["rome"], "q2": ["paris"]}
     answers = [record("q1", "went to Rome"), record("q2", None)]
     lines = format_report(evaluate_answers(answers, gold)).splitlines()
     assert "q1\tCORRECT\twent to Rome\t[rome]" in lines

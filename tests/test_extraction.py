@@ -367,7 +367,7 @@ def test_load_answers_refuses_with_qaerror_naming_the_line(tmp_path, raw, messag
 
 
 def test_gazetteer_boost_outranks_closer_candidate():
-    from qapipe.extraction import AnswerSettings, Gazetteers
+    from qapipe.extraction import AnswerSettings
 
     p = passage_of("Kellan Drue spoke while Maria Voss listened quietly.", score=1.0)
     analysis = analysis_for(["spoke"], AnswerType("HUM", "ind"))
@@ -376,9 +376,9 @@ def test_gazetteer_boost_outranks_closer_candidate():
     )
     assert texts(plain) == ["Kellan Drue", "Maria Voss"]  # proximity favors Kellan
 
-    gaz = Gazetteers(persons=frozenset({"maria voss"}))
+    gaz = AnswerSettings(persons=frozenset({"maria voss"}))
     boosted = rank_candidates(
-        extract_candidates(p, AnswerType("HUM", "ind"), settings=AnswerSettings(gazetteers=gaz)),
+        extract_candidates(p, AnswerType("HUM", "ind"), settings=gaz),
         analysis,
         [p],
     )
@@ -390,9 +390,9 @@ def test_gazetteer_boost_outranks_closer_candidate():
 
 
 def test_gazetteer_ignored_for_other_types():
-    from qapipe.extraction import AnswerSettings, Gazetteers
+    from qapipe.extraction import AnswerSettings
 
     p = passage_of("Kellan Drue praised Maria Voss.", score=1.0)
-    gaz = Gazetteers(persons=frozenset({"maria voss"}))
-    cands = extract_candidates(p, AnswerType("ENTY", "other"), settings=AnswerSettings(gazetteers=gaz))
+    gaz = AnswerSettings(persons=frozenset({"maria voss"}))
+    cands = extract_candidates(p, AnswerType("ENTY", "other"), settings=gaz)
     assert all(not c.gazetteer_match for c in cands)

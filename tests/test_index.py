@@ -7,8 +7,7 @@ from qapipe.corpus import Document, parse_corpus
 from qapipe.index import (
     CorruptIndex,
     DuplicateDocId,
-    LazyPostings,
-    Posting,
+    InvertedIndex,
     build_index,
     load_index,
     write_index,
@@ -28,8 +27,8 @@ def doc(doc_id, text, headline=None, spans=()):
 
 def test_hand_checked_postings():
     idx = build_index([doc("d1", "a b a")])
-    assert idx.postings["a"] == [Posting("d1", 2)]
-    assert idx.postings["b"] == [Posting("d1", 1)]
+    assert idx.postings("a") == [("d1", 2)]
+    assert idx.postings("b") == [("d1", 1)]
     assert idx.doc_lengths["d1"] == 3
     assert idx.avg_doc_length == 3.0
 
@@ -48,13 +47,13 @@ def test_duplicate_doc_id_fatal():
 
 def test_stopwords_are_indexed():
     idx = build_index([doc("d1", "the cat sat on the mat")])
-    assert idx.postings["the"][0].term_frequency == 2
+    assert idx.postings("the") == [("d1", 2)]
     assert idx.doc_lengths["d1"] == 6
 
 
 def test_postings_sorted_by_doc_id():
     idx = build_index([doc("z9", "apple"), doc("a1", "apple"), doc("m5", "apple")])
-    assert [p.doc_id for p in idx.postings["apple"]] == ["a1", "m5", "z9"]
+    assert [doc_id for doc_id, _ in idx.postings("apple")] == ["a1", "m5", "z9"]
 
 
 def test_recount_oracle_50_docs(tmp_path):
@@ -68,9 +67,9 @@ def test_recount_oracle_50_docs(tmp_path):
         for doc_id, text in docs.items()
     }
     seen_pairs = 0
-    for term, plist in idx.postings.items():
-        for posting in plist:
-            assert posting.term_frequency == naive[posting.doc_id][term]
+    for term in idx.cells:
+        for doc_id, tf in idx.postings(term):
+            assert tf == naive[doc_id][term]
             seen_pairs += 1
     assert seen_pairs == sum(len(c) for c in naive.values())
     for doc_id, counts in naive.items():
@@ -131,8 +130,8 @@ def test_stats_consistency():
     idx = build_index(Document(d, None, t, ()) for d, t in docs.items())
     st = idx.stats()
     assert st.doc_count == 30
-    assert st.distinct_terms == len(idx.postings)
-    assert st.total_postings == sum(len(p) for p in idx.postings.values())
+    assert st.distinct_terms == len(idx.cells)
+    assert st.total_postings == sum(len(idx.postings(t)) for t in idx.cells)
     assert st.avg_doc_length == pytest.approx(
         sum(idx.doc_lengths.values()) / 30, rel=1e-9
     )
@@ -162,9 +161,9 @@ def test_postings_are_decoded_on_read(tmp_path):
     write_index(small_index(), path)
     idx = load_index(path)
     assert idx.stats() == small_index().stats()
-    assert "para" in idx.postings and "absent" not in idx.postings
-    assert idx.postings.get("absent") is None
-    assert idx.postings["para"] == [Posting("d3", 2)]
+    assert "para" in idx.cells and "absent" not in idx.cells
+    assert idx.postings("absent") == []
+    assert idx.postings("para") == [("d3", 2)]
     assert idx.document_frequency("para") == 1
 
 
@@ -178,10 +177,10 @@ def test_malformed_cell_fails_when_its_term_is_read(tmp_path):
     path.write_bytes(framed(body))
     idx = load_index(path)
     with pytest.raises(CorruptIndex, match="term 'b'"):
-        idx.postings["b"]
+        idx.postings("b")
     with pytest.raises(CorruptIndex, match="term 'b'"):
         retrieve_documents(idx, ["a", "b"], 5)
-    assert idx.postings["a"] == [Posting("d1", 2)]
+    assert idx.postings("a") == [("d1", 2)]
     assert [d.doc_id for d in retrieve_documents(idx, ["para"], 5)] == ["d3"]
 
 
@@ -192,12 +191,12 @@ def test_built_and_loaded_index_share_one_form(tmp_path, monkeypatch):
     write_index(small_index(), path)
     loaded = load_index(path)
     built = small_index()
-    assert type(built.postings) is type(loaded.postings)
+    assert built.cells == loaded.cells and built.doc_ids == loaded.doc_ids
 
     def no_decode(self, term):
         raise AssertionError(f"term {term!r} decoded")
 
-    monkeypatch.setattr(LazyPostings, "__getitem__", no_decode)
+    monkeypatch.setattr(InvertedIndex, "postings", no_decode)
     assert built.stats() == loaded.stats()
     assert built.document_frequency("para") == loaded.document_frequency("para") == 1
     assert built.document_frequency("absent") == 0

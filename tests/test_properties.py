@@ -22,7 +22,7 @@ from qapipe.extraction import (
     AnswerRecord, _token_span, answer_question, extract_candidates, load_answers,
     rank_candidates, write_answers,
 )
-from qapipe.index import CorruptIndex, Posting, build_index, load_index, write_index
+from qapipe.index import CorruptIndex, build_index, load_index, write_index
 from qapipe.questions import (
     Question, QuestionAnalysis, analyze, load_analyses, parse_questions, write_analyses,
 )
@@ -85,8 +85,9 @@ documents = st.builds(
 
 
 def reference_write_index(docs, path):
-    """build_index and write_index as they were: a dict of Posting lists
-    sorted by doc id, each cell re-encoded through an ordinals map."""
+    """build_index and write_index as they were: a dict of (doc_id, tf) lists
+    sorted by doc id, each cell re-encoded through an ordinals map. Returns
+    those lists."""
     tf_acc: dict[str, dict[str, int]] = {}
     doc_lengths: dict[str, int] = {}
     stored: dict[str, Document] = {}
@@ -97,7 +98,7 @@ def reference_write_index(docs, path):
         for term, tf in Counter(words).items():
             tf_acc.setdefault(term, {})[doc.doc_id] = tf
     postings = {
-        term: [Posting(doc_id, tf) for doc_id, tf in sorted(by_doc.items())]
+        term: sorted(by_doc.items())
         for term, by_doc in tf_acc.items()
     }
     total = sum(map(len, postings.values()))
@@ -117,6 +118,7 @@ def reference_write_index(docs, path):
         cells = [f"{ordinals[doc_id]}:{tf}" for doc_id, tf in postings[term]]
         lines.append("term\t" + term + "\t" + "\t".join(cells))
     write_records(path, "QANUSIDX", 2, lines)
+    return postings
 
 
 @settings(max_examples=50)
@@ -125,11 +127,12 @@ def test_index_round_trip(tmp_path_factory, docs):
     idx = build_index(docs)
     out = tmp_path_factory.mktemp("prop")
     write_index(idx, out / "idx.qix")
-    reference_write_index(docs, out / "ref.qix")
+    postings = reference_write_index(docs, out / "ref.qix")
     assert (out / "idx.qix").read_bytes() == (out / "ref.qix").read_bytes()
     loaded = load_index(out / "idx.qix")
-    assert loaded == idx  # every term's postings included
-    assert all(type(p) is Posting for plist in loaded.postings.values() for p in plist)
+    assert loaded == idx  # every term's cells included
+    for index in (idx, loaded):
+        assert {t: index.postings(t) for t in index.cells} == postings
     write_index(loaded, out / "again.qix")
     assert (out / "again.qix").read_bytes() == (out / "idx.qix").read_bytes()
 
@@ -293,16 +296,15 @@ def reference_retrieve(index, query_terms, k):
     avg = sum(index.doc_lengths.values()) / len(index.doc_lengths) if index.doc_lengths else 0.0
     scores = {}
     for term in query_terms:
-        plist = index.postings.get(term)
+        plist = index.postings(term)
         if not plist:
             continue
         df = len(plist)
         idf = math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
-        for posting in plist:
-            tf = posting.term_frequency
-            dl = index.doc_lengths[posting.doc_id]
+        for doc_id, tf in plist:
+            dl = index.doc_lengths[doc_id]
             denom = tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avg)
-            scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + idf * tf * (
+            scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (
                 BM25_K1 + 1.0
             ) / denom
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
