@@ -15,7 +15,7 @@ deterministic ordering):
 
     QANUSNB1 2
     alpha <repr>
-    space <coarse|coarse+fine>
+    space <coarse|coarse+fine>     (before any fine label, which coarse refuses)
     label <label> <example_count>
     feat <label> <feature> <count>
     sha256 <TAB> <hex digest of every byte above>
@@ -198,10 +198,13 @@ def load_model(path) -> ClassifierModel:
             if kind == "alpha":
                 alpha = check_alpha(float(rest))
             elif kind == "space":
+                if rest not in (COARSE_ONLY, COARSE_FINE):
+                    raise ValueError(f"unknown label space {rest!r}")
                 label_space = rest
             elif kind == "label":
                 label, n = rest.rsplit(" ", 1)
-                parse_label(label)
+                if parse_label(label)[1] is not None and label_space != COARSE_FINE:
+                    raise ValueError(f"fine label {label!r} outside a {COARSE_FINE} model")
                 example_counts[label] = _positive_count(n)
                 feature_counts.setdefault(label, {})
             elif kind == "feat":

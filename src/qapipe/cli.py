@@ -27,7 +27,6 @@ from .extraction import AnswerSettings, answer_question
 from .pipeline import StageKind, run_pipeline
 from .questions import Question, analyze
 from .stages import default_engines
-from .stopwords import STOPWORDS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,7 +108,7 @@ def cmd_ask(args) -> int:
     model = load_model(config.classifier_model_path) if config.classifier_model_path else None
 
     def respond(qid: str, text: str) -> None:
-        analysis = analyze(Question(qid, text), model, STOPWORDS)
+        analysis = analyze(Question(qid, text), model)
         record = answer_question(idx, analysis, settings)
         answer = record.answer if record.answer is not None else "NIL"
         doc = record.supporting_doc if record.supporting_doc is not None else "-"

@@ -1,13 +1,14 @@
 """Source document parsing for the two supported corpus formats.
 
 trec-sgml:
-    <DOC> blocks with a mandatory <DOCNO>, an optional <HEADLINE>, and a
-    <TEXT> body that may carry <P>...</P> paragraph markers. Paragraphs
-    are joined with blank lines and their character spans recorded.
+    <DOC> blocks with a mandatory <DOCNO> and a <TEXT> body that may
+    carry <P>...</P> paragraph markers. Paragraphs are joined with blank
+    lines and their character spans recorded. Every other tag, such as
+    <HEADLINE>, is read past.
 
 record-lines:
     one record per line, tab-separated: doc_id <TAB> headline <TAB> text.
-    An empty headline field means "no headline".
+    The middle field must be there but is read past.
 
 Malformed records follow a skip-and-report policy: parsing continues and
 the bad record is appended to the caller's rejects list (pipeline stages
@@ -27,7 +28,6 @@ CORPUS_FORMATS = ("trec-sgml", "record-lines")
 @dataclass(frozen=True)
 class Document:
     doc_id: str
-    headline: str | None
     text: str
     paragraph_spans: tuple[tuple[int, int], ...] = field(default=())
 
@@ -44,7 +44,6 @@ class UnknownCorpusFormat(QAError):
 
 _DOC_RE = re.compile(r"<DOC>(.*?)</DOC>", re.DOTALL)
 _DOCNO_RE = re.compile(r"<DOCNO>(.*?)</DOCNO>", re.DOTALL)
-_HEADLINE_RE = re.compile(r"<HEADLINE>(.*?)</HEADLINE>", re.DOTALL)
 _TEXT_RE = re.compile(r"<TEXT>(.*?)</TEXT>", re.DOTALL)
 _PARA_RE = re.compile(r"<P>(.*?)</P>", re.DOTALL)
 
@@ -74,8 +73,6 @@ def _parse_trec_sgml(raw: str, rejects: list[MalformedRecord]):
         if text_m is None:
             rejects.append(MalformedRecord(where, "missing TEXT"))
             continue
-        headline_m = _HEADLINE_RE.search(block)
-        headline = headline_m.group(1).strip() if headline_m else None
         body = text_m.group(1)
         paras = [p.group(1).strip() for p in _PARA_RE.finditer(body)]
         if paras:
@@ -89,9 +86,9 @@ def _parse_trec_sgml(raw: str, rejects: list[MalformedRecord]):
                 spans.append((pos, pos + len(p)))
                 text_parts.append(p)
                 pos += len(p)
-            yield Document(doc_id, headline, "".join(text_parts), tuple(spans))
+            yield Document(doc_id, "".join(text_parts), tuple(spans))
         else:
-            yield Document(doc_id, headline, body.strip(), ())
+            yield Document(doc_id, body.strip(), ())
 
 
 def _parse_record_lines(raw: str, rejects: list[MalformedRecord]):
@@ -105,11 +102,11 @@ def _parse_record_lines(raw: str, rejects: list[MalformedRecord]):
                 MalformedRecord(where, f"expected 3 tab-separated fields, got {len(fields)}")
             )
             continue
-        doc_id, headline, text = fields
+        doc_id, _, text = fields
         if not doc_id.strip():
             rejects.append(MalformedRecord(where, "empty doc_id"))
             continue
-        yield Document(doc_id.strip(), headline.strip() or None, text, ())
+        yield Document(doc_id.strip(), text, ())
 
 
 def write_rejects(rejects, path) -> None:

@@ -10,16 +10,17 @@ Extraction dispatches on the expected answer type:
                   scale word (hundred ... trillion)
   ABBR:abb        all-caps or dotted abbreviation tokens
   HUM / LOC /     maximal runs of capitalized words (internal of/de/van
-  ENTY / ABBR:exp allowed), minus lone sentence-initial words, stoplist
-                  words, and echoes of the question's own query terms
+  ENTY / ABBR:exp allowed), minus lone sentence-initial words, stopwords,
+                  and echoes of the question's own query terms
   DESC            the passage's highest-scoring sentence
 
-Ranking scores each candidate by its passage score plus a proximity
+Ranking deduplicates candidates case-insensitively, keeping the earliest
+source, then scores each one kept by its passage score plus a proximity
 term (inverse word distance to each query term in the passage) plus a
-redundancy term (how many passages repeat the candidate verbatim), then
-deduplicates case-insensitively keeping the earliest source. The words
-a candidate covers are found by bisecting its passage's word offsets,
-built once per passage with a candidate; no positional tokens are built.
+redundancy term (how many passages repeat the candidate verbatim). The
+words a candidate covers are found by bisecting its passage's word
+offsets, built once per passage with a kept candidate; no positional
+tokens are built.
 
 `AnswerSettings` holds every stage-3 setting and its default. The
 `answer` stage and the `ask` command both build it with
@@ -35,12 +36,7 @@ from .errors import QAError
 from .index import InvertedIndex
 from .questions import QuestionAnalysis
 from .retrieval import (
-    DEFAULT_COVERAGE_WEIGHT,
-    Passage,
-    retrieve_documents,
-    score_passage,
-    segment_passages,
-    split_sentences,
+    Passage, retrieve_documents, score_passage, segment_passages, split_sentences,
 )
 from .serde import (
     escape_field, escape_optional, read_records, read_text, unescape_field,
@@ -53,10 +49,6 @@ from .text import TOKEN_RE, terms, tokenize  # tokenize unused: qabench/trace_sh
 GAZETTEER_BONUS = 1.0
 MAGIC = "QANUSANS"  # the answers file, framed by serde's write_records
 VERSION = 1
-
-
-class UnsupportedType(QAError):
-    pass
 
 
 @dataclass
@@ -96,7 +88,7 @@ class AnswerSettings:
 
     k: int = 50                      # documents to retrieve
     max_passages: int = 20           # passages kept per question
-    coverage_weight: float = DEFAULT_COVERAGE_WEIGHT
+    coverage_weight: float = 2.0
     proximity_weight: float = 1.0
     redundancy_weight: float = 0.5
     persons: frozenset[str] = frozenset()    # gazetteer names, lowercased
@@ -175,7 +167,7 @@ def _drop_first_word(start: int, run: str, words: list[str]) -> tuple[int, str, 
     return start + cut, run[cut:], words[1:]
 
 
-def _capitalized_runs(text: str, query_terms, stoplist) -> list[tuple[int, str]]:
+def _capitalized_runs(text: str, query_terms) -> list[tuple[int, str]]:
     sentence_starts = {a for a, _ in split_sentences(text)}
     query = {t.lower() for t in query_terms}
     out: list[tuple[int, str]] = []
@@ -183,7 +175,7 @@ def _capitalized_runs(text: str, query_terms, stoplist) -> list[tuple[int, str]]
         start, run = m.start(), m.group(0)
         words = run.split()
         # A sentence-initial stopword is capitalized by position, not by name.
-        if start in sentence_starts and words[0].lower() in stoplist:
+        if start in sentence_starts and words[0].lower() in STOPWORDS:
             start, run, words = _drop_first_word(start, run, words)
             while words and words[0].lower() in _CONNECTORS:
                 start, run, words = _drop_first_word(start, run, words)
@@ -192,7 +184,7 @@ def _capitalized_runs(text: str, query_terms, stoplist) -> list[tuple[int, str]]
         if len(words) == 1 and start in sentence_starts:
             continue
         content = [w.lower() for w in words if w.lower() not in _CONNECTORS]
-        if all(w in stoplist or w in query for w in content):
+        if all(w in STOPWORDS or w in query for w in content):
             continue
         out.append((start, run))
     return out
@@ -235,8 +227,8 @@ def extract_candidates(
     elif coarse == "ABBR" and fine == "abb":
         hits = _collect_matches(text, (_ABBREV_PATTERN,))
     elif coarse in ("HUM", "LOC", "ENTY", "ABBR"):
-        hits = _capitalized_runs(text, query_terms, STOPWORDS)
-    elif coarse == "DESC":
+        hits = _capitalized_runs(text, query_terms)
+    else:  # DESC, the one coarse class left
         best = None
         if index is not None:
             best = _best_sentence(passage, query_terms, index, settings.coverage_weight)
@@ -244,8 +236,6 @@ def extract_candidates(
             stripped = text.strip()
             best = (text.index(stripped[0]), stripped)
         hits = [best] if best else []
-    else:
-        raise UnsupportedType(f"no extraction branch for {answer_type.label}")
 
     base = passage.char_span[0]
     gaz = {"HUM": settings.persons, "LOC": settings.locations}.get(coarse, frozenset())
@@ -287,14 +277,26 @@ def rank_candidates(
     passages: list[Passage],
     settings: AnswerSettings = AnswerSettings(),
 ) -> list[CandidateAnswer]:
-    """Score, deduplicate, and order candidates best-first."""
-    if not candidates:
+    """Deduplicate, score, and order candidates best-first.
+
+    Of each case-insensitive duplicate only the earliest source is kept,
+    and only kept candidates are scored: a score reads the candidate's own
+    span and how many passages hold its text, never another duplicate.
+    The scored candidates are copies; the given ones are not changed.
+    """
+    earliest: dict[str, CandidateAnswer] = {}
+    for cand in candidates:
+        key = cand.text.lower()
+        kept = earliest.setdefault(key, cand)
+        if (cand.passage_index, cand.char_offset) < (kept.passage_index, kept.char_offset):
+            earliest[key] = cand
+    if not earliest:
         return []
-    # Once per kept passage with a candidate: its words' offsets, and the
+    # Once per passage with a kept candidate: its words' offsets, and the
     # word positions of each query term in it.
     query = set(analysis.query_terms)
     passage_words = {}
-    for i in {c.passage_index for c in candidates}:
+    for i in {c.passage_index for c in earliest.values()}:
         text = passages[i].text
         starts, ends = [], []
         for m in TOKEN_RE.finditer(text):
@@ -308,14 +310,8 @@ def rank_candidates(
         passage_words[i] = starts, ends, positions
     lowered_passages = [p.text.lower() for p in passages]
 
-    redundancy: dict[str, int] = {}
-    for cand in candidates:
-        key = cand.text.lower()
-        if key not in redundancy:
-            redundancy[key] = sum(1 for lp in lowered_passages if key in lp)
-
     scored: list[CandidateAnswer] = []
-    for cand in candidates:
+    for key, cand in earliest.items():
         starts, ends, positions = passage_words[cand.passage_index]
         rel_start = cand.char_offset - passages[cand.passage_index].char_span[0]
         first, last = _token_span(starts, ends, rel_start, rel_start + len(cand.text))
@@ -329,7 +325,7 @@ def rank_candidates(
                 for o in occurrences
             )
             prox += 1.0 / (1.0 + dist)
-        red = redundancy[cand.text.lower()]
+        red = sum(1 for lp in lowered_passages if key in lp)
         final = (
             cand.passage_score
             + settings.proximity_weight * prox
@@ -341,21 +337,7 @@ def rank_candidates(
                 cand, proximity_score=prox, redundancy_count=red, final_score=final
             )
         )
-
-    # Case-insensitive dedup keeping the earliest source.
-    earliest: dict[str, CandidateAnswer] = {}
-    for cand in scored:
-        key = cand.text.lower()
-        kept = earliest.get(key)
-        if kept is None or (cand.passage_index, cand.char_offset) < (
-            kept.passage_index,
-            kept.char_offset,
-        ):
-            earliest[key] = cand
-    return sorted(
-        earliest.values(),
-        key=lambda c: (-c.final_score, c.passage_index, c.char_offset, c.text),
-    )
+    return sorted(scored, key=lambda c: (-c.final_score, c.passage_index, c.char_offset, c.text))
 
 
 def answer_question(

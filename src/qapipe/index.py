@@ -1,25 +1,26 @@
 """In-house inverted index: construction, persistence, and statistics.
 
-Every token is indexed, stopwords included; the stoplist applies to
+Every token is indexed, stopwords included; stopwords are dropped from
 queries only. Postings hold term frequencies, the only per-posting data
 BM25 reads. Documents are stored inside the index file because passage
 extraction needs the raw text.
 
 File format (versioned, line-oriented UTF-8, magic header QANUSIDX):
 
-    QANUSIDX 2
+    QANUSIDX 3
     stats <TAB> docs=N <TAB> terms=T <TAB> postings=P
-    doc <TAB> id <TAB> length <TAB> headline <TAB> spans <TAB> text
+    doc <TAB> id <TAB> length <TAB> spans <TAB> text
     ...                               (doc ids strictly ascending)
     term <TAB> t <TAB> ord:tf <TAB> ord:tf ...   (terms sorted)
     sha256 <TAB> hex digest of every byte above
 
-String fields are backslash-escaped (\\t, \\n, \\r, \\\\); a field that is
-exactly \\N encodes "absent". Postings reference documents by their
-ordinal, the line order of the doc section, so doc ids never need
-quoting there. Writing the same index twice yields byte-identical files.
-The framing (header, trailing digest) is serde's `write_records`; a
-truncated or damaged file raises CorruptIndex.
+String fields are backslash-escaped (\\t, \\n, \\r, \\\\). Postings
+reference documents by their ordinal, the line order of the doc
+section, so doc ids never need quoting there. Writing the same index
+twice yields byte-identical files. The framing (header, trailing
+digest) is serde's `write_records`; a truncated or damaged file raises
+CorruptIndex, and one of another version raises VersionMismatch: run
+`qapipe index` again.
 
 Built and loaded indexes hold one form: the decoded documents, the doc
 ids by ordinal, and each term's cells as the tab-joined string the file
@@ -40,13 +41,11 @@ from typing import Iterable
 
 from .corpus import Document
 from .errors import QAError
-from .serde import (
-    escape_field, escape_optional, read_records, unescape_field, unescape_optional, write_records,
-)
+from .serde import escape_field, read_records, unescape_field, write_records
 from .text import terms, tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
 
 MAGIC = "QANUSIDX"
-VERSION = 2
+VERSION = 3
 
 
 class DuplicateDocId(QAError):
@@ -166,9 +165,8 @@ def _index_lines(index: InvertedIndex) -> Iterator[str]:
     for doc_id in index.doc_ids:
         doc = index.stored_docs[doc_id]
         spans = ",".join(f"{a}:{b}" for a, b in doc.paragraph_spans) or "-"
-        yield "doc\t{}\t{}\t{}\t{}\t{}".format(
-            escape_field(doc.doc_id), index.doc_lengths[doc_id],
-            escape_optional(doc.headline), spans, escape_field(doc.text),
+        yield "doc\t{}\t{}\t{}\t{}".format(
+            escape_field(doc.doc_id), index.doc_lengths[doc_id], spans, escape_field(doc.text),
         )
     for term, cells in sorted(index.cells.items()):
         yield "term\t" + term + "\t" + cells
@@ -195,7 +193,7 @@ def load_index(path) -> InvertedIndex:
         for line in lines[1:]:
             kind, _, rest = line.partition("\t")
             if kind == "doc":
-                doc_id, length, headline, spans, text = rest.split("\t", 4)
+                doc_id, length, spans, text = rest.split("\t", 3)
                 doc_id = unescape_field(doc_id)
                 if docs_by_ord and doc_id <= docs_by_ord[-1]:
                     raise CorruptIndex(f"doc id {doc_id!r} does not follow {docs_by_ord[-1]!r}")
@@ -207,12 +205,7 @@ def load_index(path) -> InvertedIndex:
                     if spans != "-"
                     else ()
                 )
-                stored[doc_id] = Document(
-                    doc_id,
-                    unescape_optional(headline),
-                    unescape_field(text),
-                    span_list,
-                )
+                stored[doc_id] = Document(doc_id, unescape_field(text), span_list)
                 doc_lengths[doc_id] = int(length)
                 docs_by_ord.append(doc_id)
             elif kind == "term":

@@ -44,36 +44,29 @@ class StageFailure(QAError):
         self.cause = cause
 
 
-def stage_inputs(config: PipelineConfig, stage: StageKind) -> list[str]:
-    if stage is StageKind.INFO_SOURCE_PREP:
-        return [config.corpus_path]
-    if stage is StageKind.QUESTION_PROCESSING:
-        paths = [config.questions_path]
-        if config.classifier_model_path:
-            paths.append(config.classifier_model_path)
-        return paths
-    if stage is StageKind.ANSWER_RETRIEVAL:
-        keys = ("questions.analysis_out", "extract.persons", "extract.locations")
-        return [config.index_path, *filter(None, map(config.param, keys))]
-    paths = [config.answers_out_path]
-    if config.gold_path:
-        paths.append(config.gold_path)
-    return paths
-
-
-def stage_outputs(config: PipelineConfig, stage: StageKind) -> list[str]:
-    if stage is StageKind.INFO_SOURCE_PREP:
-        return [config.index_path]
-    if stage is StageKind.QUESTION_PROCESSING:
-        return [config.param("questions.analysis_out")]
-    if stage is StageKind.ANSWER_RETRIEVAL:
-        return [config.answers_out_path]
-    return [config.report_out_path] if config.report_out_path else []
+def stage_files(config: PipelineConfig, stage: StageKind) -> tuple[list[str], list[str]]:
+    """(inputs, outputs): the paths `stage` reads and writes. The model, the
+    gazetteers, the gold and the report are listed only when they are set."""
+    analyses = config.param("questions.analysis_out")
+    gazetteers = [config.param("extract.persons"), config.param("extract.locations")]
+    return {
+        StageKind.INFO_SOURCE_PREP: ([config.corpus_path], [config.index_path]),
+        StageKind.QUESTION_PROCESSING: (
+            [config.questions_path, *filter(None, [config.classifier_model_path])], [analyses]
+        ),
+        StageKind.ANSWER_RETRIEVAL: (
+            [config.index_path, *filter(None, [analyses, *gazetteers])], [config.answers_out_path]
+        ),
+        StageKind.EVALUATION: (
+            [config.answers_out_path, *filter(None, [config.gold_path])],
+            [*filter(None, [config.report_out_path])],
+        ),
+    }[stage]
 
 
 def _producers(config: PipelineConfig) -> dict[str, StageKind]:
     """Artifact path -> the stage that produces it; the report is no stage's input."""
-    return {path: stage for stage in list(StageKind)[:-1] for path in stage_outputs(config, stage)}
+    return {path: s for s in list(StageKind)[:-1] for path in stage_files(config, s)[1]}
 
 
 def validate_config(
@@ -91,12 +84,13 @@ def validate_config(
             )
         if stage is StageKind.EVALUATION and not config.gold_path:
             issues.append(ConfigIssue("MissingGoldPath", "gold_path is not set"))
-        for path in stage_inputs(config, stage):
+        inputs, outputs = stage_files(config, stage)
+        for path in inputs:
             if producers.get(path) in stages_requested:
                 continue  # will exist by the time this stage runs
             if not Path(path).is_file():
                 issues.append(ConfigIssue("MissingFile", path))
-        for path in stage_outputs(config, stage):
+        for path in outputs:
             if not Path(path).parent.is_dir():
                 issues.append(ConfigIssue("MissingDir", str(Path(path).parent)))
     return issues
@@ -154,14 +148,9 @@ def run_pipeline(
             detail = engines[stage](config)
         except Exception as exc:
             raise StageFailure(stage, exc) from exc
+        inputs, outputs = stage_files(config, stage)
         manifest.stages_run.append(
-            StageRun(
-                stage=stage,
-                duration_s=time.perf_counter() - t0,
-                inputs=tuple(stage_inputs(config, stage)),
-                outputs=tuple(stage_outputs(config, stage)),
-                detail=detail,
-            )
+            StageRun(stage, time.perf_counter() - t0, tuple(inputs), tuple(outputs), detail)
         )
     anchor = config.report_out_path or config.answers_out_path
     write_manifest(manifest, Path(anchor).parent / "run_manifest.txt")

@@ -22,6 +22,7 @@ from .classifier import ClassifierModel, classify_question
 from .corpus import MalformedRecord
 from .errors import QAError
 from .serde import escape_field, read_records, read_text, unescape_field, write_records
+from .stopwords import STOPWORDS
 from .taxonomy import AnswerType, InvalidAnswerType
 from .text import terms, tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
 
@@ -141,14 +142,13 @@ def rule_fallback(text: str) -> AnswerType | None:
 
 
 def analyze(
-    question: Question,
-    model: ClassifierModel | None,
-    stoplist: frozenset[str],
+    question: Question, model: ClassifierModel | None, stopwords: frozenset[str] = STOPWORDS
 ) -> QuestionAnalysis:
-    """Build the stage-2 record for one question."""
-    words = [w for w in terms(question.text) if w not in stoplist]
+    """Build the stage-2 record for one question; its query terms leave out
+    `stopwords`, the shipped STOPWORDS unless given (`qabench/steadiness.py` gives them)."""
+    words = [w for w in terms(question.text) if w not in stopwords]
     if question.target:
-        words += [w for w in terms(question.target) if w not in stoplist]
+        words += [w for w in terms(question.target) if w not in stopwords]
     query_terms = list(dict.fromkeys(words))  # order-preserving dedup
 
     rule = rule_fallback(question.text)

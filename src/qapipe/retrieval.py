@@ -24,8 +24,6 @@ from .text import terms, tokenize  # tokenize unused: qabench/trace_shim.py wrap
 BM25_K1 = 1.2
 BM25_B = 0.75
 
-DEFAULT_COVERAGE_WEIGHT = 2.0
-
 SENTENCES_PER_PASSAGE = 3
 PASSAGE_STRIDE = 2
 
@@ -132,9 +130,11 @@ def score_passage(
     passage: Passage,
     query_terms: list[str],
     index: InvertedIndex,
-    coverage_weight: float = DEFAULT_COVERAGE_WEIGHT,
+    coverage_weight: float,
 ) -> float:
-    """Sum of idf-weighted log term counts plus a query-coverage bonus.
+    """Sum of idf-weighted log term counts plus a query-coverage bonus, the
+    share of query terms matched times `coverage_weight` (the stage-3
+    setting, whose default `AnswerSettings` holds).
 
     The passage's terms are memoized on the index, keyed by the text,
     which is all they depend on.

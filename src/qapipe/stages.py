@@ -11,7 +11,6 @@ from .classifier import load_model
 from .config import PipelineConfig
 from .evaluation import evaluate_answers, format_report, load_gold, write_report
 from .pipeline import Engine, StageKind
-from .stopwords import STOPWORDS
 
 
 def run_info_source_prep(config: PipelineConfig) -> str:
@@ -34,7 +33,7 @@ def run_question_processing(config: PipelineConfig) -> str:
         config.questions_path, config.param("questions.format"), rejects
     )
     model = load_model(config.classifier_model_path)
-    analyses = [questions.analyze(q, model, STOPWORDS) for q in parsed]
+    analyses = [questions.analyze(q, model) for q in parsed]
     questions.write_analyses(analyses, out_path)
     corpus.write_rejects(rejects, out_path + ".rejects")
     return f"questions={len(analyses)} rejects={len(rejects)}"

@@ -1,6 +1,6 @@
-"""The shipped query stoplist: 127 common English function words.
+"""The shipped query stopwords: 127 common English function words.
 
-This is the classic IR stoplist of pronouns, auxiliaries, determiners,
+This is the classic IR stopword list of pronouns, auxiliaries, determiners,
 prepositions, and wh-words. It is applied to queries only; indexed
 documents keep every token so positional scoring stays available.
 The list below is the canonical, verbatim definition.

@@ -52,6 +52,18 @@ def framed(text) -> bytes:
     return body + b"sha256\t" + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n"
 
 
+def rewrite_as_index_version_2(path: Path) -> None:
+    """Rewrite a QANUSIDX 3 file in the version-2 layout, which stored each
+    document's headline, here absent (\\N), between its length and spans."""
+    lines = path.read_bytes().split(b"\n")[:-2]  # without the digest line
+    lines[0] = b"QANUSIDX 2"
+    for i, line in enumerate(lines):
+        if line.startswith(b"doc\t"):
+            kind, doc_id, length, rest = line.split(b"\t", 3)
+            lines[i] = b"\t".join((kind, doc_id, length, b"\\N", rest))
+    path.write_bytes(framed(b"\n".join(lines) + b"\n"))
+
+
 def random_docs(n_docs: int, seed: int, vocab_size: int = 60) -> dict[str, str]:
     """Random filler documents for the counting and ranking oracles."""
     rng = random.Random(seed)

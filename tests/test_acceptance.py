@@ -76,7 +76,7 @@ def test_criterion_2_bm25_oracle_equivalence():
     with criterion(2, "bm25-oracle"):
         t0 = time.perf_counter()
         docs = random_docs(200, seed=101)
-        idx = build_index(Document(d, None, t, ()) for d, t in docs.items())
+        idx = build_index(Document(d, t, ()) for d, t in docs.items())
         vocab = sorted({w for text in docs.values() for w in re.findall(r"[^\W_]+", text)})
         rng = random.Random(102)
         for _ in range(20):

@@ -159,6 +159,8 @@ def test_model_bad_magic(tmp_path):
         ("alpha 1.0\nspace coarse\nlabel PLANET 1\n", "line 4: unknown coarse class"),
         ("alpha 1.0\nspace coarse\nlabel NUM 1\nfeat HUM who 1\n", "line 5: feature of undeclared"),
         ("alpha 1e308\nspace coarse\nlabel NUM 1\nfeat NUM who 1\n", "out of numeric range"),
+        ("alpha 1.0\nspace foo\nlabel NUM 1\n", "line 3: unknown label space 'foo'"),
+        ("alpha 1.0\nspace coarse\nlabel HUM:ind 1\n", r"line 4: fine label 'HUM:ind' outside"),
     ],
 )
 def test_load_model_refuses_with_corrupt_model(tmp_path, body, message):

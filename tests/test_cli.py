@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import run_cli
+from conftest import rewrite_as_index_version_2, run_cli
 
 TOY_TRAINING = """ABBR:exp What does DNA stand for ?
 DESC:def What is an atoll ?
@@ -316,3 +316,13 @@ def test_answer_on_a_damaged_index_exits_2(tmp_path):
     assert result.stdout == ""
     (line,) = result.stderr.splitlines()
     assert line.startswith("error: ") and "index.qix" in line
+
+
+def test_answer_on_a_version_2_index_exits_2(tmp_path):
+    write_basic_setup(tmp_path)
+    train(tmp_path)
+    assert run_cli("run-all", "--config", "config.qa", cwd=tmp_path).returncode == 0
+    rewrite_as_index_version_2(tmp_path / "index.qix")
+    result = run_cli("answer", "--config", "config.qa", cwd=tmp_path)
+    assert result.returncode == 2
+    assert "QANUSIDX version '2', expected 3" in result.stderr

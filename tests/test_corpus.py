@@ -1,6 +1,6 @@
 import pytest
 
-from qapipe.corpus import MalformedRecord, parse_corpus, write_rejects
+from qapipe.corpus import Document, MalformedRecord, parse_corpus, write_rejects
 
 from conftest import make_record_corpus
 
@@ -8,8 +8,24 @@ from conftest import make_record_corpus
 def test_trec_sgml_two_docs_in_order(sgml_corpus):
     docs = list(parse_corpus(sgml_corpus, "trec-sgml"))
     assert [d.doc_id for d in docs] == ["DOC-A", "DOC-B"]
-    assert docs[0].headline == "Treaty signed in Rome"
-    assert docs[1].headline is None
+
+
+def test_trec_sgml_headline_is_read_past(tmp_path):
+    path = tmp_path / "corpus.sgml"
+    body = "<DOCNO>H-1</DOCNO>\n{}<TEXT><P>First.</P>\n<P>Second.</P></TEXT>"
+    path.write_text(
+        "".join(f"<DOC>{body.format(h)}</DOC>\n" for h in ("<HEADLINE>Big news</HEADLINE>\n", "")),
+        encoding="utf-8",
+    )
+    with_headline, without = parse_corpus(path, "trec-sgml")
+    assert with_headline == without == Document("H-1", "First.\n\nSecond.", ((0, 6), (8, 15)))
+
+
+def test_record_lines_middle_field_is_read_past(tmp_path):
+    path = tmp_path / "corpus.tsv"
+    path.write_text("d1\tBig news\tfirst text\nd1\t\tfirst text\n", encoding="utf-8")
+    with_headline, without = parse_corpus(path, "record-lines")
+    assert with_headline == without == Document("d1", "first text", ())
 
 
 def test_trec_sgml_paragraph_spans_slice_back(sgml_corpus):
@@ -57,8 +73,6 @@ def test_record_lines_skip_and_report(tmp_path):
     rejects: list[MalformedRecord] = []
     docs = list(parse_corpus(path, "record-lines", rejects))
     assert [d.doc_id for d in docs] == ["d1", "d2"]
-    assert docs[0].headline == "head"
-    assert docs[1].headline is None
     assert len(rejects) == 1
     assert rejects[0].location == "line 2"
 

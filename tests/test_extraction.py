@@ -110,7 +110,7 @@ def test_abbreviation_extraction():
 
 def test_description_picks_best_sentence():
     docs = {"d1": "Glass blowing is an old craft. A glacier is a slow river of ice. Pigeons fly home."}
-    idx = build_index([Document("d1", None, docs["d1"], ())])
+    idx = build_index([Document("d1", docs["d1"], ())])
     p = segment_passages(idx.stored_docs["d1"])[0]
     cands = extract_candidates(p, AnswerType("DESC", "def"), ["glacier"], index=idx)
     assert texts(cands) == ["A glacier is a slow river of ice."]
@@ -122,7 +122,7 @@ def test_extraction_soundness_offsets_slice_back():
         "It produced 120 castings and $3,000 of alloy, roughly 15 percent of supply. "
         "The N.R.C. praised the Monte Arduro site."
     )
-    doc = Document("d9", None, doc_text, ())
+    doc = Document("d9", doc_text, ())
     idx = build_index([doc])
     types = [
         AnswerType("NUM", "date"),
@@ -203,13 +203,12 @@ def planted_index():
     docs = [
         Document(
             "D1",
-            None,
             "Farmers met often. The velvet foundry was founded by Elena Castwright "
             "in a harsh winter. Trade followed soon.",
             (),
         ),
-        Document("D2", None, "Millers ground barley near the river all season long.", ()),
-        Document("D3", None, "A foundry in the east made horseshoes and nails.", ()),
+        Document("D2", "Millers ground barley near the river all season long.", ()),
+        Document("D3", "A foundry in the east made horseshoes and nails.", ()),
     ]
     return build_index(docs)
 
@@ -230,7 +229,7 @@ def guild_hall_index():
     text = "\n\n".join(paragraphs)
     starts = [text.index(p) for p in paragraphs]
     spans = tuple((a, a + len(p)) for a, p in zip(starts, paragraphs))
-    docs = [Document(f"d{n}", None, text, spans) for n in range(4)]
+    docs = [Document(f"d{n}", text, spans) for n in range(4)]
     assert sum(len(segment_passages(d)) for d in docs) == 48
     return build_index(docs)
 

@@ -15,14 +15,14 @@ from qapipe.index import (
 from qapipe.retrieval import retrieve_documents
 from qapipe.serde import VersionMismatch
 
-from conftest import framed, make_record_corpus, random_docs
+from conftest import framed, make_record_corpus, random_docs, rewrite_as_index_version_2
 
 
 LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def doc(doc_id, text, headline=None, spans=()):
-    return Document(doc_id, headline, text, tuple(spans))
+def doc(doc_id, text, spans=()):
+    return Document(doc_id, text, tuple(spans))
 
 
 def test_hand_checked_postings():
@@ -80,10 +80,10 @@ def test_round_trip_identity(tmp_path):
     idx = build_index(
         [
             doc("d1", "a b a"),
-            doc("d2", "tabs\tand\nnewlines here", headline="Head\tline"),
+            doc("d2", "tabs\tand\nnewlines here"),
             doc("d3", "para one\n\npara two", spans=((0, 8), (10, 18))),
             # Line breaks for str.splitlines() that escape_field leaves alone.
-            doc("d4", f"one{LINE_BREAKS}two", headline=f"head{LINE_BREAKS}line"),
+            doc("d4", f"one{LINE_BREAKS}two"),
         ]
     )
     path = tmp_path / "idx.qix"
@@ -93,7 +93,7 @@ def test_round_trip_identity(tmp_path):
 
 def test_write_is_byte_deterministic(tmp_path):
     docs = random_docs(20, seed=5)
-    idx = build_index(Document(d, None, t, ()) for d, t in docs.items())
+    idx = build_index(Document(d, t, ()) for d, t in docs.items())
     p1, p2 = tmp_path / "a.qix", tmp_path / "b.qix"
     write_index(idx, p1)
     write_index(idx, p2)
@@ -115,6 +115,15 @@ def test_version_mismatch(tmp_path):
             load_index(path)
 
 
+def test_version_2_index_is_refused(tmp_path):
+    path = tmp_path / "idx.qix"
+    write_index(build_index([doc("a", "apple pie"), doc("b", "cherry pie")]), path)
+    rewrite_as_index_version_2(path)
+    assert b"doc\ta\t2\t\\N\t-\tapple pie\n" in path.read_bytes()
+    with pytest.raises(VersionMismatch, match="QANUSIDX version '2', expected 3"):
+        load_index(path)
+
+
 def test_truncated_file_rejected(tmp_path):
     idx = build_index([doc("d1", "a b a")])
     path = tmp_path / "t.qix"
@@ -127,7 +136,7 @@ def test_truncated_file_rejected(tmp_path):
 
 def test_stats_consistency():
     docs = random_docs(30, seed=9)
-    idx = build_index(Document(d, None, t, ()) for d, t in docs.items())
+    idx = build_index(Document(d, t, ()) for d, t in docs.items())
     st = idx.stats()
     assert st.doc_count == 30
     assert st.distinct_terms == len(idx.cells)
@@ -141,7 +150,7 @@ def small_index():
     return build_index(
         [
             doc("d1", "a b a"),
-            doc("d\\2", "tab\there, new\nline, back\\slash", headline="Head\tline"),
+            doc("d\\2", "tab\there, new\nline, back\\slash"),
             doc("d3", "para one\n\npara two", spans=((0, 8), (10, 18))),
         ]
     )
@@ -204,8 +213,8 @@ def test_built_and_loaded_index_share_one_form(tmp_path, monkeypatch):
     assert (tmp_path / "again.qix").read_bytes() == path.read_bytes()
 
 
-A_LINE = b"doc\ta\t2\t\\N\t-\tapple pie\n"
-B_LINE = b"doc\tb\t2\t\\N\t-\tcherry pie\n"
+A_LINE = b"doc\ta\t2\t-\tapple pie\n"
+B_LINE = b"doc\tb\t2\t-\tcherry pie\n"
 
 
 def load_altered_two_doc_index(tmp_path, *replacements: tuple[bytes, bytes]):

@@ -1,8 +1,9 @@
 """Property tests for the field codec, the record writer, the index file
 format, tokenization and its ASCII path, query terms, passage scoring and its memo, BM25 retrieval, candidate word
-spans and proximity, the stage-file round trips, the stage-file loaders
+spans and proximity, candidate ranking, the stage-file round trips, the stage-file loaders
 and the parsers of the files a user writes."""
 
+import dataclasses
 import math
 import string
 from collections import Counter
@@ -19,8 +20,8 @@ from qapipe.corpus import Document, parse_corpus
 from qapipe.errors import QAError
 from qapipe.evaluation import load_gold
 from qapipe.extraction import (
-    AnswerRecord, _token_span, answer_question, extract_candidates, load_answers,
-    rank_candidates, write_answers,
+    GAZETTEER_BONUS, AnswerRecord, AnswerSettings, CandidateAnswer, _token_span, answer_question,
+    extract_candidates, load_answers, rank_candidates, write_answers,
 )
 from qapipe.index import CorruptIndex, build_index, load_index, write_index
 from qapipe.questions import (
@@ -28,12 +29,12 @@ from qapipe.questions import (
 )
 from qapipe.stopwords import STOPWORDS
 from qapipe.retrieval import (
-    BM25_B, BM25_K1, DEFAULT_COVERAGE_WEIGHT, Passage, ScoredDocument, retrieve_documents,
+    BM25_B, BM25_K1, Passage, ScoredDocument, retrieve_documents,
     score_passage, segment_passages, split_sentences,
 )
 from qapipe.taxonomy import FINE_CLASSES, AnswerType
 from qapipe.serde import (
-    VersionMismatch, escape_field, escape_optional, read_records, unescape_field, write_records,
+    VersionMismatch, escape_field, read_records, unescape_field, write_records,
 )
 from qapipe.text import ASCII_TABLE, TOKEN_RE, terms, tokenize
 
@@ -76,7 +77,6 @@ shared_words = st.lists(st.sampled_from(["pie", "Pie", "apple", "x1", "\t", "\n"
 documents = st.builds(
     Document,
     doc_id=tricky_text,
-    headline=st.none() | tricky_text,
     text=tricky_text | shared_words.map(" ".join),
     paragraph_spans=st.lists(
         st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=3
@@ -109,15 +109,14 @@ def reference_write_index(docs, path):
         doc = stored[doc_id]
         spans = ",".join(f"{a}:{b}" for a, b in doc.paragraph_spans) or "-"
         lines.append(
-            "doc\t{}\t{}\t{}\t{}\t{}".format(
-                escape_field(doc.doc_id), doc_lengths[doc_id],
-                escape_optional(doc.headline), spans, escape_field(doc.text),
+            "doc\t{}\t{}\t{}\t{}".format(
+                escape_field(doc.doc_id), doc_lengths[doc_id], spans, escape_field(doc.text),
             )
         )
     for term in sorted(postings):
         cells = [f"{ordinals[doc_id]}:{tf}" for doc_id, tf in postings[term]]
         lines.append("term\t" + term + "\t" + "\t".join(cells))
-    write_records(path, "QANUSIDX", 2, lines)
+    write_records(path, "QANUSIDX", 3, lines)
     return postings
 
 
@@ -220,7 +219,7 @@ question_text = st.lists(
 @given(question_text, st.none() | question_text)
 def test_query_terms_match_token_reference(text, target):
     question = Question("q1", text, target)
-    analysis = analyze(question, None, STOPWORDS)
+    analysis = analyze(question, None)
     assert analysis.query_terms == reference_query_terms(question, STOPWORDS)
 
 
@@ -245,9 +244,9 @@ corpora = st.dictionaries(st.from_regex(r"d[0-9]{1,2}", fullmatch=True), words_t
 queries = st.lists(st.sampled_from([w.lower() for w in VOCAB] + ["absent"]), max_size=4)
 
 
-@given(corpora, words_text | st.text(), queries, st.sampled_from([0.0, DEFAULT_COVERAGE_WEIGHT]))
+@given(corpora, words_text | st.text(), queries, st.sampled_from([0.0, 2.0]))
 def test_score_passage_matches_token_reference(docs, text, query, weight):
-    index = build_index(Document(d, None, t, ()) for d, t in docs.items())
+    index = build_index(Document(d, t, ()) for d, t in docs.items())
     passage = Passage("p", (0, len(text)), text)
     assert score_passage(passage, query, index, weight) == reference_score_passage(
         passage, query, index, weight
@@ -257,7 +256,7 @@ def test_score_passage_matches_token_reference(docs, text, query, weight):
 # The second paragraph's sentence spans (0, 5) within it, as the first paragraph does.
 @example(["amber", "built"], ["amber"], 0.0)
 @given(st.lists(words_text | st.text(max_size=12), min_size=1, max_size=4), queries,
-       st.sampled_from([0.0, DEFAULT_COVERAGE_WEIGHT]))
+       st.sampled_from([0.0, 2.0]))
 def test_score_passage_is_the_same_on_a_warm_memo(paragraphs, query, weight):
     """A passage scores alike on a fresh index and on one whose memo holds
     every other passage and DESC sentence of its document. A sentence's
@@ -265,7 +264,7 @@ def test_score_passage_is_the_same_on_a_warm_memo(paragraphs, query, weight):
     passage of the same document."""
     text = "\n".join(paragraphs)
     starts = [sum(len(p) + 1 for p in paragraphs[:i]) for i in range(len(paragraphs))]
-    doc = Document("d", None, text, tuple((a, a + len(p)) for a, p in zip(starts, paragraphs)))
+    doc = Document("d", text, tuple((a, a + len(p)) for a, p in zip(starts, paragraphs)))
     passages = segment_passages(doc)
     sentences = [Passage("d", (a, b), p.text[a:b]) for p in passages
                  for a, b in split_sentences(p.text)]
@@ -284,8 +283,8 @@ def test_score_passage_is_the_same_on_a_warm_memo(paragraphs, query, weight):
        queries, st.integers(1, 5))
 def test_bm25_top_k_ignores_corpus_order(docs_and_order, query, k):
     docs, order = docs_and_order
-    as_given = build_index(Document(d, None, docs[d], ()) for d in sorted(docs))
-    shuffled = build_index(Document(d, None, docs[d], ()) for d in order)
+    as_given = build_index(Document(d, docs[d], ()) for d in sorted(docs))
+    shuffled = build_index(Document(d, docs[d], ()) for d in order)
     assert retrieve_documents(shuffled, query, k) == retrieve_documents(as_given, query, k)
 
 
@@ -318,7 +317,7 @@ def analysis_of(query, answer_type=AnswerType("HUM", "ind")):
 @settings(max_examples=50)
 @given(corpora, st.lists(queries, min_size=1, max_size=3), st.integers(1, 5))
 def test_loaded_index_retrieves_and_answers_as_the_built_one(tmp_path_factory, docs, asked, k):
-    built = build_index(Document(d, None, t, ()) for d, t in docs.items())
+    built = build_index(Document(d, t, ()) for d, t in docs.items())
     path = tmp_path_factory.mktemp("prop") / "idx.qix"
     write_index(built, path)
     loaded = load_index(path)
@@ -391,6 +390,125 @@ def test_rank_proximity_matches_per_candidate_reference(texts, query):
         assert ranked.proximity_score == reference_proximity(passage, ranked, query)
 
 
+def reference_rank_candidates(
+    candidates: list[CandidateAnswer],
+    analysis: QuestionAnalysis,
+    passages: list[Passage],
+    settings: AnswerSettings = AnswerSettings(),
+) -> list[CandidateAnswer]:
+    """rank_candidates as it was: score every candidate, then keep the earliest
+    source of each case-insensitive duplicate."""
+    if not candidates:
+        return []
+    # Once per kept passage with a candidate: its words' offsets, and the
+    # word positions of each query term in it.
+    query = set(analysis.query_terms)
+    passage_words = {}
+    for i in {c.passage_index for c in candidates}:
+        text = passages[i].text
+        starts, ends = [], []
+        for m in TOKEN_RE.finditer(text):
+            a, b = m.span()
+            starts.append(a)
+            ends.append(b)
+        positions: dict[str, list[int]] = {}
+        for position, word in enumerate(terms(text)):
+            if word in query:
+                positions.setdefault(word, []).append(position)
+        passage_words[i] = starts, ends, positions
+    lowered_passages = [p.text.lower() for p in passages]
+
+    redundancy: dict[str, int] = {}
+    for cand in candidates:
+        key = cand.text.lower()
+        if key not in redundancy:
+            redundancy[key] = sum(1 for lp in lowered_passages if key in lp)
+
+    scored: list[CandidateAnswer] = []
+    for cand in candidates:
+        starts, ends, positions = passage_words[cand.passage_index]
+        rel_start = cand.char_offset - passages[cand.passage_index].char_span[0]
+        first, last = _token_span(starts, ends, rel_start, rel_start + len(cand.text))
+        prox = 0.0
+        for term in analysis.query_terms:
+            occurrences = positions.get(term)
+            if not occurrences:
+                continue
+            dist = min(
+                0 if first <= o <= last else (first - o if o < first else o - last)
+                for o in occurrences
+            )
+            prox += 1.0 / (1.0 + dist)
+        red = redundancy[cand.text.lower()]
+        final = (
+            cand.passage_score
+            + settings.proximity_weight * prox
+            + settings.redundancy_weight * (red - 1)
+            + (GAZETTEER_BONUS if cand.gazetteer_match else 0.0)
+        )
+        scored.append(
+            dataclasses.replace(
+                cand, proximity_score=prox, redundancy_count=red, final_score=final
+            )
+        )
+
+    # Case-insensitive dedup keeping the earliest source.
+    earliest: dict[str, CandidateAnswer] = {}
+    for cand in scored:
+        key = cand.text.lower()
+        kept = earliest.get(key)
+        if kept is None or (cand.passage_index, cand.char_offset) < (
+            kept.passage_index,
+            kept.char_offset,
+        ):
+            earliest[key] = cand
+    return sorted(
+        earliest.values(),
+        key=lambda c: (-c.final_score, c.passage_index, c.char_offset, c.text),
+    )
+
+
+# Case variants of a few words, so that candidates repeat across passages.
+CASED = ["Maria", "MARIA", "maria", "Voss", "voss", "mill", "the", "ß", " ", ","]
+cased_text = st.lists(st.sampled_from(CASED), min_size=1, max_size=12).map("".join)
+
+
+@st.composite
+def ranking_inputs(draw):
+    """Passages and candidates cut from them, some re-cased; scores and
+    gazetteer matches drawn, so the earliest of duplicates may not score best."""
+    passages = []
+    for i, text in enumerate(draw(st.lists(cased_text, min_size=1, max_size=4))):
+        base = draw(st.integers(0, 50))
+        passages.append(Passage(f"d{i % 2}", (base, base + len(text)), text,
+                                draw(st.sampled_from([0.0, 1.5, 3.0]))))
+    candidates = []
+    for _ in range(draw(st.integers(0, 12))):
+        i = draw(st.integers(0, len(passages) - 1))
+        passage = passages[i]
+        a = draw(st.integers(0, len(passage.text) - 1))
+        b = draw(st.integers(a + 1, len(passage.text)))
+        recase = draw(st.sampled_from([str, str.upper, str.lower, str.title]))
+        candidates.append(CandidateAnswer(
+            recase(passage.text[a:b]), passage.doc_id, passage.char_span[0] + a, i,
+            passage.passage_score, gazetteer_match=draw(st.booleans()),
+        ))
+    return passages, candidates
+
+
+@given(ranking_inputs(), st.lists(st.sampled_from(["maria", "voss", "mill", "the"]), max_size=3),
+       st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 0.5, -1.0]))
+def test_rank_candidates_matches_score_then_dedup_reference(inputs, query, proximity, redundancy):
+    passages, candidates = inputs
+    given_candidates = [dataclasses.replace(c) for c in candidates]
+    settings = AnswerSettings(proximity_weight=proximity, redundancy_weight=redundancy)
+    analysis = analysis_of(query)
+    assert rank_candidates(candidates, analysis, passages, settings) == (
+        reference_rank_candidates(candidates, analysis, passages, settings)
+    )
+    assert candidates == given_candidates
+
+
 # The stage hand-off files round-trip: load(write(x)) == x.
 LABELS = sorted([*FINE_CLASSES] + [f"{c}:{f}" for c, fines in FINE_CLASSES.items() for f in fines])
 answer_types = st.sampled_from(sorted(FINE_CLASSES)).flatmap(lambda coarse: st.builds(
@@ -451,7 +569,7 @@ def test_models_round_trip(tmp_path_factory, examples, alpha, space):
 def written_stage_files(tmp_path):
     """Small instances of the four stage files: (loader, its error, bytes)."""
     path = tmp_path / "stage-file"
-    docs = [Document("d1", None, "a b a", ()), Document("d\t2", "Head", "x\ny", ((0, 1),))]
+    docs = [Document("d1", "a b a", ()), Document("d\t2", "x\ny", ((0, 1),))]
     write_index(build_index(docs), path)
     index = path.read_bytes()
     write_model(train_classifier([TrainingExample("HUM:ind", "who built it"),

@@ -15,7 +15,6 @@ from qapipe.questions import (
     write_analyses,
 )
 from qapipe.serde import read_records
-from qapipe.stopwords import STOPWORDS
 
 from conftest import framed
 
@@ -112,15 +111,15 @@ def tiny_model():
 
 
 def test_analyze_query_terms(tiny_model):
-    analysis = analyze(Question("q1", "What is the capital of France?"), tiny_model, STOPWORDS)
+    analysis = analyze(Question("q1", "What is the capital of France?"), tiny_model)
     assert analysis.query_terms == ["capital", "france"]
-    analysis = analyze(Question("q1", "what is the capital of france"), tiny_model, STOPWORDS)
+    analysis = analyze(Question("q1", "what is the capital of france"), tiny_model)
     assert analysis.query_terms == ["capital", "france"]
 
 
 def test_analyze_appends_target_terms(tiny_model):
     analysis = analyze(
-        Question("q2", "When was he born?", target="Mozart"), tiny_model, STOPWORDS
+        Question("q2", "When was he born?", target="Mozart"), tiny_model
     )
     assert analysis.query_terms == ["born", "mozart"]
     assert analysis.answer_type.label == "NUM:date"
@@ -129,7 +128,7 @@ def test_analyze_appends_target_terms(tiny_model):
 def test_analyze_rule_overrides_low_confidence(tiny_model):
     # Three single-example classes leave the model unsure on novel words,
     # so the wh-rule must take over.
-    analysis = analyze(Question("q3", "Who discovered penicillin?"), tiny_model, STOPWORDS)
+    analysis = analyze(Question("q3", "Who discovered penicillin?"), tiny_model)
     assert analysis.answer_type.label == "HUM:ind"
     assert analysis.classifier_source in ("rule", "model")
     if analysis.classifier_source == "rule":
@@ -137,35 +136,35 @@ def test_analyze_rule_overrides_low_confidence(tiny_model):
 
 
 def test_analyze_without_model_uses_rule_then_default():
-    ruled = analyze(Question("q4", "Where is the bridge?"), None, STOPWORDS)
+    ruled = analyze(Question("q4", "Where is the bridge?"), None)
     assert ruled.classifier_source == "rule"
     assert ruled.answer_type.label == "LOC:other"
-    default = analyze(Question("q5", "Name the ships involved."), None, STOPWORDS)
+    default = analyze(Question("q5", "Name the ships involved."), None)
     assert default.classifier_source == "default"
     assert default.answer_type.coarse == "DESC"
 
 
 def test_analyze_all_stopwords_without_target(tiny_model):
-    analysis = analyze(Question("q6", "What is it?"), tiny_model, STOPWORDS)
+    analysis = analyze(Question("q6", "What is it?"), tiny_model)
     assert analysis.query_terms == []
 
 
 def test_analyze_all_stopwords_with_target(tiny_model):
-    analysis = analyze(Question("q7", "What is it?", target="Vesuvius"), tiny_model, STOPWORDS)
+    analysis = analyze(Question("q7", "What is it?", target="Vesuvius"), tiny_model)
     assert analysis.query_terms == ["vesuvius"]
 
 
 def test_analyze_dedup_preserves_order(tiny_model):
     analysis = analyze(
-        Question("q8", "Treaty after treaty, the treaty held?"), tiny_model, STOPWORDS
+        Question("q8", "Treaty after treaty, the treaty held?"), tiny_model
     )
     assert analysis.query_terms == ["treaty", "held"]
 
 
 def test_analyze_idempotent(tiny_model):
     q = Question("q9", "Where was the amber foundry located?")
-    a1 = analyze(q, tiny_model, STOPWORDS)
-    a2 = analyze(q, tiny_model, STOPWORDS)
+    a1 = analyze(q, tiny_model)
+    a2 = analyze(q, tiny_model)
     assert a1.query_terms == a2.query_terms
     assert a1.answer_type == a2.answer_type
 
@@ -176,7 +175,7 @@ def test_analysis_artifact_round_trip(tmp_path, tiny_model):
         Question("q2", "What is it?"),
         Question("q\t3", "Who carved the statue?"),
     ]
-    analyses = [analyze(q, tiny_model, STOPWORDS) for q in questions]
+    analyses = [analyze(q, tiny_model) for q in questions]
     path = tmp_path / "analysis.txt"
     write_analyses(analyses, path)
     loaded = load_analyses(path)
@@ -239,7 +238,7 @@ def test_planted_fixture_analyses_match_frozen_golden(tmp_path):
     model = train_classifier(examples)
     qs = parse_questions(paths["questions"], "qline")
     out = tmp_path / "analysis.txt"
-    write_analyses([analyze(q, model, STOPWORDS) for q in qs], out)
+    write_analyses([analyze(q, model) for q in qs], out)
     records = read_records(out, MAGIC, VERSION, QAError)
     assert "".join(line + "\n" for line in records) == PLANTED_GOLDEN_ANALYSES
 

@@ -17,7 +17,7 @@ from conftest import random_docs
 
 
 def make_index(docs: dict[str, str]):
-    return build_index(Document(d, None, t, ()) for d, t in docs.items())
+    return build_index(Document(d, t, ()) for d, t in docs.items())
 
 
 def brute_force_bm25(docs: dict[str, str], query: list[str], k: int, k1=1.2, b=0.75):
@@ -98,7 +98,7 @@ def test_split_sentences_ignores_lowercase_continuation():
 
 
 def test_paragraph_passages():
-    doc = Document("d1", None, "Para one text.\n\nPara two text.", ((0, 14), (16, 30)))
+    doc = Document("d1", "Para one text.\n\nPara two text.", ((0, 14), (16, 30)))
     passages = segment_passages(doc)
     assert [p.text for p in passages] == ["Para one text.", "Para two text."]
     for p in passages:
@@ -108,7 +108,7 @@ def test_paragraph_passages():
 
 def test_sentence_windows_stride_two():
     text = "One a. Two b. Three c. Four d. Five e."
-    doc = Document("d1", None, text, ())
+    doc = Document("d1", text, ())
     passages = segment_passages(doc)
     assert len(passages) == 2
     assert passages[0].text == "One a. Two b. Three c."
@@ -117,26 +117,26 @@ def test_sentence_windows_stride_two():
 
 def test_short_final_window_kept():
     text = "One a. Two b. Three c. Four d."
-    doc = Document("d1", None, text, ())
+    doc = Document("d1", text, ())
     passages = segment_passages(doc)
     assert [p.text for p in passages] == ["One a. Two b. Three c.", "Three c. Four d."]
 
 
 def test_single_sentence_document():
-    doc = Document("d1", None, "Only one sentence here", ())
+    doc = Document("d1", "Only one sentence here", ())
     passages = segment_passages(doc)
     assert len(passages) == 1
     assert passages[0].text == "Only one sentence here"
 
 
 def test_empty_document_no_passages():
-    assert segment_passages(Document("d1", None, "", ())) == []
+    assert segment_passages(Document("d1", "", ())) == []
 
 
 def test_passage_spans_slice_back_on_fixture():
     docs = random_docs(10, seed=31)
     for doc_id, text in docs.items():
-        doc = Document(doc_id, None, text, ())
+        doc = Document(doc_id, text, ())
         for p in segment_passages(doc):
             a, b = p.char_span
             assert text[a:b] == p.text
@@ -145,20 +145,20 @@ def test_passage_spans_slice_back_on_fixture():
 def test_score_passage_no_match_is_zero():
     idx = make_index({"d1": "alpha beta gamma"})
     passage = segment_passages(idx.stored_docs["d1"])[0]
-    assert score_passage(passage, ["missing", "words"], idx) == 0.0
+    assert score_passage(passage, ["missing", "words"], idx, 2.0) == 0.0
 
 
 def test_score_passage_all_terms_once():
     idx = make_index({"d1": "alpha beta gamma", "d2": "delta epsilon"})
     passage = segment_passages(idx.stored_docs["d1"])[0]
     expected = idx.idf("alpha") + idx.idf("beta") + 2.0
-    assert score_passage(passage, ["alpha", "beta"], idx) == pytest.approx(expected)
+    assert score_passage(passage, ["alpha", "beta"], idx, 2.0) == pytest.approx(expected)
 
 
 def test_score_passage_empty_query():
     idx = make_index({"d1": "alpha"})
     passage = segment_passages(idx.stored_docs["d1"])[0]
-    assert score_passage(passage, [], idx) == 0.0
+    assert score_passage(passage, [], idx, 2.0) == 0.0
 
 
 def test_score_passage_monotone_in_term_count():
@@ -168,7 +168,7 @@ def test_score_passage_monotone_in_term_count():
     base = Passage("d1", (0, 10), "alpha beta")
     more = Passage("d1", (0, 16), "alpha beta alpha")
     q = ["alpha", "beta"]
-    assert score_passage(more, q, idx) >= score_passage(base, q, idx)
+    assert score_passage(more, q, idx, 2.0) >= score_passage(base, q, idx, 2.0)
 
 
 def test_hand_recomputed_scores_frozen():
@@ -191,7 +191,7 @@ def test_hand_recomputed_scores_frozen():
         (["market"], 0.0),
     ]
     for query, expected in cases:
-        assert score_passage(passage, query, idx) == pytest.approx(expected, rel=1e-12)
+        assert score_passage(passage, query, idx, 2.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_monotonicity_adding_matched_term_never_lowers_score():
@@ -209,4 +209,4 @@ def test_monotonicity_adding_matched_term_never_lowers_score():
         grown_text = base_text + " " + term
         base = Passage("d", (0, len(base_text)), base_text)
         grown = Passage("d", (0, len(grown_text)), grown_text)
-        assert score_passage(grown, query, idx) >= score_passage(base, query, idx)
+        assert score_passage(grown, query, idx, 2.0) >= score_passage(base, query, idx, 2.0)
