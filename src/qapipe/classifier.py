@@ -187,7 +187,7 @@ def _positive_count(text: str) -> int:
 
 
 def load_model(path) -> ClassifierModel:
-    lines = read_records(path, MAGIC, VERSION, CorruptModel)
+    lines = read_records(path, MAGIC, VERSION, CorruptModel, "qapipe train-classifier")
     alpha: float | None = None
     label_space: str | None = None
     example_counts: dict[str, int] = {}

@@ -19,15 +19,20 @@ source, then scores each one kept by its passage score plus a proximity
 term (inverse word distance to each query term in the passage) plus a
 redundancy term (how many passages repeat the candidate verbatim). The
 words a candidate covers are found by bisecting its passage's word
-offsets, built once per passage with a kept candidate; no positional
-tokens are built.
+offsets, and the word positions of each query term are found in its
+passage's terms with `tuple.index`; no positional tokens are built.
+
+What answering reads that does not depend on the question is memoized
+on the index (see `retrieval`): each retrieved document's passages and
+each passage text's features. Per question, answering retrieves and
+scores passages, matches the answer patterns in the kept ones, and
+scores and orders the candidates.
 
 `AnswerSettings` holds every stage-3 setting and its default. The
 `answer` stage and the `ask` command both build it with
 `AnswerSettings.from_config`, so they answer alike for one config.
 """
 
-import dataclasses
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -36,7 +41,7 @@ from .errors import QAError
 from .index import InvertedIndex
 from .questions import QuestionAnalysis
 from .retrieval import (
-    Passage, retrieve_documents, score_passage, segment_passages, split_sentences,
+    Passage, passage_features, retrieve_documents, score_passage, segment_passages,
 )
 from .serde import (
     escape_field, escape_optional, read_records, read_text, unescape_field,
@@ -44,7 +49,7 @@ from .serde import (
 )
 from .stopwords import STOPWORDS
 from .taxonomy import AnswerType
-from .text import TOKEN_RE, terms, tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
+from .text import tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
 
 GAZETTEER_BONUS = 1.0
 MAGIC = "QANUSANS"  # the answers file, framed by serde's write_records
@@ -167,8 +172,8 @@ def _drop_first_word(start: int, run: str, words: list[str]) -> tuple[int, str, 
     return start + cut, run[cut:], words[1:]
 
 
-def _capitalized_runs(text: str, query_terms) -> list[tuple[int, str]]:
-    sentence_starts = {a for a, _ in split_sentences(text)}
+def _capitalized_runs(text: str, sentences, query_terms) -> list[tuple[int, str]]:
+    sentence_starts = {a for a, _ in sentences}
     query = {t.lower() for t in query_terms}
     out: list[tuple[int, str]] = []
     for m in _CAP_RUN_PATTERN.finditer(text):
@@ -195,7 +200,7 @@ def _best_sentence(
 ) -> tuple[int, str] | None:
     best: tuple[int, str] | None = None
     best_score = float("-inf")
-    for a, b in split_sentences(passage.text):
+    for a, b in passage_features(passage.text, index).sentences:
         pseudo = Passage(passage.doc_id, (a, b), passage.text[a:b])
         s = score_passage(pseudo, query_terms, index, coverage_weight)
         if s > best_score:
@@ -227,7 +232,7 @@ def extract_candidates(
     elif coarse == "ABBR" and fine == "abb":
         hits = _collect_matches(text, (_ABBREV_PATTERN,))
     elif coarse in ("HUM", "LOC", "ENTY", "ABBR"):
-        hits = _capitalized_runs(text, query_terms)
+        hits = _capitalized_runs(text, passage_features(text, index).sentences, query_terms)
     else:  # DESC, the one coarse class left
         best = None
         if index is not None:
@@ -276,6 +281,7 @@ def rank_candidates(
     analysis: QuestionAnalysis,
     passages: list[Passage],
     settings: AnswerSettings = AnswerSettings(),
+    index: InvertedIndex | None = None,
 ) -> list[CandidateAnswer]:
     """Deduplicate, score, and order candidates best-first.
 
@@ -283,6 +289,8 @@ def rank_candidates(
     and only kept candidates are scored: a score reads the candidate's own
     span and how many passages hold its text, never another duplicate.
     The scored candidates are copies; the given ones are not changed.
+    A passage's terms and word offsets are read from its features,
+    memoized on `index` when one is given.
     """
     earliest: dict[str, CandidateAnswer] = {}
     for cand in candidates:
@@ -297,17 +305,14 @@ def rank_candidates(
     query = set(analysis.query_terms)
     passage_words = {}
     for i in {c.passage_index for c in earliest.values()}:
-        text = passages[i].text
-        starts, ends = [], []
-        for m in TOKEN_RE.finditer(text):
-            a, b = m.span()
-            starts.append(a)
-            ends.append(b)
+        features = passage_features(passages[i].text, index)
+        words = features.terms
         positions: dict[str, list[int]] = {}
-        for position, word in enumerate(terms(text)):
-            if word in query:
-                positions.setdefault(word, []).append(position)
-        passage_words[i] = starts, ends, positions
+        for term in query:
+            at = -1  # each search starts after the previous occurrence
+            if n := words.count(term):
+                positions[term] = [at := words.index(term, at + 1) for _ in range(n)]
+        passage_words[i] = (*features.word_offsets, positions)
     lowered_passages = [p.text.lower() for p in passages]
 
     scored: list[CandidateAnswer] = []
@@ -332,11 +337,10 @@ def rank_candidates(
             + settings.redundancy_weight * (red - 1)
             + (GAZETTEER_BONUS if cand.gazetteer_match else 0.0)
         )
-        scored.append(
-            dataclasses.replace(
-                cand, proximity_score=prox, redundancy_count=red, final_score=final
-            )
-        )
+        scored.append(CandidateAnswer(
+            cand.text, cand.doc_id, cand.char_offset, cand.passage_index, cand.passage_score,
+            prox, red, cand.gazetteer_match, final,
+        ))
     return sorted(scored, key=lambda c: (-c.final_score, c.passage_index, c.char_offset, c.text))
 
 
@@ -345,7 +349,11 @@ def answer_question(
     analysis: QuestionAnalysis,
     settings: AnswerSettings = AnswerSettings(),
 ) -> AnswerRecord:
-    """Retrieve, segment, score, extract, rank; NIL when nothing survives."""
+    """Retrieve, segment, score, extract, rank; NIL when nothing survives.
+
+    A document is segmented on its first retrieval and its passages kept
+    on the index, so a passage's text is one object for every question.
+    """
     nil = AnswerRecord(analysis.qid, None, None, 0.0)
     if not analysis.query_terms:
         return nil
@@ -353,15 +361,19 @@ def answer_question(
     if not docs:
         return nil
 
+    memo = index.doc_passages
     scored_passages: list[tuple[float, int, int, Passage]] = []
     for doc_rank, scored_doc in enumerate(docs):
-        document = index.stored_docs[scored_doc.doc_id]
-        for passage in segment_passages(document):
+        passages = memo.get(scored_doc.doc_id)
+        if passages is None:
+            document = index.stored_docs[scored_doc.doc_id]
+            passages = memo[scored_doc.doc_id] = segment_passages(document)
+        for passage in passages:
             s = score_passage(passage, analysis.query_terms, index, settings.coverage_weight)
             scored_passages.append((s, doc_rank, passage.char_span[0], passage))
     scored_passages.sort(key=lambda item: (-item[0], item[1], item[2]))
     top = scored_passages[: settings.max_passages]
-    kept = [dataclasses.replace(passage, passage_score=s) for s, _, _, passage in top]
+    kept = [Passage(p.doc_id, p.char_span, p.text, s) for s, _, _, p in top]
 
     candidates: list[CandidateAnswer] = []
     for i, passage in enumerate(kept):
@@ -375,7 +387,7 @@ def answer_question(
                 passage_index=i,
             )
         )
-    ranked = rank_candidates(candidates, analysis, kept, settings)
+    ranked = rank_candidates(candidates, analysis, kept, settings, index)
     if not ranked:
         return nil
     top = ranked[0]
@@ -393,7 +405,8 @@ def write_answers(records: list[AnswerRecord], path) -> None:
 
 def load_answers(path) -> list[AnswerRecord]:
     out: list[AnswerRecord] = []
-    for line_no, line in enumerate(read_records(path, MAGIC, VERSION, QAError), start=2):
+    records = read_records(path, MAGIC, VERSION, QAError, "qapipe answer")
+    for line_no, line in enumerate(records, start=2):
         try:
             qid, answer, doc, score = line.split("\t")
             final_score = float(score)

@@ -28,8 +28,10 @@ stores. Building counts documents in doc id order, so a document's
 position is its ordinal, and writing streams each line to the file,
 copying the cells; the whole file is never held in memory.
 `postings(term)` decodes a term's cells into (doc_id, tf) pairs on each
-call. Retrieval memoizes each term's BM25 impacts and each passage's
-terms; neither memo is written to the file.
+call. Answering memoizes on the index what it reads that does not
+depend on the question: each term's BM25 impacts, each retrieved
+document's passages and each passage text's features. No memo is
+written to the file.
 """
 
 import math
@@ -76,8 +78,14 @@ class InvertedIndex:
     bm25_impacts: dict[str, list[tuple[str, float]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # passage text -> its terms, interned; filled by retrieval's passage scoring.
-    passage_terms: dict[str, tuple[str, ...]] = field(
+    # passage text -> its retrieval.PassageFeatures (terms, sentence spans,
+    # word offsets), filled by passage scoring, extraction and ranking.
+    passage_features: dict[str, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # doc id -> the document's passages (retrieval.segment_passages), filled
+    # by extraction for each retrieved document.
+    doc_passages: dict[str, list] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _idf: dict[str, float] = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -184,7 +192,7 @@ def load_index(path) -> InvertedIndex:
     strictly ascend, and the stats line must match the documents read and
     the term cells counted. Postings are decoded per term by `postings`.
     """
-    lines = read_records(path, MAGIC, VERSION, CorruptIndex)
+    lines = read_records(path, MAGIC, VERSION, CorruptIndex, "qapipe index")
     docs_by_ord: list[str] = []
     doc_lengths: dict[str, int] = {}
     stored: dict[str, Document] = {}

@@ -184,7 +184,8 @@ def write_analyses(analyses: list[QuestionAnalysis], path) -> None:
 def load_analyses(path) -> list[QuestionAnalysis]:
     """Read the stage-2 artifact; the question text is not part of it."""
     out: list[QuestionAnalysis] = []
-    for line_no, line in enumerate(read_records(path, MAGIC, VERSION, QAError), start=2):
+    records = read_records(path, MAGIC, VERSION, QAError, "qapipe process-questions")
+    for line_no, line in enumerate(records, start=2):
         try:
             qid, query, coarse, fine, confidence, source = line.split("\t")
             answer_type = AnswerType(coarse, None if fine == "-" else fine, float(confidence))

@@ -8,18 +8,24 @@ Passages are source paragraphs when the document has paragraph markup;
 otherwise sentences are split on ./?/! followed by whitespace and an
 uppercase letter, and windowed 3 at a time with stride 2.
 
-Both per-question reads of the index are memoized on it: a term's BM25
-impacts, and a passage's terms, keyed by the passage text.
+What answering reads that does not depend on the question is memoized
+on the index for its lifetime: each term's BM25 impacts, each retrieved
+document's passages (by doc id, filled by extraction) and each passage
+text's `PassageFeatures` (by text). Per question, only query-dependent
+work is left: summing impacts and taking the top k, and counting the
+query terms in each passage's terms.
 """
 
 import math
 import re
 import sys
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .corpus import Document
 from .index import InvertedIndex
-from .text import terms, tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
+from .text import TOKEN_RE, terms, tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -34,7 +40,7 @@ class ScoredDocument:
     retrieval_score: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Passage:
     doc_id: str
     char_span: tuple[int, int]
@@ -74,7 +80,8 @@ def retrieve_documents(
             impacts = memo[term] = _term_impacts(index, term)
         for doc_id, impact in impacts:
             scores[doc_id] = scores.get(doc_id, 0.0) + impact
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = sorted(scores.items())
+    ranked.sort(key=itemgetter(1), reverse=True)  # stable: equal scores keep doc id order
     return [ScoredDocument(doc_id, score) for doc_id, score in ranked[:k]]
 
 
@@ -109,7 +116,8 @@ def segment_passages(document: Document) -> list[Passage]:
         return []
     if document.paragraph_spans:
         return [
-            Passage(document.doc_id, (a, b), text[a:b]) for a, b in document.paragraph_spans
+            Passage(document.doc_id, span, text[span[0]:span[1]])
+            for span in document.paragraph_spans
         ]
     sentences = split_sentences(text)
     if not sentences:
@@ -126,6 +134,53 @@ def segment_passages(document: Document) -> list[Passage]:
     return passages
 
 
+class PassageFeatures:
+    """What a passage text yields whatever the query: its terms, interned,
+    computed when the features are made; its sentence spans and its words'
+    start and end offsets, each computed on its first read."""
+
+    __slots__ = ("text", "terms", "_sentences", "_starts", "_ends")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.terms: tuple[str, ...] = tuple(map(sys.intern, terms(text)))
+        self._sentences: list[tuple[int, int]] | None = None
+        self._starts: array | None = None
+        self._ends: array | None = None
+
+    @property
+    def sentences(self) -> list[tuple[int, int]]:
+        """split_sentences(text)."""
+        if self._sentences is None:
+            self._sentences = split_sentences(self.text)
+        return self._sentences
+
+    @property
+    def word_offsets(self) -> tuple[array, array]:
+        """The start and the end offset of each word, in word order; the
+        words are the matches of TOKEN_RE, one per term."""
+        if self._starts is None:
+            starts, ends = array("i"), array("i")
+            for m in TOKEN_RE.finditer(self.text):
+                a, b = m.span()
+                starts.append(a)
+                ends.append(b)
+            self._starts, self._ends = starts, ends
+        return self._starts, self._ends
+
+
+def passage_features(text: str, index: InvertedIndex | None) -> PassageFeatures:
+    """The features of `text`, memoized on `index` by the text, which is all
+    they depend on; without an index they are made afresh."""
+    if index is None:
+        return PassageFeatures(text)
+    memo = index.passage_features
+    features = memo.get(text)
+    if features is None:
+        features = memo[text] = PassageFeatures(text)
+    return features
+
+
 def score_passage(
     passage: Passage,
     query_terms: list[str],
@@ -136,15 +191,11 @@ def score_passage(
     share of query terms matched times `coverage_weight` (the stage-3
     setting, whose default `AnswerSettings` holds).
 
-    The passage's terms are memoized on the index, keyed by the text,
-    which is all they depend on.
+    The passage's terms are read from its memoized features.
     """
     if not query_terms:
         return 0.0
-    memo = index.passage_terms
-    words = memo.get(passage.text)
-    if words is None:
-        words = memo[passage.text] = tuple(map(sys.intern, terms(passage.text)))
+    words = passage_features(passage.text, index).terms
     # A query has a few terms, so counting each in the tuple beats a Counter.
     score = 0.0
     matched = 0

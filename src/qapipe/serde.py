@@ -101,11 +101,14 @@ def write_records(path, magic: str, version: int, lines: Iterable[str]) -> None:
     atomic_write(path, chunks())
 
 
-def read_records(path, magic: str, version: int, error: type[QAError]) -> list[str]:
+def read_records(
+    path, magic: str, version: int, error: type[QAError], rewrite: str
+) -> list[str]:
     """The records of a file written by write_records under `magic` and `version`.
 
     A wrong magic, a digest that does not match, or bytes that are not
-    UTF-8 raise `error`; any other version raises VersionMismatch.
+    UTF-8 raise `error`; any other version raises VersionMismatch, whose
+    message names `rewrite`, the command that writes the file again.
     """
     raw = Path(path).read_bytes()
     header = raw.partition(b"\n")[0].split(b" ")
@@ -113,7 +116,10 @@ def read_records(path, magic: str, version: int, error: type[QAError]) -> list[s
         raise error(f"{path}: bad magic {header[0][:16]!r}, expected {magic}")
     if header[1:] != [str(version).encode("ascii")]:
         found = b" ".join(header[1:]).decode("utf-8", "replace")
-        raise VersionMismatch(f"{path}: {magic} version {found!r}, expected {version}")
+        raise VersionMismatch(
+            f"{path}: {magic} version {found!r}, expected {version}; "
+            f"run '{rewrite}' to rewrite it"
+        )
     cut = raw.rfind(b"\nsha256\t") + 1
     if not cut or raw[cut:] != _digest_line(hashlib.sha256(raw[:cut])):
         raise error(f"{path}: digest mismatch: the file is damaged or truncated")

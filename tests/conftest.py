@@ -64,6 +64,14 @@ def rewrite_as_index_version_2(path: Path) -> None:
     path.write_bytes(framed(b"\n".join(lines) + b"\n"))
 
 
+def with_version(path: Path, version: int) -> None:
+    """Give a stage file another header version and re-digest it, so the
+    version is all that keeps it from loading."""
+    lines = path.read_bytes().split(b"\n")[:-2]  # without the digest line
+    lines[0] = lines[0].split(b" ")[0] + b" %d" % version
+    path.write_bytes(framed(b"\n".join(lines) + b"\n"))
+
+
 def random_docs(n_docs: int, seed: int, vocab_size: int = 60) -> dict[str, str]:
     """Random filler documents for the counting and ranking oracles."""
     rng = random.Random(seed)

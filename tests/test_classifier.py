@@ -16,7 +16,9 @@ from qapipe.classifier import (
 )
 from qapipe.errors import UsageError
 
-from conftest import framed
+from qapipe.serde import VersionMismatch
+
+from conftest import framed, with_version
 
 
 def test_feature_extraction_short_question():
@@ -141,6 +143,17 @@ def test_model_round_trip(tmp_path):
     assert loaded == model
     assert loaded.class_priors == model.class_priors
     assert loaded.term_log_likelihoods == model.term_log_likelihoods
+
+
+def test_model_version_mismatch_names_train_classifier(tmp_path):
+    path = tmp_path / "model.nb"
+    write_model(train_classifier(DISJOINT), path)
+    with_version(path, 1)
+    with pytest.raises(VersionMismatch) as exc:
+        load_model(path)
+    assert str(exc.value) == (
+        f"{path}: QANUSNB1 version '1', expected 2; run 'qapipe train-classifier' to rewrite it"
+    )
 
 
 def test_model_bad_magic(tmp_path):

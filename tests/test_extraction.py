@@ -14,7 +14,9 @@ from qapipe.questions import QuestionAnalysis
 from qapipe.retrieval import Passage, segment_passages
 from qapipe.taxonomy import AnswerType
 
-from conftest import framed
+from qapipe.serde import VersionMismatch
+
+from conftest import framed, with_version
 
 
 def passage_of(text, doc_id="d1", score=0.0):
@@ -239,7 +241,7 @@ def test_answer_question_tokenizes_only_kept_passages(monkeypatch):
     for the passages kept."""
     import importlib
 
-    from qapipe import extraction
+    from qapipe import retrieval
     from qapipe.extraction import AnswerSettings
 
     idx = guild_hall_index()
@@ -256,11 +258,11 @@ def test_answer_question_tokenizes_only_kept_passages(monkeypatch):
     offsets_built: list[str] = []
 
     class CountingPattern:
-        def finditer(self, text, real=extraction.TOKEN_RE):
+        def finditer(self, text, real=retrieval.TOKEN_RE):
             offsets_built.append(text)
             return real.finditer(text)
 
-    monkeypatch.setattr(extraction, "TOKEN_RE", CountingPattern())
+    monkeypatch.setattr(retrieval, "TOKEN_RE", CountingPattern())
     settings = AnswerSettings(max_passages=5)
     analysis = analysis_for(["amber", "guild"], AnswerType("HUM", "ind"))
     record = answer_question(idx, analysis, settings)
@@ -314,6 +316,17 @@ def test_nil_iff_no_supporting_doc():
     ]:
         record = answer_question(idx, analysis_for(terms, at))
         assert (record.answer is None) == (record.supporting_doc is None)
+
+
+def test_answers_version_mismatch_names_qapipe_answer(tmp_path):
+    path = tmp_path / "answers.txt"
+    write_answers([AnswerRecord("q1", "Elena Castwright", "D1", 7.25)], path)
+    with_version(path, 2)
+    with pytest.raises(VersionMismatch) as exc:
+        load_answers(path)
+    assert str(exc.value) == (
+        f"{path}: QANUSANS version '2', expected 1; run 'qapipe answer' to rewrite it"
+    )
 
 
 def test_answers_artifact_round_trip(tmp_path):

@@ -15,7 +15,9 @@ from qapipe.index import (
 from qapipe.retrieval import retrieve_documents
 from qapipe.serde import VersionMismatch
 
-from conftest import framed, make_record_corpus, random_docs, rewrite_as_index_version_2
+from conftest import (
+    framed, make_record_corpus, random_docs, rewrite_as_index_version_2, with_version,
+)
 
 
 LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -122,6 +124,17 @@ def test_version_2_index_is_refused(tmp_path):
     assert b"doc\ta\t2\t\\N\t-\tapple pie\n" in path.read_bytes()
     with pytest.raises(VersionMismatch, match="QANUSIDX version '2', expected 3"):
         load_index(path)
+
+
+def test_version_mismatch_names_qapipe_index(tmp_path):
+    path = tmp_path / "idx.qix"
+    write_index(build_index([doc("a", "apple pie")]), path)
+    with_version(path, 4)
+    with pytest.raises(VersionMismatch) as exc:
+        load_index(path)
+    assert str(exc.value) == (
+        f"{path}: QANUSIDX version '4', expected 3; run 'qapipe index' to rewrite it"
+    )
 
 
 def test_truncated_file_rejected(tmp_path):

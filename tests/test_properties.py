@@ -1,7 +1,7 @@
 """Property tests for the field codec, the record writer, the index file
-format, tokenization and its ASCII path, query terms, passage scoring and its memo, BM25 retrieval, candidate word
-spans and proximity, candidate ranking, the stage-file round trips, the stage-file loaders
-and the parsers of the files a user writes."""
+format, tokenization and its ASCII path, query terms, passage scoring and its memo, BM25 retrieval
+and its ties, answers on a warm index, candidate word spans and proximity, candidate ranking, the
+stage-file round trips, the stage-file loaders and the parsers of the files a user writes."""
 
 import dataclasses
 import math
@@ -192,7 +192,7 @@ def test_write_records_writes_the_framed_records(tmp_path_factory, magic, versio
     write_records(path, magic, version, iter(lines))
     header = f"{magic} {version}\n"
     assert path.read_bytes() == framed(header + "".join(line + "\n" for line in lines))
-    assert read_records(path, magic, version, QAError) == lines
+    assert read_records(path, magic, version, QAError, "qapipe index") == lines
 
 
 @given(st.lists(st.sampled_from(UNICODE_WORDS + [" ", ".", "_"]) | st.characters()).map("".join))
@@ -325,6 +325,86 @@ def test_loaded_index_retrieves_and_answers_as_the_built_one(tmp_path_factory, d
         assert retrieve_documents(loaded, query, k) == reference_retrieve(built, query, k)
         assert answer_question(loaded, analysis_of(query)) == answer_question(
             built, analysis_of(query)
+        )
+
+
+@st.composite
+def tied_corpora(draw):
+    """A corpus in which one text is stored under several doc ids, a query
+    holding some of its words, and a k smaller than that group of equal scores."""
+    docs = draw(corpora)
+    text = draw(words_text.filter(lambda t: terms(t)))
+    ids = draw(st.lists(st.from_regex(r"t[0-9]{1,2}", fullmatch=True), min_size=2, max_size=5,
+                        unique=True))
+    docs.update(dict.fromkeys(ids, text))
+    query = draw(st.lists(st.sampled_from(terms(text)), min_size=1, max_size=3)) + draw(queries)
+    return docs, query, draw(st.integers(1, len(ids) - 1))
+
+
+# Three copies of one text; k = 2 keeps two of the three equal scores.
+@example(({"t1": "amber mill", "t3": "amber mill", "t2": "amber mill"}, ["amber"], 2))
+# Equal scores from different terms: "b" is scored before "a" but ranks after it.
+@example(({"b": "amber", "a": "mill"}, ["amber", "mill"], 1))
+@given(tied_corpora())
+def test_retrieval_breaks_score_ties_by_doc_id(tied):
+    docs, query, k = tied
+    index = build_index(Document(d, t, ()) for d, t in docs.items())
+    assert retrieve_documents(index, query, k) == reference_retrieve(index, query, k)
+
+
+# Words of one length, so passages of different documents share char spans
+# but not texts; capitalized words after a full stop start new sentences.
+FOUR = ["Voss", "Kent", "Lund", "Hale", "Orme", "mill", "barn", "dock", "sold", "kept", "wall",
+        "1921", "1887", "1066"]
+sentence = st.lists(st.sampled_from(FOUR), min_size=1, max_size=3).map(" ".join).map(
+    lambda s: s + ".")
+paragraph = st.lists(sentence, min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def mixed_corpus(draw):
+    """Documents with paragraph spans and documents of sentence windows."""
+    docs = []
+    for i in range(draw(st.integers(1, 4))):
+        paragraphs = draw(st.lists(paragraph, min_size=1, max_size=2))
+        text = "\n\n".join(paragraphs)
+        spans = ()
+        if draw(st.booleans()):
+            starts = [sum(len(p) + 2 for p in paragraphs[:j]) for j in range(len(paragraphs))]
+            spans = tuple((a, a + len(p)) for a, p in zip(starts, paragraphs))
+        docs.append(Document(f"d{i}", text, spans))
+    return docs
+
+
+memo_types = st.sampled_from([
+    AnswerType("DESC", None), AnswerType("HUM", "ind"), AnswerType("NUM", "date"),
+    AnswerType("NUM", "count"),
+])
+memo_analyses = st.builds(
+    analysis_of, st.lists(st.sampled_from([w.lower() for w in FOUR]), min_size=1, max_size=2),
+    memo_types,
+)
+
+
+# Two documents whose passages share a span but not a text: a memo keyed by
+# the span would score the second question's passage with the first's terms.
+@example(
+    [Document("d0", "Voss mill.", ((0, 10),)), Document("d1", "Kent barn.", ((0, 10),))],
+    [analysis_of([word], AnswerType("DESC", None)) for word in ("voss", "kent")],
+    AnswerSettings(),
+)
+@settings(max_examples=200)
+@given(mixed_corpus(), st.lists(memo_analyses, min_size=1, max_size=4).flatmap(
+           lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8)),
+       st.builds(AnswerSettings, k=st.integers(1, 5), max_passages=st.integers(1, 4)))
+def test_answers_on_a_warm_index_equal_answers_on_a_fresh_one(docs, asked, answer_settings):
+    """Each question, answered after any others on one index, gets the record
+    a fresh index of the same documents gives it alone, floats included. The
+    drawn questions are asked in order, then in reverse."""
+    warm = build_index(docs)
+    for analysis in asked + asked[::-1]:
+        assert answer_question(warm, analysis, answer_settings) == answer_question(
+            build_index(docs), analysis, answer_settings
         )
 
 

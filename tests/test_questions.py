@@ -14,9 +14,9 @@ from qapipe.questions import (
     rule_fallback,
     write_analyses,
 )
-from qapipe.serde import read_records
+from qapipe.serde import VersionMismatch, read_records
 
-from conftest import framed
+from conftest import framed, with_version
 
 
 def test_qline_three_questions(tmp_path):
@@ -76,6 +76,18 @@ def test_trec_xml_missing_id_rejected(tmp_path):
     qs = parse_questions(path, "trec-xml", rejects)
     assert [q.qid for q in qs] == ["1.1"]
     assert len(rejects) == 1
+
+
+def test_analyses_version_mismatch_names_process_questions(tmp_path, tiny_model):
+    path = tmp_path / "analysis.txt"
+    write_analyses([analyze(Question("q1", "Who built the mill?"), tiny_model)], path)
+    with_version(path, 2)
+    with pytest.raises(VersionMismatch) as exc:
+        load_analyses(path)
+    assert str(exc.value) == (
+        f"{path}: QANUSQAN version '2', expected 1; "
+        "run 'qapipe process-questions' to rewrite it"
+    )
 
 
 @pytest.mark.parametrize(
@@ -239,7 +251,7 @@ def test_planted_fixture_analyses_match_frozen_golden(tmp_path):
     qs = parse_questions(paths["questions"], "qline")
     out = tmp_path / "analysis.txt"
     write_analyses([analyze(q, model) for q in qs], out)
-    records = read_records(out, MAGIC, VERSION, QAError)
+    records = read_records(out, MAGIC, VERSION, QAError, "qapipe process-questions")
     assert "".join(line + "\n" for line in records) == PLANTED_GOLDEN_ANALYSES
 
 

@@ -1,4 +1,4 @@
-"""Time each stage of a fixture, and the index stage's layers in process.
+"""Time each stage of a fixture, and the index and answer stages' layers in process.
 
     python tools/stage_profile.py FIXTURE_DIR [SRC] [--runs N]
 
@@ -15,8 +15,15 @@ prints each one's wall time and the peak RSS that `os.wait4` reports
 for it. The stages write their artifacts into FIXTURE_DIR as
 `run-all` does. In process, it times the index stage's layers: corpus
 parse, `terms` over every document, `build_index`, `write_index` (to a
-temporary directory) and `load_index`. Each figure is the median of N
-runs (default 3).
+temporary directory) and `load_index`. Then it answers the fixture's
+analyses (the `process-questions` stage's `analysis.txt`) twice on one
+freshly loaded index, cold and then warm, and prints the ms per
+question of `answer_question` and of its layers: retrieve, segment,
+score, extract and rank, each its self time (the DESC extraction scores
+sentences, which counts as score), and the rest of `answer_question` as
+"other". Each layer is timed by a wrapper on the name `answer_question`
+calls, which adds two clock reads per call. Each figure is the median
+of N runs (default 3).
 """
 
 import argparse
@@ -29,6 +36,9 @@ from pathlib import Path
 from statistics import median
 
 STAGES = ("index", "process-questions", "answer", "evaluate")
+ANSWER_LAYERS = {"retrieve": "retrieve_documents", "segment": "segment_passages",
+                 "score": "score_passage", "extract": "extract_candidates",
+                 "rank": "rank_candidates"}
 
 
 def run_pinned(argv, cwd, env) -> tuple[float, float]:
@@ -57,6 +67,50 @@ def timed(fn, runs: int):
     return median(times), result
 
 
+def time_layers(module, totals: dict[str, float]) -> None:
+    """Wrap each ANSWER_LAYERS function of `module` to add its self time,
+    its time less that of the wrapped calls it makes, to totals[layer]."""
+    open_calls: list[float] = []  # per open call, the time of the calls it made
+
+    def wrap(layer, fn):
+        def timed_call(*args, **kwargs):
+            open_calls.append(0.0)
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elapsed = time.perf_counter() - t0
+                totals[layer] += elapsed - open_calls.pop()
+                if open_calls:
+                    open_calls[-1] += elapsed
+        return timed_call
+
+    for layer, name in ANSWER_LAYERS.items():
+        setattr(module, name, wrap(layer, getattr(module, name)))
+
+
+def answer_passes(extraction, index, analyses, settings) -> list[dict[str, float]]:
+    """ms per question of each layer, of the rest ("other") and of
+    answer_question, over a cold and then a warm pass on `index`."""
+    totals = dict.fromkeys(ANSWER_LAYERS, 0.0)
+    originals = {name: getattr(extraction, name) for name in ANSWER_LAYERS.values()}
+    time_layers(extraction, totals)
+    passes = []
+    try:
+        for _ in ("cold", "warm"):
+            totals.update(dict.fromkeys(ANSWER_LAYERS, 0.0))
+            t0 = time.perf_counter()
+            for analysis in analyses:
+                extraction.answer_question(index, analysis, settings)
+            wall = time.perf_counter() - t0
+            seconds = {**totals, "other": wall - sum(totals.values()), "answer_question": wall}
+            passes.append({k: v * 1000 / len(analyses) for k, v in seconds.items()})
+    finally:
+        for name, fn in originals.items():
+            setattr(extraction, name, fn)
+    return passes
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("fixture", type=Path)
@@ -70,10 +124,12 @@ def main(argv=None) -> int:
     if not (src / "qapipe" / "cli.py").is_file():
         parser.error(f"{src} holds no qapipe package")
     sys.path.insert(0, str(src))
+    from qapipe import extraction
     from qapipe.config import load_config
     from qapipe.corpus import parse_corpus
+    from qapipe.extraction import AnswerSettings
     from qapipe.index import build_index, load_index, write_index
-    from qapipe.questions import parse_questions
+    from qapipe.questions import load_analyses, parse_questions
     from qapipe.text import terms
 
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
@@ -104,6 +160,15 @@ def main(argv=None) -> int:
                           ("build_index", build_s), ("write_index", write_s),
                           ("load_index", load_s)]:
         print(f"{name:24s} {seconds * 1000:8.1f}")
+
+    analyses = load_analyses(config.param("questions.analysis_out"))
+    settings = AnswerSettings.from_config(config)
+    runs = [answer_passes(extraction, load_index(config.index_path), analyses, settings)
+            for _ in range(args.runs)]
+    print(f"\n{f'answer, ms per question ({len(analyses)})':32s} {'cold':>8s} {'warm':>8s}")
+    for name in runs[0][0]:
+        cold, warm = (median(run[i][name] for run in runs) for i in (0, 1))
+        print(f"{name:32s} {cold:8.3f} {warm:8.3f}")
     return 0
 
 
