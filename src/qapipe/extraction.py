@@ -24,9 +24,13 @@ passage's terms with `tuple.index`; no positional tokens are built.
 
 What answering reads that does not depend on the question is memoized
 on the index (see `retrieval`): each retrieved document's passages and
-each passage text's features. Per question, answering retrieves and
-scores passages, matches the answer patterns in the kept ones, and
-scores and orders the candidates.
+each passage text's features. A kept passage's features also hold its
+extraction hits by pattern group, found on the first extraction that
+reads the group: the pattern matches of each NUM group and of ABBR:abb,
+and the capitalized runs, trimmed, each with its content words.
+Per question, answering retrieves and scores passages, keeps the top
+ones, drops the capitalized runs that only echo the query or picks
+DESC's best sentence, and scores and orders the candidates.
 
 `AnswerSettings` holds every stage-3 setting and its default. The
 `answer` stage and the `ask` command both build it with
@@ -36,6 +40,7 @@ scores and orders the candidates.
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import QAError
 from .index import InvertedIndex
@@ -149,6 +154,16 @@ _CAP_RUN_PATTERN = re.compile(
     rf"{_CAP_WORD}(?:\s+(?:(?:{'|'.join(_CONNECTORS)})\s+)?{_CAP_WORD})*"
 )
 
+# The pattern groups by name; a passage's hits are memoized by this name.
+_PATTERN_GROUPS = {
+    "date": _DATE_PATTERNS,
+    "money": _MONEY_PATTERNS,
+    "perc": (_PERCENT_PATTERN,),
+    "number": (_GENERIC_NUMBER_PATTERN,),
+    "abb": (_ABBREV_PATTERN,),
+}
+_RUNS = "runs"  # the memo key of the capitalized runs
+
 
 def _collect_matches(text: str, patterns) -> list[tuple[int, str]]:
     """Matches in priority order; later patterns may not overlap earlier hits."""
@@ -172,10 +187,12 @@ def _drop_first_word(start: int, run: str, words: list[str]) -> tuple[int, str, 
     return start + cut, run[cut:], words[1:]
 
 
-def _capitalized_runs(text: str, sentences, query_terms) -> list[tuple[int, str]]:
+def _capitalized_runs(text: str, sentences) -> list[tuple[int, str, tuple[str, ...]]]:
+    """(start, run, content words) of each capitalized run that is not a lone
+    sentence-initial word. The content words are the run's words that are
+    neither connectors nor stopwords, lowered; a run without one is dropped."""
     sentence_starts = {a for a, _ in sentences}
-    query = {t.lower() for t in query_terms}
-    out: list[tuple[int, str]] = []
+    out: list[tuple[int, str, tuple[str, ...]]] = []
     for m in _CAP_RUN_PATTERN.finditer(text):
         start, run = m.start(), m.group(0)
         words = run.split()
@@ -188,11 +205,29 @@ def _capitalized_runs(text: str, sentences, query_terms) -> list[tuple[int, str]
                 continue
         if len(words) == 1 and start in sentence_starts:
             continue
-        content = [w.lower() for w in words if w.lower() not in _CONNECTORS]
-        if all(w in STOPWORDS or w in query for w in content):
-            continue
-        out.append((start, run))
+        lowered = (w.lower() for w in words)
+        content = tuple(w for w in lowered if w not in _CONNECTORS and w not in STOPWORDS)
+        if content:
+            out.append((start, run, content))
     return out
+
+
+def _query_free_hits(text: str, group: str, index: InvertedIndex | None) -> list:
+    """The hits of `group` in `text`: the matches of a _PATTERN_GROUPS group,
+    or the _capitalized_runs for _RUNS. They depend on the text alone, so
+    they are memoized on its features under the group's name."""
+    features = passage_features(text, index)
+    memo = features.hits
+    if memo is None:
+        memo = features.hits = {}
+    hits = memo.get(group)
+    if hits is None:
+        if group == _RUNS:
+            hits = _capitalized_runs(text, features.sentences)
+        else:
+            hits = _collect_matches(text, _PATTERN_GROUPS[group])
+        memo[group] = hits
+    return hits
 
 
 def _best_sentence(
@@ -217,22 +252,26 @@ def extract_candidates(
     settings: AnswerSettings = AnswerSettings(),
     passage_index: int = 0,
 ) -> list[CandidateAnswer]:
-    """Type-conditioned extraction; offsets are document-level."""
+    """Type-conditioned extraction; offsets are document-level.
+
+    The query-independent hits are memoized on the passage's features
+    when `index` is given (see `_query_free_hits`); per call, only the
+    query-echo filter of capitalized runs and DESC's best sentence run.
+    """
     coarse, fine = answer_type.coarse, answer_type.fine
     text = passage.text
     if coarse == "NUM":
-        if fine == "date":
-            hits = _collect_matches(text, _DATE_PATTERNS)
-        elif fine == "money":
-            hits = _collect_matches(text, _MONEY_PATTERNS)
-        elif fine == "perc":
-            hits = _collect_matches(text, (_PERCENT_PATTERN,))
-        else:
-            hits = _collect_matches(text, (_GENERIC_NUMBER_PATTERN,))
+        group = fine if fine in ("date", "money", "perc") else "number"
+        hits = _query_free_hits(text, group, index)
     elif coarse == "ABBR" and fine == "abb":
-        hits = _collect_matches(text, (_ABBREV_PATTERN,))
+        hits = _query_free_hits(text, "abb", index)
     elif coarse in ("HUM", "LOC", "ENTY", "ABBR"):
-        hits = _capitalized_runs(text, passage_features(text, index).sentences, query_terms)
+        query = {t.lower() for t in query_terms}
+        hits = [
+            (start, run)
+            for start, run, content in _query_free_hits(text, _RUNS, index)
+            if not all(w in query for w in content)
+        ]
     else:  # DESC, the one coarse class left
         best = None
         if index is not None:
@@ -362,6 +401,7 @@ def answer_question(
         return nil
 
     memo = index.doc_passages
+    # (-score, doc rank, start, passage): the best passages are the smallest.
     scored_passages: list[tuple[float, int, int, Passage]] = []
     for doc_rank, scored_doc in enumerate(docs):
         passages = memo.get(scored_doc.doc_id)
@@ -370,10 +410,10 @@ def answer_question(
             passages = memo[scored_doc.doc_id] = segment_passages(document)
         for passage in passages:
             s = score_passage(passage, analysis.query_terms, index, settings.coverage_weight)
-            scored_passages.append((s, doc_rank, passage.char_span[0], passage))
-    scored_passages.sort(key=lambda item: (-item[0], item[1], item[2]))
+            scored_passages.append((-s, doc_rank, passage.char_span[0], passage))
+    scored_passages.sort(key=itemgetter(0, 1, 2))
     top = scored_passages[: settings.max_passages]
-    kept = [Passage(p.doc_id, p.char_span, p.text, s) for s, _, _, p in top]
+    kept = [Passage(p.doc_id, p.char_span, p.text, -neg) for neg, _, _, p in top]
 
     candidates: list[CandidateAnswer] = []
     for i, passage in enumerate(kept):

@@ -29,9 +29,10 @@ position is its ordinal, and writing streams each line to the file,
 copying the cells; the whole file is never held in memory.
 `postings(term)` decodes a term's cells into (doc_id, tf) pairs on each
 call. Answering memoizes on the index what it reads that does not
-depend on the question: each term's BM25 impacts, each retrieved
-document's passages and each passage text's features. No memo is
-written to the file.
+depend on the question: each term's BM25 impacts (its doc ids and
+their impacts, as two parallel lists), each retrieved document's
+passages, and each passage text's features, which hold the extraction
+hits of each kept passage. No memo is written to the file.
 """
 
 import math
@@ -74,12 +75,14 @@ class InvertedIndex:
     cells: dict[str, str]    # term -> its `ord:tf` cells, tab-joined as in the file
     doc_lengths: dict[str, int]
     stored_docs: dict[str, Document]
-    # term -> [(doc_id, BM25 impact)], filled by retrieval on a term's first use.
-    bm25_impacts: dict[str, list[tuple[str, float]]] = field(
+    # term -> ([doc_id], [BM25 impact]), two parallel lists in posting order,
+    # filled by retrieval on a term's first use.
+    bm25_impacts: dict[str, tuple[list[str], list[float]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     # passage text -> its retrieval.PassageFeatures (terms, sentence spans,
-    # word offsets), filled by passage scoring, extraction and ranking.
+    # word offsets, extraction hits by pattern group), filled by passage
+    # scoring, extraction and ranking.
     passage_features: dict[str, object] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

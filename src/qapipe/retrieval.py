@@ -9,11 +9,14 @@ otherwise sentences are split on ./?/! followed by whitespace and an
 uppercase letter, and windowed 3 at a time with stride 2.
 
 What answering reads that does not depend on the question is memoized
-on the index for its lifetime: each term's BM25 impacts, each retrieved
-document's passages (by doc id, filled by extraction) and each passage
-text's `PassageFeatures` (by text). Per question, only query-dependent
-work is left: summing impacts and taking the top k, and counting the
-query terms in each passage's terms.
+on the index for its lifetime: each term's BM25 impacts, as parallel
+lists of doc ids and impacts; each retrieved document's passages (by
+doc id, filled by extraction); and each passage text's
+`PassageFeatures` (by text), which also hold the extraction hits that
+no query changes. Per question, only query-dependent work is left:
+summing impacts and taking the top k, which sorts only the scores at or
+above the k-th largest, and counting the query terms in each passage's
+terms.
 """
 
 import math
@@ -48,16 +51,20 @@ class Passage:
     passage_score: float = 0.0
 
 
-def _term_impacts(index: InvertedIndex, term: str) -> list[tuple[str, float]]:
-    """(doc_id, BM25 impact) per posting of `term`, in posting order."""
+def _term_impacts(index: InvertedIndex, term: str) -> tuple[list[str], list[float]]:
+    """The doc ids of `term`'s postings and their BM25 impacts, as two
+    parallel lists in posting order."""
+    postings = index.postings(term)
     avg = index.avg_doc_length
     idf = index.idf(term)
-    impacts = []
-    for doc_id, tf in index.postings(term):
-        dl = index.doc_lengths[doc_id]
-        denom = tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avg)
-        impacts.append((doc_id, idf * tf * (BM25_K1 + 1.0) / denom))
-    return impacts
+    lengths = index.doc_lengths
+    k1, b = BM25_K1, BM25_B
+    doc_ids = [doc_id for doc_id, _ in postings]
+    impacts = [
+        idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * lengths[doc_id] / avg))
+        for doc_id, tf in postings
+    ]
+    return doc_ids, impacts
 
 
 def retrieve_documents(
@@ -66,7 +73,8 @@ def retrieve_documents(
     """Top-k BM25; ties break by doc_id ascending. Empty query -> [].
 
     A term's impacts are computed on its first use and memoized on the
-    index; a document's score adds them in query-term order.
+    index; a document's score adds them in query-term order. Only the
+    scores at or above the k-th largest are ordered.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -74,13 +82,18 @@ def retrieve_documents(
         return []
     memo = index.bm25_impacts
     scores: dict[str, float] = {}
+    get = scores.get
     for term in query_terms:
         impacts = memo.get(term)
         if impacts is None:
             impacts = memo[term] = _term_impacts(index, term)
-        for doc_id, impact in impacts:
-            scores[doc_id] = scores.get(doc_id, 0.0) + impact
-    ranked = sorted(scores.items())
+        for doc_id, impact in zip(*impacts):
+            scores[doc_id] = get(doc_id, 0.0) + impact
+    items = scores.items()
+    if len(scores) > k:
+        kth = sorted(scores.values(), reverse=True)[k - 1]
+        items = [(doc_id, score) for doc_id, score in items if score >= kth]
+    ranked = sorted(items)
     ranked.sort(key=itemgetter(1), reverse=True)  # stable: equal scores keep doc id order
     return [ScoredDocument(doc_id, score) for doc_id, score in ranked[:k]]
 
@@ -137,13 +150,16 @@ def segment_passages(document: Document) -> list[Passage]:
 class PassageFeatures:
     """What a passage text yields whatever the query: its terms, interned,
     computed when the features are made; its sentence spans and its words'
-    start and end offsets, each computed on its first read."""
+    start and end offsets, each computed on its first read; and `hits`,
+    None until extraction first reads the passage, then extraction's
+    query-independent hits by pattern group."""
 
-    __slots__ = ("text", "terms", "_sentences", "_starts", "_ends")
+    __slots__ = ("text", "terms", "hits", "_sentences", "_starts", "_ends")
 
     def __init__(self, text: str):
         self.text = text
         self.terms: tuple[str, ...] = tuple(map(sys.intern, terms(text)))
+        self.hits: dict[str, list] | None = None
         self._sentences: list[tuple[int, int]] | None = None
         self._starts: array | None = None
         self._ends: array | None = None

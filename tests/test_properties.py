@@ -1,7 +1,8 @@
 """Property tests for the field codec, the record writer, the index file
-format, tokenization and its ASCII path, query terms, passage scoring and its memo, BM25 retrieval
-and its ties, answers on a warm index, candidate word spans and proximity, candidate ranking, the
-stage-file round trips, the stage-file loaders and the parsers of the files a user writes."""
+format, tokenization and its ASCII path, query terms, passage scoring and its memo, BM25
+retrieval and its ties, answers and extraction on a warm index, candidate word spans and
+proximity, candidate ranking, the stage-file round trips, the stage-file loaders and the parsers
+of the files a user writes."""
 
 import dataclasses
 import math
@@ -352,10 +353,13 @@ def test_retrieval_breaks_score_ties_by_doc_id(tied):
     assert retrieve_documents(index, query, k) == reference_retrieve(index, query, k)
 
 
-# Words of one length, so passages of different documents share char spans
-# but not texts; capitalized words after a full stop start new sentences.
+# Words mostly of one length, so passages of different documents share char
+# spans but not texts; capitalized words after a full stop start new
+# sentences. The amount, the figure, the abbreviation, the sentence-initial
+# "The" and the connector "of" give every extraction branch hits.
 FOUR = ["Voss", "Kent", "Lund", "Hale", "Orme", "mill", "barn", "dock", "sold", "kept", "wall",
-        "1921", "1887", "1066"]
+        "1921", "1887", "1066", "$900", "125%", "NATO", "The", "of"]
+FOUR_TERMS = sorted(set(terms(" ".join(FOUR))))
 sentence = st.lists(st.sampled_from(FOUR), min_size=1, max_size=3).map(" ".join).map(
     lambda s: s + ".")
 paragraph = st.lists(sentence, min_size=1, max_size=3).map(" ".join)
@@ -376,13 +380,15 @@ def mixed_corpus(draw):
     return docs
 
 
+# Every extraction branch: each pattern group, the capitalized runs and DESC.
 memo_types = st.sampled_from([
     AnswerType("DESC", None), AnswerType("HUM", "ind"), AnswerType("NUM", "date"),
-    AnswerType("NUM", "count"),
+    AnswerType("NUM", "count"), AnswerType("NUM", "money"), AnswerType("NUM", "perc"),
+    AnswerType("ABBR", "abb"), AnswerType("ABBR", "exp"), AnswerType("LOC", "other"),
+    AnswerType("ENTY", None),
 ])
 memo_analyses = st.builds(
-    analysis_of, st.lists(st.sampled_from([w.lower() for w in FOUR]), min_size=1, max_size=2),
-    memo_types,
+    analysis_of, st.lists(st.sampled_from(FOUR_TERMS), min_size=1, max_size=2), memo_types,
 )
 
 
@@ -391,6 +397,17 @@ memo_analyses = st.builds(
 @example(
     [Document("d0", "Voss mill.", ((0, 10),)), Document("d1", "Kent barn.", ((0, 10),))],
     [analysis_of([word], AnswerType("DESC", None)) for word in ("voss", "kent")],
+    AnswerSettings(),
+)
+# Types of one coarse class with different hits: "$900" is money and holds
+# a count but no date, "125%" is a percentage, and "NATO" is an
+# abbreviation and, with "Kent", a capitalized run.
+@example(
+    [Document("d0", "Voss sold $900 to NATO Kent. Hale kept 125%.", ())],
+    [analysis_of(["sold"], answer_type) for answer_type in (
+        AnswerType("NUM", "date"), AnswerType("NUM", "count"), AnswerType("NUM", "money"),
+        AnswerType("NUM", "perc"), AnswerType("ABBR", "abb"), AnswerType("ABBR", "exp"),
+    )],
     AnswerSettings(),
 )
 @settings(max_examples=200)
@@ -406,6 +423,39 @@ def test_answers_on_a_warm_index_equal_answers_on_a_fresh_one(docs, asked, answe
         assert answer_question(warm, analysis, answer_settings) == answer_question(
             build_index(docs), analysis, answer_settings
         )
+
+
+@st.composite
+def warm_extractions(draw):
+    """A passage text, the (answer type, query) pairs extracted from it first,
+    and a last answer type and query. Queries draw from the text's own terms
+    too, so they echo its capitalized runs."""
+    text = draw(paragraph | st.lists(st.sampled_from(FOUR + [".", "\n"]), max_size=10)
+                .map(" ".join) | st.text(max_size=20))
+    query = st.lists(st.sampled_from(FOUR_TERMS + terms(text)), max_size=3)
+    earlier = draw(st.lists(st.tuples(memo_types, query), max_size=4))
+    last = draw(memo_types.filter(lambda t: t.coarse != "DESC"))
+    return text, earlier, last, draw(query)
+
+
+# The run "Voss of Kent" only echoes the first query, not the second.
+@example(("Hale sold. Voss of Kent kept NATO.", [(AnswerType("HUM", "ind"), ["voss", "kent"])],
+          AnswerType("HUM", "ind"), ["sold"]))
+@settings(max_examples=300)
+@given(warm_extractions())
+def test_extraction_on_a_warm_memo_equals_extraction_afresh(inputs):
+    """A passage yields the same candidates on an index that has already
+    extracted it under other answer types and queries as it does afresh,
+    without an index. DESC, whose best sentence needs an index, is only
+    extracted first; its answers are compared in the warm-index test above."""
+    text, earlier, answer_type, query = inputs
+    passage = Passage("d", (7, 7 + len(text)), text, 1.5)
+    warm = build_index([Document("d", text, ())])
+    for earlier_type, earlier_query in earlier:
+        extract_candidates(passage, earlier_type, earlier_query, index=warm)
+    assert extract_candidates(passage, answer_type, query, index=warm) == extract_candidates(
+        passage, answer_type, query
+    )
 
 
 def reference_token_span(tokens, rel_start, rel_end):

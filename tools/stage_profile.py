@@ -24,14 +24,24 @@ sentences, which counts as score), and the rest of `answer_question` as
 "other". Each layer is timed by a wrapper on the name `answer_question`
 calls, which adds two clock reads per call. Each figure is the median
 of N runs (default 3).
+
+Last, it answers the analyses cold and then warm once more, on another
+freshly loaded index with tracemalloc on, and prints each per-index
+memo's entries and the MB that clearing it frees, cleared in this
+order: the passages' extraction hits, the passage features, the
+documents' passages and the terms' BM25 impacts. A passage text that
+a document's passage also holds is freed, and counted, with the
+documents' passages.
 """
 
 import argparse
+import gc
 import os
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from statistics import median
 
@@ -111,6 +121,40 @@ def answer_passes(extraction, index, analyses, settings) -> list[dict[str, float
     return passes
 
 
+def memo_sizes(extraction, index, analyses, settings) -> list[tuple[str, int, float]]:
+    """(memo, entries, MB freed by clearing it) for each per-index memo after
+    a cold and a warm pass on `index`, measured with tracemalloc."""
+    tracemalloc.start()
+    try:
+        for _ in ("cold", "warm"):
+            for analysis in analyses:
+                extraction.answer_question(index, analysis, settings)
+        # getattr: a SRC from before the hits memo has no `hits` slot.
+        with_hits = sum(getattr(f, "hits", None) is not None
+                        for f in index.passage_features.values())
+
+        def clear(name, entries, clear_memo):
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            clear_memo()
+            gc.collect()
+            return name, entries, (before - tracemalloc.get_traced_memory()[0]) / 2**20
+
+        def drop_hits():
+            for features in index.passage_features.values():
+                if getattr(features, "hits", None) is not None:
+                    features.hits = None
+
+        return [
+            clear("passage hits", with_hits, drop_hits),
+            clear("passage features", len(index.passage_features), index.passage_features.clear),
+            clear("doc passages", len(index.doc_passages), index.doc_passages.clear),
+            clear("bm25 impacts", len(index.bm25_impacts), index.bm25_impacts.clear),
+        ]
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("fixture", type=Path)
@@ -169,6 +213,11 @@ def main(argv=None) -> int:
     for name in runs[0][0]:
         cold, warm = (median(run[i][name] for run in runs) for i in (0, 1))
         print(f"{name:32s} {cold:8.3f} {warm:8.3f}")
+
+    sizes = memo_sizes(extraction, load_index(config.index_path), analyses, settings)
+    print(f"\n{'memo after cold + warm':24s} {'entries':>8s} {'MB':>8s}")
+    for name, entries, mb in sizes:
+        print(f"{name:24s} {entries:8d} {mb:8.2f}")
     return 0
 
 
