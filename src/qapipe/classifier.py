@@ -22,11 +22,13 @@ deterministic ordering):
 
 Only integer counts and alpha are stored; log-probabilities are
 recomputed at load, so load(write(m)) reproduces the model exactly.
+
+`TrainingExample` and `ClassifierModel` are plain classes with slots; a
+model compares by its counts and alpha.
 """
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .errors import QAError, UsageError
 from .serde import read_records, read_text, write_records
@@ -50,13 +52,16 @@ class CorruptModel(QAError):
     pass
 
 
-@dataclass(frozen=True)
 class TrainingExample:
-    label: str  # COARSE or COARSE:fine, validated against the taxonomy
-    text: str
+    """A question and its label, COARSE or COARSE:fine, checked against the
+    taxonomy when built."""
 
-    def __post_init__(self):
-        parse_label(self.label)
+    __slots__ = ("label", "text")
+
+    def __init__(self, label: str, text: str):
+        parse_label(label)
+        self.label = label
+        self.text = text
 
 
 def extract_features(text: str) -> Counter:
@@ -73,42 +78,56 @@ def extract_features(text: str) -> Counter:
     return feats
 
 
-@dataclass
 class ClassifierModel:
-    alpha: float
-    label_space: str  # COARSE_ONLY or COARSE_FINE
-    example_counts: dict[str, int]
-    feature_counts: dict[str, dict[str, int]]
+    """The counts of a trained model and the tables derived from them. Two
+    models are equal when their counts and alpha are; the derived tables
+    are rebuilt identically from those."""
 
-    # Derived tables, rebuilt identically from the counts above.
-    vocabulary: frozenset[str] = field(init=False, compare=False, repr=False)
-    class_priors: dict[str, float] = field(init=False, compare=False, repr=False)
-    term_log_likelihoods: dict[str, dict[str, float]] = field(
-        init=False, compare=False, repr=False
+    __slots__ = (
+        "alpha", "label_space", "example_counts", "feature_counts",
+        "vocabulary", "class_priors", "term_log_likelihoods", "unseen_log_likelihood",
     )
-    unseen_log_likelihood: dict[str, float] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        alpha: float,
+        label_space: str,  # COARSE_ONLY or COARSE_FINE
+        example_counts: dict[str, int],
+        feature_counts: dict[str, dict[str, int]],
+    ):
+        self.alpha = alpha
+        self.label_space = label_space
+        self.example_counts = example_counts
+        self.feature_counts = feature_counts
         vocab: set[str] = set()
-        for counts in self.feature_counts.values():
+        for counts in feature_counts.values():
             vocab.update(counts)
         self.vocabulary = frozenset(vocab)
-        total_examples = sum(self.example_counts.values())
+        total_examples = sum(example_counts.values())
         self.class_priors = {
-            label: math.log(n / total_examples)
-            for label, n in self.example_counts.items()
+            label: math.log(n / total_examples) for label, n in example_counts.items()
         }
         # The +1 vocabulary slot reserves smoothed mass for unseen features,
         # keeping each class distribution normalized.
         v = len(self.vocabulary)
-        self.term_log_likelihoods = {}
-        self.unseen_log_likelihood = {}
-        for label, counts in self.feature_counts.items():
-            denom = sum(counts.values()) + self.alpha * (v + 1)
+        self.term_log_likelihoods: dict[str, dict[str, float]] = {}
+        self.unseen_log_likelihood: dict[str, float] = {}
+        for label, counts in feature_counts.items():
+            denom = sum(counts.values()) + alpha * (v + 1)
             self.term_log_likelihoods[label] = {
-                f: math.log((c + self.alpha) / denom) for f, c in sorted(counts.items())
+                f: math.log((c + alpha) / denom) for f, c in sorted(counts.items())
             }
-            self.unseen_log_likelihood[label] = math.log(self.alpha / denom)
+            self.unseen_log_likelihood[label] = math.log(alpha / denom)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.alpha == other.alpha
+            and self.label_space == other.label_space
+            and self.example_counts == other.example_counts
+            and self.feature_counts == other.feature_counts
+        )
 
     @property
     def labels(self) -> list[str]:

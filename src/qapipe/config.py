@@ -32,13 +32,17 @@ The retrieval.*, weights.* and extract.* keys are the stage-3 settings.
 Their defaults are those of `extraction.AnswerSettings`, which both the
 `answer` stage and the `ask` command build from the config, gazetteers
 included, so the two answer a question alike.
+
+`PipelineConfig` is a plain class with slots; to change a config, build
+it anew, which parses and checks the new values. `ConfigIssue` is a
+NamedTuple record.
 """
 
 import hashlib
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import CORPUS_FORMATS
 from .errors import UsageError
@@ -114,8 +118,7 @@ class ValidationFailed(UsageError):
         self.issues = issues
 
 
-@dataclass(frozen=True)
-class ConfigIssue:
+class ConfigIssue(NamedTuple):
     code: str
     detail: str
 
@@ -123,24 +126,36 @@ class ConfigIssue:
         return f"{self.code}: {self.detail}"
 
 
-@dataclass
 class PipelineConfig:
-    corpus_path: str
-    index_path: str
-    questions_path: str
-    answers_out_path: str
-    classifier_model_path: str | None = None
-    gold_path: str | None = None
-    report_out_path: str | None = None
-    stage_params: dict[str, object] = field(default_factory=dict)
+    """The paths of a run and its typed stage parameters.
 
-    def __post_init__(self):
-        """Parse `str(value)` of each given stage parameter, then fill defaults.
+    Building one parses `str(value)` of each given stage parameter, then
+    fills the defaults. A value of None leaves its key unset, as an empty
+    value in a file does.
+    """
 
-        A value of None leaves its key unset, as an empty value in a file does.
-        """
+    __slots__ = (*REQUIRED_PATH_KEYS, *OPTIONAL_PATH_KEYS, "stage_params")
+
+    def __init__(
+        self,
+        corpus_path: str,
+        index_path: str,
+        questions_path: str,
+        answers_out_path: str,
+        classifier_model_path: str | None = None,
+        gold_path: str | None = None,
+        report_out_path: str | None = None,
+        stage_params: dict[str, object] | None = None,
+    ):
+        self.corpus_path = corpus_path
+        self.index_path = index_path
+        self.questions_path = questions_path
+        self.answers_out_path = answers_out_path
+        self.classifier_model_path = classifier_model_path
+        self.gold_path = gold_path
+        self.report_out_path = report_out_path
         params = {}
-        for key, value in self.stage_params.items():
+        for key, value in (stage_params or {}).items():
             if key not in PARAM_SPECS:
                 raise UnknownKey(key)
             if value is None:
@@ -152,7 +167,7 @@ class PipelineConfig:
         for key, (_, default) in PARAM_SPECS.items():
             if default is not None:
                 params.setdefault(key, default)
-        analysis = Path(self.answers_out_path).parent / "analysis.txt"
+        analysis = Path(answers_out_path).parent / "analysis.txt"
         params.setdefault("questions.analysis_out", str(analysis))
         self.stage_params = params
 

@@ -4,7 +4,8 @@ trec-sgml:
     <DOC> blocks with a mandatory <DOCNO> and a <TEXT> body that may
     carry <P>...</P> paragraph markers. Paragraphs are joined with blank
     lines and their character spans recorded. Every other tag, such as
-    <HEADLINE>, is read past.
+    <HEADLINE>, is read past. An element runs from its open tag to the
+    first close tag after it, and the tags are found with `str.find`.
 
 record-lines:
     one record per line, tab-separated: doc_id <TAB> headline <TAB> text.
@@ -13,11 +14,13 @@ record-lines:
 Malformed records follow a skip-and-report policy: parsing continues and
 the bad record is appended to the caller's rejects list (pipeline stages
 persist these as a .rejects sidecar next to the index).
+
+`Document` and `MalformedRecord` are NamedTuple records: they compare
+and hash as tuples, and `_replace` copies one with fields changed.
 """
 
-import re
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import QAError
 from .serde import atomic_write_text, read_text
@@ -25,27 +28,19 @@ from .serde import atomic_write_text, read_text
 CORPUS_FORMATS = ("trec-sgml", "record-lines")
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     doc_id: str
     text: str
-    paragraph_spans: tuple[tuple[int, int], ...] = field(default=())
+    paragraph_spans: tuple[tuple[int, int], ...] = ()
 
 
-@dataclass(frozen=True)
-class MalformedRecord:
+class MalformedRecord(NamedTuple):
     location: str
     reason: str
 
 
 class UnknownCorpusFormat(QAError):
     pass
-
-
-_DOC_RE = re.compile(r"<DOC>(.*?)</DOC>", re.DOTALL)
-_DOCNO_RE = re.compile(r"<DOCNO>(.*?)</DOCNO>", re.DOTALL)
-_TEXT_RE = re.compile(r"<TEXT>(.*?)</TEXT>", re.DOTALL)
-_PARA_RE = re.compile(r"<P>(.*?)</P>", re.DOTALL)
 
 
 def parse_corpus(path, fmt: str, rejects: list[MalformedRecord] | None = None):
@@ -60,21 +55,42 @@ def parse_corpus(path, fmt: str, rejects: list[MalformedRecord] | None = None):
         yield from _parse_record_lines(raw, sink)
 
 
+def _elements(text: str, open_tag: str, close_tag: str):
+    """The text of each `open_tag`...`close_tag` element in order: each runs
+    to the first close tag after its open tag, and the next one starts past
+    it; an open tag that is never closed ends the scan."""
+    pos = 0
+    while (start := text.find(open_tag, pos)) >= 0:
+        start += len(open_tag)
+        end = text.find(close_tag, start)
+        if end < 0:
+            return
+        yield text[start:end]
+        pos = end + len(close_tag)
+
+
+def _first_element(text: str, open_tag: str, close_tag: str) -> str | None:
+    """The text of the first `open_tag`...`close_tag` element, or None."""
+    start = text.find(open_tag)
+    if start < 0:
+        return None
+    start += len(open_tag)
+    end = text.find(close_tag, start)
+    return None if end < 0 else text[start:end]
+
+
 def _parse_trec_sgml(raw: str, rejects: list[MalformedRecord]):
-    for block_no, m in enumerate(_DOC_RE.finditer(raw), start=1):
-        block = m.group(1)
+    for block_no, block in enumerate(_elements(raw, "<DOC>", "</DOC>"), start=1):
         where = f"doc block {block_no}"
-        docno = _DOCNO_RE.search(block)
-        doc_id = docno.group(1).strip() if docno else ""
+        doc_id = (_first_element(block, "<DOCNO>", "</DOCNO>") or "").strip()
         if not doc_id:
             rejects.append(MalformedRecord(where, "missing or empty DOCNO"))
             continue
-        text_m = _TEXT_RE.search(block)
-        if text_m is None:
+        body = _first_element(block, "<TEXT>", "</TEXT>")
+        if body is None:
             rejects.append(MalformedRecord(where, "missing TEXT"))
             continue
-        body = text_m.group(1)
-        paras = [p.group(1).strip() for p in _PARA_RE.finditer(body)]
+        paras = [p.strip() for p in _elements(body, "<P>", "</P>")]
         if paras:
             text_parts: list[str] = []
             spans: list[tuple[int, int]] = []

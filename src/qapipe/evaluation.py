@@ -7,10 +7,13 @@ string, case-insensitively. `load_gold` maps each qid to its patterns,
 and `judge` takes an answer and its qid's patterns. Accuracy is correct
 answers over the total number of gold questions; gold questions the
 system never answered count as wrong.
+
+`JudgedAnswer` is a NamedTuple record; `EvaluationReport` is a plain
+class with slots.
 """
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import QAError
 from .extraction import AnswerRecord
@@ -34,21 +37,34 @@ class EmptyTestSet(QAError):
     pass
 
 
-@dataclass(frozen=True)
-class JudgedAnswer:
+class JudgedAnswer(NamedTuple):
     qid: str
     given: str          # answer string, NIL, or "-" for never answered
     correct: bool
     matched_pattern: str | None = None
 
 
-@dataclass
 class EvaluationReport:
-    total_questions: int
-    correct_count: int
-    per_question: list[JudgedAnswer]
-    unanswered_qids: list[str]
-    ignored_answers: int = 0
+    """The judged gold questions, their counts and the answers no gold
+    question asked for."""
+
+    __slots__ = (
+        "total_questions", "correct_count", "per_question", "unanswered_qids", "ignored_answers",
+    )
+
+    def __init__(
+        self,
+        total_questions: int,
+        correct_count: int,
+        per_question: list[JudgedAnswer],
+        unanswered_qids: list[str],
+        ignored_answers: int,
+    ):
+        self.total_questions = total_questions
+        self.correct_count = correct_count
+        self.per_question = per_question
+        self.unanswered_qids = unanswered_qids
+        self.ignored_answers = ignored_answers
 
     @property
     def accuracy(self) -> float:

@@ -35,12 +35,16 @@ DESC's best sentence, and scores and orders the candidates.
 `AnswerSettings` holds every stage-3 setting and its default. The
 `answer` stage and the `ask` command both build it with
 `AnswerSettings.from_config`, so they answer alike for one config.
+
+`CandidateAnswer`, `AnswerRecord` and `AnswerSettings` are NamedTuple
+records: they compare and hash as tuples, and `_replace` copies one
+with fields changed.
 """
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import QAError
 from .index import InvertedIndex
@@ -61,8 +65,7 @@ MAGIC = "QANUSANS"  # the answers file, framed by serde's write_records
 VERSION = 1
 
 
-@dataclass
-class CandidateAnswer:
+class CandidateAnswer(NamedTuple):
     text: str
     doc_id: str
     char_offset: int          # offset of `text` in the source document
@@ -74,8 +77,7 @@ class CandidateAnswer:
     final_score: float = 0.0
 
 
-@dataclass(frozen=True)
-class AnswerRecord:
+class AnswerRecord(NamedTuple):
     qid: str
     answer: str | None        # None encodes NIL
     supporting_doc: str | None
@@ -92,8 +94,7 @@ def load_gazetteer(path) -> frozenset[str]:
     return frozenset(names)
 
 
-@dataclass(frozen=True)
-class AnswerSettings:
+class AnswerSettings(NamedTuple):
     """Stage-3 settings; the defaults here are the config defaults."""
 
     k: int = 50                      # documents to retrieve

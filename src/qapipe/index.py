@@ -33,14 +33,15 @@ depend on the question: each term's BM25 impacts (its doc ids and
 their impacts, as two parallel lists), each retrieved document's
 passages, and each passage text's features, which hold the extraction
 hits of each kept passage. No memo is written to the file.
+
+`InvertedIndex` is a plain class with slots, and `IndexStats` a
+NamedTuple record.
 """
 
 import math
 from collections import Counter
-from collections.abc import Iterator
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable
+from collections.abc import Iterable, Iterator
+from typing import NamedTuple
 
 from .corpus import Document
 from .errors import QAError
@@ -59,49 +60,60 @@ class CorruptIndex(QAError):
     pass
 
 
-@dataclass(frozen=True)
-class IndexStats:
+class IndexStats(NamedTuple):
     doc_count: int
     distinct_terms: int
     total_postings: int
     avg_doc_length: float
 
 
-@dataclass
 class InvertedIndex:
-    """An index is not modified once built or loaded: its statistics are memoized."""
+    """An index is not modified once built or loaded: its statistics are
+    computed once. Two indexes are equal when their doc ids, cells, doc
+    lengths and documents are; the memos are left out."""
 
-    doc_ids: list[str]       # doc id by ordinal, ascending
-    cells: dict[str, str]    # term -> its `ord:tf` cells, tab-joined as in the file
-    doc_lengths: dict[str, int]
-    stored_docs: dict[str, Document]
-    # term -> ([doc_id], [BM25 impact]), two parallel lists in posting order,
-    # filled by retrieval on a term's first use.
-    bm25_impacts: dict[str, tuple[list[str], list[float]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    __slots__ = (
+        "doc_ids", "cells", "doc_lengths", "stored_docs", "avg_doc_length",
+        "bm25_impacts", "passage_features", "doc_passages", "_idf",
     )
-    # passage text -> its retrieval.PassageFeatures (terms, sentence spans,
-    # word offsets, extraction hits by pattern group), filled by passage
-    # scoring, extraction and ranking.
-    passage_features: dict[str, object] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # doc id -> the document's passages (retrieval.segment_passages), filled
-    # by extraction for each retrieved document.
-    doc_passages: dict[str, list] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _idf: dict[str, float] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __init__(
+        self,
+        doc_ids: list[str],
+        cells: dict[str, str],
+        doc_lengths: dict[str, int],
+        stored_docs: dict[str, Document],
+    ):
+        self.doc_ids = doc_ids  # doc id by ordinal, ascending
+        self.cells = cells      # term -> its `ord:tf` cells, tab-joined as in the file
+        self.doc_lengths = doc_lengths
+        self.stored_docs = stored_docs
+        self.avg_doc_length = sum(doc_lengths.values()) / len(doc_lengths) if doc_lengths else 0.0
+        # term -> ([doc_id], [BM25 impact]), two parallel lists in posting
+        # order, filled by retrieval on a term's first use.
+        self.bm25_impacts: dict[str, tuple[list[str], list[float]]] = {}
+        # passage text -> its retrieval.PassageFeatures (terms, sentence
+        # spans, word offsets, extraction hits by pattern group), filled by
+        # passage scoring, extraction and ranking.
+        self.passage_features: dict[str, object] = {}
+        # doc id -> the document's passages (retrieval.segment_passages),
+        # filled by extraction for each retrieved document.
+        self.doc_passages: dict[str, list] = {}
+        self._idf: dict[str, float] = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.doc_ids == other.doc_ids
+            and self.cells == other.cells
+            and self.doc_lengths == other.doc_lengths
+            and self.stored_docs == other.stored_docs
+        )
 
     @property
     def doc_count(self) -> int:
         return len(self.doc_lengths)
-
-    @cached_property
-    def avg_doc_length(self) -> float:
-        if not self.doc_lengths:
-            return 0.0
-        return sum(self.doc_lengths.values()) / len(self.doc_lengths)
 
     def document_frequency(self, term: str) -> int:
         """Postings of `term`, counted from its cells without decoding them."""

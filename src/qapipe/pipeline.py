@@ -8,15 +8,17 @@ manifest. `StageKind`'s definition order is the pipeline order.
 Stages hand off through files at the paths named in the config, never
 through memory, so any subset of stages can run in its own process and
 produce byte-identical artifacts. Stage outputs carry no timestamps;
-wall-clock data lives only in the run manifest.
+wall-clock data lives only in the run manifest. `StageRun` is a
+NamedTuple record; `RunManifest` is a plain class with slots whose
+`stages_run` grows as the stages run.
 """
 
 import time
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import ConfigIssue, PipelineConfig, ValidationFailed
 from .errors import QAError, UsageError
@@ -96,8 +98,7 @@ def validate_config(
     return issues
 
 
-@dataclass(frozen=True)
-class StageRun:
+class StageRun(NamedTuple):
     stage: StageKind
     duration_s: float
     inputs: tuple[str, ...]
@@ -105,11 +106,15 @@ class StageRun:
     detail: str = ""
 
 
-@dataclass
 class RunManifest:
-    started_at: str
-    config_digest: str
-    stages_run: list[StageRun] = field(default_factory=list)
+    """When a run started, its config's digest, and each stage it ran."""
+
+    __slots__ = ("started_at", "config_digest", "stages_run")
+
+    def __init__(self, started_at: str, config_digest: str):
+        self.started_at = started_at
+        self.config_digest = config_digest
+        self.stages_run: list[StageRun] = []
 
 
 def run_pipeline(

@@ -13,10 +13,14 @@ Analysis turns a question into the retrieval stage's input: query terms
 (stopwords dropped, order-preserving dedup, target terms appended) and
 an expected answer type from the trained classifier, with a small rule
 table overriding low-confidence model output.
+
+`Question` is a NamedTuple record: questions compare and hash as tuples,
+and `_replace` copies one with fields changed. `QuestionAnalysis` is a
+plain class with slots that compares by its fields.
 """
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classifier import ClassifierModel, classify_question
 from .corpus import MalformedRecord
@@ -31,8 +35,7 @@ MAGIC = "QANUSQAN"  # the analyses file, framed by serde's write_records
 VERSION = 1
 
 
-@dataclass(frozen=True)
-class Question:
+class Question(NamedTuple):
     qid: str
     text: str
     target: str | None = None
@@ -46,13 +49,35 @@ class UnknownQuestionFormat(QAError):
     pass
 
 
-@dataclass
 class QuestionAnalysis:
-    qid: str
-    text: str
-    query_terms: list[str]
-    answer_type: AnswerType
-    classifier_source: str  # "model" | "rule" | "default"
+    """The stage-2 record of one question; analyses compare by every field."""
+
+    __slots__ = ("qid", "text", "query_terms", "answer_type", "classifier_source")
+
+    def __init__(
+        self,
+        qid: str,
+        text: str,
+        query_terms: list[str],
+        answer_type: AnswerType,
+        classifier_source: str,  # "model" | "rule" | "default"
+    ):
+        self.qid = qid
+        self.text = text
+        self.query_terms = query_terms
+        self.answer_type = answer_type
+        self.classifier_source = classifier_source
+
+    def _key(self) -> tuple:
+        return self.qid, self.text, self.query_terms, self.answer_type, self.classifier_source
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return "QuestionAnalysis({!r}, {!r}, {!r}, {!r}, {!r})".format(*self._key())
 
 
 _TARGET_RE = re.compile(r'<target\s+text="([^"]*)"\s*>(.*?)</target>', re.DOTALL)

@@ -17,14 +17,17 @@ no query changes. Per question, only query-dependent work is left:
 summing impacts and taking the top k, which sorts only the scores at or
 above the k-th largest, and counting the query terms in each passage's
 terms.
+
+`ScoredDocument` and `Passage` are NamedTuple records: they compare and
+hash as tuples, and `_replace` copies one with fields changed.
 """
 
 import math
 import re
 import sys
 from array import array
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .corpus import Document
 from .index import InvertedIndex
@@ -37,14 +40,12 @@ SENTENCES_PER_PASSAGE = 3
 PASSAGE_STRIDE = 2
 
 
-@dataclass(frozen=True)
-class ScoredDocument:
+class ScoredDocument(NamedTuple):
     doc_id: str
     retrieval_score: float
 
 
-@dataclass(frozen=True, slots=True)
-class Passage:
+class Passage(NamedTuple):
     doc_id: str
     char_span: tuple[int, int]
     text: str

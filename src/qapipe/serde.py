@@ -42,10 +42,22 @@ def escape_field(s: str) -> str:
 
 def unescape_field(s: str) -> str:
     """Invert escape_field; an unknown escape yields its character, and a
-    lone trailing backslash is kept."""
+    lone trailing backslash is kept.
+
+    A field whose every backslash starts a \\t, \\n or \\r escape is decoded
+    with str.replace, \\n first as the commonest. The replacements insert no
+    backslash, so one left after them (a doubled one, an unknown escape or
+    a lone trailing one) sends the field to the regex, which decodes one
+    escape at a time.
+    """
     if "\\" not in s:
         return s
-    return _ESCAPE_RE.sub(lambda m: _UNESCAPES.get(m.group(1), m.group(1)), s)
+    out = s.replace("\\n", "\n")
+    if "\\" in out:
+        out = out.replace("\\t", "\t").replace("\\r", "\r")
+        if "\\" in out:
+            return _ESCAPE_RE.sub(lambda m: _UNESCAPES.get(m.group(1), m.group(1)), s)
+    return out
 
 
 def escape_optional(s: str | None) -> str:

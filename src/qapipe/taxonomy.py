@@ -2,9 +2,9 @@
 
 Fine labels use the conventional short names from the public question
 classification training distribution, so that data drops in unchanged.
+`AnswerType` is a plain class with slots that checks its values when
+built and compares and hashes by them.
 """
-
-from dataclasses import dataclass
 
 from .errors import QAError
 
@@ -32,19 +32,36 @@ class InvalidAnswerType(QAError):
     pass
 
 
-@dataclass(frozen=True)
 class AnswerType:
-    coarse: str
-    fine: str | None = None
-    confidence: float = 0.0
+    """A coarse class, an optional fine class of it, and a confidence in
+    [0, 1], checked when built. Answer types compare and hash by the three."""
 
-    def __post_init__(self):
-        if self.coarse not in COARSE_CLASSES:
-            raise InvalidAnswerType(f"unknown coarse class: {self.coarse!r}")
-        if self.fine is not None and self.fine not in FINE_CLASSES[self.coarse]:
-            raise InvalidAnswerType(f"unknown fine class {self.coarse}:{self.fine}")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise InvalidAnswerType(f"confidence out of range: {self.confidence}")
+    __slots__ = ("coarse", "fine", "confidence")
+
+    def __init__(self, coarse: str, fine: str | None = None, confidence: float = 0.0):
+        if coarse not in COARSE_CLASSES:
+            raise InvalidAnswerType(f"unknown coarse class: {coarse!r}")
+        if fine is not None and fine not in FINE_CLASSES[coarse]:
+            raise InvalidAnswerType(f"unknown fine class {coarse}:{fine}")
+        if not 0.0 <= confidence <= 1.0:
+            raise InvalidAnswerType(f"confidence out of range: {confidence}")
+        self.coarse = coarse
+        self.fine = fine
+        self.confidence = confidence
+
+    def _key(self) -> tuple:
+        return self.coarse, self.fine, self.confidence
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"AnswerType({self.coarse!r}, {self.fine!r}, {self.confidence!r})"
 
     @property
     def label(self) -> str:

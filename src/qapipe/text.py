@@ -10,10 +10,12 @@ space, and split. Other text keeps the per-match regex, and each word is
 lowered on its own, not the text as a whole: "İ".lower() is "i" and a
 combining dot, which is not alphanumeric, so lowering first would split
 the word.
+
+`Token` is a NamedTuple record: it compares and hashes as a tuple.
 """
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Alphanumeric runs, unicode-aware; underscore counts as a separator.
 TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -23,8 +25,7 @@ TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 ASCII_TABLE = bytes(c if chr(c).isascii() and chr(c).isalnum() else ord(" ") for c in range(256))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str      # lowercased term
     position: int     # 0-based token index within the text
     char_offset: int  # start offset in the original string

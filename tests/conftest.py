@@ -52,6 +52,15 @@ def framed(text) -> bytes:
     return body + b"sha256\t" + hashlib.sha256(body).hexdigest().encode("ascii") + b"\n"
 
 
+def with_stage_params(config, stage_params):
+    """`config` built anew with `stage_params` in place of its own, so the
+    new parameters are parsed and checked as in any built config."""
+    from qapipe.config import OPTIONAL_PATH_KEYS, REQUIRED_PATH_KEYS, PipelineConfig
+
+    paths = {key: getattr(config, key) for key in REQUIRED_PATH_KEYS + OPTIONAL_PATH_KEYS}
+    return PipelineConfig(**paths, stage_params=stage_params)
+
+
 def rewrite_as_index_version_2(path: Path) -> None:
     """Rewrite a QANUSIDX 3 file in the version-2 layout, which stored each
     document's headline, here absent (\\N), between its length and spans."""

@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -12,7 +11,7 @@ from qapipe.config import (
 from qapipe.errors import UsageError
 from qapipe.pipeline import StageKind, validate_config
 
-from conftest import framed
+from conftest import framed, with_stage_params
 
 MINIMAL = (
     "corpus_path = corpus.tsv\n"
@@ -220,7 +219,7 @@ def test_empty_value_is_unset(tmp_path):
 def test_none_value_is_unset(tmp_path):
     body = MINIMAL + "extract.persons = persons.txt\nretrieval.k = 9\n"
     config = load_config(write_config(tmp_path, body))
-    unset = dataclasses.replace(config, stage_params={
+    unset = with_stage_params(config, {
         **config.stage_params, "extract.persons": None, "retrieval.k": None,
         "questions.analysis_out": None,
     })
@@ -245,11 +244,11 @@ def test_loaded_and_constructed_configs_agree(tmp_path):
 
 def test_constructed_config_parses_each_value(tmp_path):
     config = load_config(write_config(tmp_path, MINIMAL))
-    as_text = dataclasses.replace(config, stage_params={"weights.redundancy": "0.25"})
-    as_float = dataclasses.replace(config, stage_params={"weights.redundancy": 0.25})
+    as_text = with_stage_params(config, {"weights.redundancy": "0.25"})
+    as_float = with_stage_params(config, {"weights.redundancy": 0.25})
     assert as_text.param("weights.redundancy") == as_float.param("weights.redundancy") == 0.25
     assert as_text.digest() == as_float.digest()
     with pytest.raises(UnknownKey):
-        dataclasses.replace(config, stage_params={"retrieval.K": "9"})
+        with_stage_params(config, {"retrieval.K": "9"})
     with pytest.raises(UsageError):
-        dataclasses.replace(config, stage_params={"retrieval.max_passages": -3})
+        with_stage_params(config, {"retrieval.max_passages": -3})

@@ -69,13 +69,11 @@ def test_separate_runs_add_up_to_one_manifest(tmp_path):
 
 
 def test_manifest_of_another_config_is_replaced(tmp_path):
-    import dataclasses
+    from conftest import with_stage_params
 
     config = fixture_config(tmp_path)
     run_pipeline(config, default_engines(), ALL_STAGES[:3])
-    changed = dataclasses.replace(
-        config, stage_params={**config.stage_params, "weights.redundancy": "0.25"}
-    )
+    changed = with_stage_params(config, {**config.stage_params, "weights.redundancy": "0.25"})
     assert changed.digest() != config.digest()
     run_pipeline(changed, default_engines(), ALL_STAGES[3:])
     assert manifest_stages(tmp_path / "run_manifest.txt") == ["evaluation"]

@@ -1,11 +1,11 @@
-"""Property tests for the field codec, the record writer, the index file
+"""Property tests for the field codec and its unescape fast path, the record writer, the index file
 format, tokenization and its ASCII path, query terms, passage scoring and its memo, BM25
 retrieval and its ties, answers and extraction on a warm index, candidate word spans and
-proximity, candidate ranking, the stage-file round trips, the stage-file loaders and the parsers
-of the files a user writes."""
+proximity, candidate ranking, the stage-file round trips, the stage-file loaders, the parsers
+of the files a user writes and the TREC SGML scan against its regex form."""
 
-import dataclasses
 import math
+import re
 import string
 from collections import Counter
 
@@ -17,7 +17,7 @@ from qapipe.classifier import (
     train_classifier, write_model,
 )
 from qapipe.config import OPTIONAL_PATH_KEYS, PARAM_SPECS, REQUIRED_PATH_KEYS, load_config
-from qapipe.corpus import Document, parse_corpus
+from qapipe.corpus import Document, MalformedRecord, _parse_trec_sgml, parse_corpus
 from qapipe.errors import QAError
 from qapipe.evaluation import load_gold
 from qapipe.extraction import (
@@ -71,6 +71,30 @@ def test_unescape_inverts_escape(s):
 @given(tricky_text)
 def test_unescape_matches_reference_loop(s):
     assert unescape_field(s) == reference_unescape(s)
+
+
+def regex_unescape(s: str) -> str:
+    """unescape_field's regex form, one callback per escape."""
+    table = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+    return re.sub(r"\\(.)", lambda m: table.get(m.group(1), m.group(1)), s, flags=re.DOTALL)
+
+
+# Escapes known and unknown, doubled backslashes and lone ones, run together.
+escape_runs = st.lists(st.sampled_from(
+    ["\\", "\\\\", "\\t", "\\n", "\\r", "\\N", "\\q", "t", "n", "r", "a", "\t", "\n"]
+), max_size=12).map("".join)
+
+
+@example("\\\\n")          # an escaped backslash, then "n"
+@example("\\\\\\\\t")      # two escaped backslashes, then "t"
+@example("a\\n\\")          # a newline escape, then a lone trailing backslash
+@example("\\q\\t")          # an unknown escape before a known one
+@given(escape_runs | tricky_text | tricky_text.map(escape_field))
+def test_unescape_fast_path_equals_regex_form(s):
+    """The str.replace path, and the regex it leaves a field to when a
+    backslash survives, decode every field as the regex alone does,
+    escape_field's output included."""
+    assert unescape_field(s) == regex_unescape(s)
 
 
 # Words drawn from a few, so that terms recur across documents.
@@ -413,7 +437,9 @@ memo_analyses = st.builds(
 @settings(max_examples=200)
 @given(mixed_corpus(), st.lists(memo_analyses, min_size=1, max_size=4).flatmap(
            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8)),
-       st.builds(AnswerSettings, k=st.integers(1, 5), max_passages=st.integers(1, 4)))
+       # A lambda: builds() would draw every field of a NamedTuple, defaults included.
+       st.builds(lambda k, max_passages: AnswerSettings(k=k, max_passages=max_passages),
+                 st.integers(1, 5), st.integers(1, 4)))
 def test_answers_on_a_warm_index_equal_answers_on_a_fresh_one(docs, asked, answer_settings):
     """Each question, answered after any others on one index, gets the record
     a fresh index of the same documents gives it alone, floats included. The
@@ -577,9 +603,7 @@ def reference_rank_candidates(
             + (GAZETTEER_BONUS if cand.gazetteer_match else 0.0)
         )
         scored.append(
-            dataclasses.replace(
-                cand, proximity_score=prox, redundancy_count=red, final_score=final
-            )
+            cand._replace(proximity_score=prox, redundancy_count=red, final_score=final)
         )
 
     # Case-insensitive dedup keeping the earliest source.
@@ -630,7 +654,7 @@ def ranking_inputs(draw):
        st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 0.5, -1.0]))
 def test_rank_candidates_matches_score_then_dedup_reference(inputs, query, proximity, redundancy):
     passages, candidates = inputs
-    given_candidates = [dataclasses.replace(c) for c in candidates]
+    given_candidates = list(candidates)
     settings = AnswerSettings(proximity_weight=proximity, redundancy_weight=redundancy)
     analysis = analysis_of(query)
     assert rank_candidates(candidates, analysis, passages, settings) == (
@@ -816,6 +840,72 @@ def lines_of(*pieces):
 
 def parse_trec_sgml(path):
     return list(parse_corpus(path, "trec-sgml"))
+
+
+def reference_parse_trec_sgml(raw: str, rejects: list) -> list[Document]:
+    """The regex TREC SGML parser that the str.find scan replaced, kept as the oracle."""
+    docs = []
+    for block_no, m in enumerate(re.finditer(r"<DOC>(.*?)</DOC>", raw, re.DOTALL), start=1):
+        block = m.group(1)
+        where = f"doc block {block_no}"
+        docno = re.search(r"<DOCNO>(.*?)</DOCNO>", block, re.DOTALL)
+        doc_id = docno.group(1).strip() if docno else ""
+        if not doc_id:
+            rejects.append(MalformedRecord(where, "missing or empty DOCNO"))
+            continue
+        text_m = re.search(r"<TEXT>(.*?)</TEXT>", block, re.DOTALL)
+        if text_m is None:
+            rejects.append(MalformedRecord(where, "missing TEXT"))
+            continue
+        body = text_m.group(1)
+        paras = [p.group(1).strip() for p in re.finditer(r"<P>(.*?)</P>", body, re.DOTALL)]
+        if paras:
+            spans, pos = [], 0
+            for p in paras:
+                spans.append((pos, pos + len(p)))
+                pos += len(p) + 2
+            docs.append(Document(doc_id, "\n\n".join(paras), tuple(spans)))
+        else:
+            docs.append(Document(doc_id, body.strip(), ()))
+    return docs
+
+
+@st.composite
+def sgml_corpora(draw):
+    """TREC SGML, mostly well formed: DOCNOs missing, empty or holding "<DOC";
+    TEXT missing; a <DOC> or an unclosed <P> inside a block; a block left
+    unclosed; LF or CRLF line ends."""
+    nl = draw(st.sampled_from(["\n", "\r\n"]))
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        parts = []
+        if draw(st.booleans()):
+            docno = draw(st.sampled_from(["d1", " d2 ", "", "  ", "x<DOC", "<DOC>y", "d<DOCNO>3"]))
+            parts.append(f"<DOCNO>{docno}</DOCNO>")
+        if draw(st.booleans()):
+            parts.append(draw(st.sampled_from(["<HEADLINE>h</HEADLINE>", "<DOC>", "<P>p</P>"])))
+        if draw(st.booleans()):
+            paras = draw(st.lists(st.sampled_from(["One.", " Two  words ", "", "<DOC>", nl]),
+                                  max_size=3))
+            body = nl.join(f"<P>{p}</P>" for p in paras) or draw(st.sampled_from(["plain", " "]))
+            if draw(st.booleans()):
+                body += nl + "<P>unclosed"
+            parts.append(f"<TEXT>{nl}{body}{nl}</TEXT>")
+        blocks.append("<DOC>" + nl.join(parts) + draw(st.sampled_from(["</DOC>", "</DOC>", ""])))
+    return nl.join(blocks) + nl
+
+
+SGML_PIECES = ["<DOC>", "</DOC>", "<DOCNO>", "</DOCNO>", "<TEXT>", "</TEXT>", "<P>", "</P>",
+               "<DOC", "</", "C>", "NO>", " d1 ", "x", "\n", "\r\n"]
+
+
+@given(sgml_corpora() | st.lists(st.sampled_from(SGML_PIECES), max_size=30).map("".join))
+def test_trec_sgml_scan_equals_regex_form(raw):
+    """The str.find scan yields the documents and the rejects the regex
+    parser does, in the same order."""
+    rejects, expected_rejects = [], []
+    assert list(_parse_trec_sgml(raw, rejects)) == reference_parse_trec_sgml(raw, expected_rejects)
+    assert rejects == expected_rejects
 
 
 def parse_record_lines(path):

@@ -13,7 +13,17 @@ four stages and a one-question `ask` (the fixture's first question),
 each as its own `python -m qapipe.cli` process in FIXTURE_DIR, and
 prints each one's wall time and the peak RSS that `os.wait4` reports
 for it. The stages write their artifacts into FIXTURE_DIR as
-`run-all` does. In process, it times the index stage's layers: corpus
+`run-all` does.
+
+Next it prints the start-up floor that every such process pays: the
+wall time of `python -c pass` and of `python -c "import qapipe.cli"`.
+Then it splits the set-up of that `ask` into its steps, timed inside a
+fresh `python` process per run: importing `qapipe.cli`, `load_config`
+with the stage-3 settings it names, `load_index`, `load_model`, and the
+first answer (analysis included). A tracing shim cannot see import
+time; this split can.
+
+In process, it times the index stage's layers: corpus
 parse, `terms` over every document, `build_index`, `write_index` (to a
 temporary directory) and `load_index`. Then it answers the fixture's
 analyses (the `process-questions` stage's `analysis.txt`) twice on one
@@ -65,6 +75,37 @@ def run_pinned(argv, cwd, env) -> tuple[float, float]:
             raise SystemExit(f"{' '.join(argv[2:])} exited {proc.returncode}: "
                              f"{err.read().decode('utf-8', 'replace').strip()[-300:]}")
     return wall, usage.ru_maxrss / 1024.0  # Linux reports KiB
+
+
+# Run in a fresh interpreter in the fixture's directory, as `qapipe ask`
+# would run; prints the seconds of each ASK_SETUP step.
+ASK_SETUP_PROBE = """
+import sys, time
+t = [time.perf_counter()]
+from qapipe import cli
+t.append(time.perf_counter())
+config = cli.load_config("config.qa")
+settings = cli.AnswerSettings.from_config(config)
+t.append(time.perf_counter())
+index = cli.index_mod.load_index(config.index_path)
+t.append(time.perf_counter())
+model = cli.load_model(config.classifier_model_path)
+t.append(time.perf_counter())
+cli.answer_question(index, cli.analyze(cli.Question("q1", sys.argv[1]), model), settings)
+t.append(time.perf_counter())
+print(*(b - a for a, b in zip(t, t[1:])))
+"""
+ASK_SETUP = ("import qapipe.cli", "load_config", "load_index", "load_model", "first answer")
+
+
+def ask_setup(fixture: Path, env, question: str, runs: int) -> list[float]:
+    """The median seconds of each ASK_SETUP step over `runs` fresh processes."""
+    steps = []
+    for _ in range(runs):
+        out = subprocess.run([sys.executable, "-c", ASK_SETUP_PROBE, question], cwd=fixture,
+                             env=env, capture_output=True, text=True, check=True).stdout
+        steps.append([float(s) for s in out.split()])
+    return [median(run[i] for run in steps) for i in range(len(ASK_SETUP))]
 
 
 def timed(fn, runs: int):
@@ -190,6 +231,14 @@ def main(argv=None) -> int:
                 for _ in range(args.runs)]
         print(f"{name:24s} {median(w for w, _ in runs):8.3f} "
               f"{median(r for _, r in runs):10.1f}")
+
+    print(f"\n{'start-up floor':24s} {'wall ms':>8s}")
+    for name, code in [("python -c pass", "pass"), ("import qapipe.cli", "import qapipe.cli")]:
+        runs = [run_pinned([sys.executable, "-c", code], fixture, env) for _ in range(args.runs)]
+        print(f"{name:24s} {median(w for w, _ in runs) * 1000:8.1f}")
+    print(f"\n{'ask set-up, in process':24s} {'wall ms':>8s}")
+    for name, seconds in zip(ASK_SETUP, ask_setup(fixture, env, question, args.runs)):
+        print(f"{name:24s} {seconds * 1000:8.1f}")
 
     fmt = config.param("corpus.format")
     parse_s, docs = timed(lambda: list(parse_corpus(config.corpus_path, fmt)), args.runs)
