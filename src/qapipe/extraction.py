@@ -50,7 +50,7 @@ from .errors import QAError
 from .index import InvertedIndex
 from .questions import QuestionAnalysis
 from .retrieval import (
-    Passage, passage_features, retrieve_documents, score_passage, segment_passages,
+    Passage, passage_features, retrieve_documents, score_passage, score_terms, segment_passages,
 )
 from .serde import (
     escape_field, escape_optional, read_records, read_text, unescape_field,
@@ -234,11 +234,17 @@ def _query_free_hits(text: str, group: str, index: InvertedIndex | None) -> list
 def _best_sentence(
     passage: Passage, query_terms, index, coverage_weight: float
 ) -> tuple[int, str] | None:
+    """The passage's first sentence of the highest score_terms, with its
+    offset. A sentence's terms are the slice of its passage's terms whose
+    words start within it: no word crosses a sentence's end, which follows
+    punctuation or ends the text."""
+    features = passage_features(passage.text, index)
+    words, starts = features.terms, features.word_offsets[0]
     best: tuple[int, str] | None = None
     best_score = float("-inf")
-    for a, b in passage_features(passage.text, index).sentences:
-        pseudo = Passage(passage.doc_id, (a, b), passage.text[a:b])
-        s = score_passage(pseudo, query_terms, index, coverage_weight)
+    for a, b in features.sentences:
+        sentence_words = words[bisect_left(starts, a):bisect_left(starts, b)]
+        s = score_terms(sentence_words, query_terms, index, coverage_weight)
         if s > best_score:
             best_score = s
             best = (a, passage.text[a:b])

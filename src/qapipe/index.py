@@ -25,8 +25,13 @@ CorruptIndex, and one of another version raises VersionMismatch: run
 Built and loaded indexes hold one form: the decoded documents, the doc
 ids by ordinal, and each term's cells as the tab-joined string the file
 stores. Building counts documents in doc id order, so a document's
-position is its ordinal, and writing streams each line to the file,
-copying the cells; the whole file is never held in memory.
+position is its ordinal, and counts each document's terms in a plain
+dict. A document's postings with equal tf share one cell string (most
+have tf 1), and each term's list of cells is joined in place, so the
+list is freed as its string is made. Writing streams each line to the
+file, copying the cells, and loading parses each line as serde's
+`read_records` streams it, after the file's checks; neither holds the
+whole file in memory.
 `postings(term)` decodes a term's cells into (doc_id, tf) pairs on each
 call. Answering memoizes on the index what it reads that does not
 depend on the question: each term's BM25 impacts (its doc ids and
@@ -39,8 +44,8 @@ NamedTuple record.
 """
 
 import math
-from collections import Counter
 from collections.abc import Iterable, Iterator
+from itertools import islice
 from typing import NamedTuple
 
 from .corpus import Document
@@ -163,19 +168,28 @@ def build_index(documents: Iterable[Document]) -> InvertedIndex:
         stored[doc.doc_id] = doc
     doc_ids = sorted(stored)
     doc_lengths: dict[str, int] = {}
-    cells: dict[str, list[str]] = {}
+    cells: dict = {}  # term -> its list of cells, then their tab-joined string
+    term_cells = cells.get
     for ordinal, doc_id in enumerate(doc_ids):
         words = terms(stored[doc_id].text)
         doc_lengths[doc_id] = len(words)
-        prefix = f"{ordinal}:"
-        for term, tf in Counter(words).items():
-            term_cells = cells.get(term)
-            if term_cells is None:
-                cells[term] = [f"{prefix}{tf}"]
+        counts: dict[str, int] = {}
+        count = counts.get
+        for word in words:
+            counts[word] = count(word, 0) + 1
+        cell_of_tf: dict[int, str] = {}
+        for term, tf in counts.items():
+            cell = cell_of_tf.get(tf)
+            if cell is None:
+                cell = cell_of_tf[tf] = f"{ordinal}:{tf}"
+            listed = term_cells(term)
+            if listed is None:
+                cells[term] = [cell]
             else:
-                term_cells.append(f"{prefix}{tf}")
-    joined = {term: "\t".join(term_cells) for term, term_cells in cells.items()}
-    return InvertedIndex(doc_ids, joined, doc_lengths, stored)
+                listed.append(cell)
+    for term, listed in cells.items():
+        cells[term] = "\t".join(listed)
+    return InvertedIndex(doc_ids, cells, doc_lengths, stored)
 
 
 def _stats_line(index: InvertedIndex) -> str:
@@ -207,13 +221,14 @@ def load_index(path) -> InvertedIndex:
     strictly ascend, and the stats line must match the documents read and
     the term cells counted. Postings are decoded per term by `postings`.
     """
-    lines = read_records(path, MAGIC, VERSION, CorruptIndex, "qapipe index")
+    records = read_records(path, MAGIC, VERSION, CorruptIndex, "qapipe index")
+    stats = list(islice(records, 1))
     docs_by_ord: list[str] = []
     doc_lengths: dict[str, int] = {}
     stored: dict[str, Document] = {}
     cells_by_term: dict[str, str] = {}
     try:
-        for line in lines[1:]:
+        for line in records:
             kind, _, rest = line.partition("\t")
             if kind == "doc":
                 doc_id, length, spans, text = rest.split("\t", 3)
@@ -239,6 +254,6 @@ def load_index(path) -> InvertedIndex:
     except (ValueError, IndexError) as exc:
         raise CorruptIndex(f"malformed index record: {exc}") from exc
     index = InvertedIndex(docs_by_ord, cells_by_term, doc_lengths, stored)
-    if lines[:1] != [_stats_line(index)]:
-        raise CorruptIndex(f"stats line {lines[:1]} does not match the records")
+    if stats != [_stats_line(index)]:
+        raise CorruptIndex(f"stats line {stats} does not match the records")
     return index

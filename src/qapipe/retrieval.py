@@ -204,15 +204,25 @@ def score_passage(
     index: InvertedIndex,
     coverage_weight: float,
 ) -> float:
+    """score_terms of the passage's terms, read from its memoized features."""
+    return score_terms(
+        passage_features(passage.text, index).terms, query_terms, index, coverage_weight
+    )
+
+
+def score_terms(
+    words: tuple[str, ...],
+    query_terms: list[str],
+    index: InvertedIndex,
+    coverage_weight: float,
+) -> float:
     """Sum of idf-weighted log term counts plus a query-coverage bonus, the
     share of query terms matched times `coverage_weight` (the stage-3
-    setting, whose default `AnswerSettings` holds).
-
-    The passage's terms are read from its memoized features.
-    """
+    setting, whose default `AnswerSettings` holds). `words` are the terms
+    of the text scored: a passage's, or a slice of them for one of its
+    sentences."""
     if not query_terms:
         return 0.0
-    words = passage_features(passage.text, index).terms
     # A query has a few terms, so counting each in the tuple beats a Counter.
     score = 0.0
     matched = 0

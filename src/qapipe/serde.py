@@ -13,17 +13,23 @@ by `write_records` and read by `read_records`:
     sha256 <TAB> hex digest of every byte above
 
 so a truncated, damaged or foreign file raises, never loads as another
-object. The records are streamed: each is encoded once, written to the
-file and fed to the digest as it comes, so the whole file is never held
-in memory. Every artifact is written through one atomic writer,
+object. The records are streamed both ways, so the whole file is never
+held in memory. The write encodes each record once, writes it to the
+file and feeds it to the digest as it comes. The read checks the
+header, the digest and the UTF-8 when it is called, hashing and
+decoding the open file a fixed-size chunk at a time, and only then
+returns an iterator that reads the records from the same file, a chunk
+of whole lines at a time; a loader parses nothing of a file that fails
+a check. Every artifact is written through one atomic writer,
 `atomic_write`, so a stage that fails or is killed mid-write, or whose
 records raise partway, leaves the previous file, never part of one.
 """
 
+import codecs
 import hashlib
 import os
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import chain
 from pathlib import Path
 
@@ -115,31 +121,84 @@ def write_records(path, magic: str, version: int, lines: Iterable[str]) -> None:
 
 def read_records(
     path, magic: str, version: int, error: type[QAError], rewrite: str
-) -> list[str]:
+) -> Iterator[str]:
     """The records of a file written by write_records under `magic` and `version`.
 
-    A wrong magic, a digest that does not match, or bytes that are not
-    UTF-8 raise `error`; any other version raises VersionMismatch, whose
-    message names `rewrite`, the command that writes the file again.
+    The file is checked when this is called: a wrong magic, a digest that
+    does not match, or bytes that are not UTF-8 raise `error`; any other
+    version raises VersionMismatch, whose message names `rewrite`, the
+    command that writes the file again. The checks read the file in
+    chunks of _CHUNK bytes. The records are then read from the same open
+    file as the returned iterator is consumed, a chunk of whole lines at
+    a time; the file closes when the iterator is exhausted or dropped.
     """
-    raw = Path(path).read_bytes()
-    header = raw.partition(b"\n")[0].split(b" ")
-    if header[0] != magic.encode("ascii"):
-        raise error(f"{path}: bad magic {header[0][:16]!r}, expected {magic}")
-    if header[1:] != [str(version).encode("ascii")]:
-        found = b" ".join(header[1:]).decode("utf-8", "replace")
-        raise VersionMismatch(
-            f"{path}: {magic} version {found!r}, expected {version}; "
-            f"run '{rewrite}' to rewrite it"
-        )
-    cut = raw.rfind(b"\nsha256\t") + 1
-    if not cut or raw[cut:] != _digest_line(hashlib.sha256(raw[:cut])):
-        raise error(f"{path}: digest mismatch: the file is damaged or truncated")
-    try:
-        return raw[:cut].decode("utf-8").split("\n")[1:-1]
-    except UnicodeDecodeError as exc:
-        line_no = raw.count(b"\n", 0, exc.start) + 1
-        raise error(f"{path}: line {line_no} is not valid UTF-8") from exc
+    records = _records(path, magic, version, error, rewrite)
+    next(records)  # runs the checks
+    return records
+
+
+_CHUNK = 1 << 16
+_DIGEST_LINE_LEN = len(_digest_line(hashlib.sha256()))
+
+
+def _chunks(f, start: int, end: int) -> Iterator[bytes]:
+    """The bytes of `f` from `start` to `end`, _CHUNK at a time; fewer when
+    the file ends first."""
+    f.seek(start)
+    while start < end:
+        chunk = f.read(min(_CHUNK, end - start))
+        if not chunk:
+            return
+        start += len(chunk)
+        yield chunk
+
+
+def _records(path, magic, version, error, rewrite) -> Iterator[str | None]:
+    """read_records' generator: yields None once the file is checked, then
+    each record, decoding a chunk of whole lines at a time.
+
+    The digest line is the file's last _DIGEST_LINE_LEN bytes, after a
+    newline, and the digest covers every byte before it. The records are
+    read from the file that was checked; stage files are replaced whole
+    (atomic_write), never written in place, so they are the bytes checked.
+    """
+    with open(path, "rb") as f:
+        header = f.readline().removesuffix(b"\n").split(b" ")
+        if header[0] != magic.encode("ascii"):
+            raise error(f"{path}: bad magic {header[0][:16]!r}, expected {magic}")
+        if header[1:] != [str(version).encode("ascii")]:
+            found = b" ".join(header[1:]).decode("utf-8", "replace")
+            raise VersionMismatch(
+                f"{path}: {magic} version {found!r}, expected {version}; "
+                f"run '{rewrite}' to rewrite it"
+            )
+        records_start = f.tell()
+        end = os.fstat(f.fileno()).st_size - _DIGEST_LINE_LEN
+        digest = hashlib.sha256()
+        decoder = codecs.getincrementaldecoder("utf-8")()
+        bad_utf8_at = None  # offset of the first byte that is not UTF-8
+        chunk = b""
+        for chunk in _chunks(f, 0, end):
+            digest.update(chunk)
+            if bad_utf8_at is None:
+                try:
+                    decoder.decode(chunk)
+                except UnicodeDecodeError as exc:  # exc.start counts the bytes it held back
+                    held = len(decoder.getstate()[0])
+                    bad_utf8_at = f.tell() - len(chunk) - held + exc.start
+        if not chunk.endswith(b"\n") or f.read() != _digest_line(digest):
+            raise error(f"{path}: digest mismatch: the file is damaged or truncated")
+        if bad_utf8_at is not None:
+            f.seek(0)
+            line_no = f.read(bad_utf8_at).count(b"\n") + 1
+            raise error(f"{path}: line {line_no} is not valid UTF-8")
+        yield None
+        cut_line = b""  # the start of a line that the previous chunk cut
+        for chunk in _chunks(f, records_start, end):
+            data = cut_line + chunk
+            whole = data.rfind(b"\n") + 1
+            cut_line = data[whole:]
+            yield from data[:whole].decode("utf-8").split("\n")[:-1]
 
 
 def read_text(path, error: type[Exception]) -> str:

@@ -1,4 +1,6 @@
+import gc
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -255,3 +257,21 @@ def test_descending_doc_ids_rejected(tmp_path):
     """Swapped doc lines would load, and write back as different bytes."""
     with pytest.raises(CorruptIndex, match="doc id 'a' does not follow 'b'"):
         load_altered_two_doc_index(tmp_path, (A_LINE + B_LINE, B_LINE + A_LINE))
+
+
+def test_load_index_peaks_near_what_it_keeps(tmp_path):
+    """The file is read as a stream, so loading holds little beyond the index
+    it returns: reading the whole file at once would hold its bytes, its
+    text and its lines besides, about twice what the index keeps."""
+    docs = [doc(doc_id, text * 4) for doc_id, text in random_docs(3000, seed=5).items()]
+    path = tmp_path / "idx.qix"
+    write_index(build_index(docs), path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = load_index(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.doc_count == 3000
+    assert peak <= 1.25 * kept

@@ -4,10 +4,12 @@ retrieval and its ties, answers and extraction on a warm index, candidate word s
 proximity, candidate ranking, the stage-file round trips, the stage-file loaders, the parsers
 of the files a user writes and the TREC SGML scan against its regex form."""
 
+import hashlib
 import math
 import re
 import string
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,14 +26,15 @@ from qapipe.extraction import (
     GAZETTEER_BONUS, AnswerRecord, AnswerSettings, CandidateAnswer, _token_span, answer_question,
     extract_candidates, load_answers, rank_candidates, write_answers,
 )
-from qapipe.index import CorruptIndex, build_index, load_index, write_index
+from qapipe import serde
+from qapipe.index import CorruptIndex, InvertedIndex, build_index, load_index, write_index
 from qapipe.questions import (
     Question, QuestionAnalysis, analyze, load_analyses, parse_questions, write_analyses,
 )
 from qapipe.stopwords import STOPWORDS
 from qapipe.retrieval import (
-    BM25_B, BM25_K1, Passage, ScoredDocument, retrieve_documents,
-    score_passage, segment_passages, split_sentences,
+    BM25_B, BM25_K1, Passage, ScoredDocument, passage_features, retrieve_documents,
+    score_passage, score_terms, segment_passages, split_sentences,
 )
 from qapipe.taxonomy import FINE_CLASSES, AnswerType
 from qapipe.serde import (
@@ -217,7 +220,87 @@ def test_write_records_writes_the_framed_records(tmp_path_factory, magic, versio
     write_records(path, magic, version, iter(lines))
     header = f"{magic} {version}\n"
     assert path.read_bytes() == framed(header + "".join(line + "\n" for line in lines))
-    assert read_records(path, magic, version, QAError, "qapipe index") == lines
+    assert list(read_records(path, magic, version, QAError, "qapipe index")) == lines
+
+
+def reference_read_records(path, magic, version, error, rewrite):
+    """read_records as it was: the file's bytes, its text and its lines held at once."""
+    raw = Path(path).read_bytes()
+    header = raw.partition(b"\n")[0].split(b" ")
+    if header[0] != magic.encode("ascii"):
+        raise error(f"{path}: bad magic {header[0][:16]!r}, expected {magic}")
+    if header[1:] != [str(version).encode("ascii")]:
+        found = b" ".join(header[1:]).decode("utf-8", "replace")
+        raise VersionMismatch(
+            f"{path}: {magic} version {found!r}, expected {version}; "
+            f"run '{rewrite}' to rewrite it"
+        )
+    cut = raw.rfind(b"\nsha256\t") + 1
+    digest = b"sha256\t%s\n" % hashlib.sha256(raw[:cut]).hexdigest().encode("ascii")
+    if not cut or raw[cut:] != digest:
+        raise error(f"{path}: digest mismatch: the file is damaged or truncated")
+    try:
+        return raw[:cut].decode("utf-8").split("\n")[1:-1]
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line_no} is not valid UTF-8") from exc
+
+
+# Pieces of stage-file lines: digest-like records, carriage returns, UTF-8
+# sequences of two to four bytes and their cut halves, and any bytes.
+LINE_PIECES = st.sampled_from([
+    b"sha256\t", b"\nsha256\t", b"sha256\t" + b"0" * 64, b"\r", b"\r\n", b"\t", b"term\tx",
+    "é".encode(), "€".encode(), "😀".encode(), b"\xc3", b"\xe2\x82", b"\xff", b"\n",
+]) | st.binary(max_size=6)
+
+
+@st.composite
+def stage_file_bytes(draw):
+    """A header (right, of another version, or foreign), lines of LINE_PIECES,
+    and mostly a digest line: right, of other bytes, cut short, or none."""
+    header = draw(st.sampled_from([b"QANUSIDX 3\n", b"QANUSIDX 3 3\n", b"QANUSIDX 2\n",
+                                   b"QANUSIDX 3", b"QANUSIDXX 3\n", b""]))
+    lines = draw(st.lists(st.lists(LINE_PIECES, max_size=4).map(b"".join), max_size=6))
+    body = header + b"\n".join(lines) + draw(st.sampled_from([b"\n", b"\n", b""]))
+    ending = draw(st.sampled_from(["digest", "digest", "cut", "other", "twice", "none"]))
+    if ending == "digest":
+        return framed(body)
+    if ending == "cut":
+        raw = framed(body)
+        return raw[:draw(st.integers(0, len(raw)))]
+    if ending == "other":
+        return body + framed(b"other bytes\n")[-72:]
+    if ending == "twice":
+        return framed(framed(body))
+    return body
+
+
+# The third chunk ends two bytes into "€", which the fourth completes
+# before the bad byte and the newline after it.
+@example(framed(b"QANUSIDX 3\na\xe2\x82\xac\xff\nb\n"), 7)
+@settings(max_examples=400)
+@given(stage_file_bytes(), st.sampled_from([1, 2, 3, 7, 64, 1 << 16]))
+def test_streamed_read_accepts_and_yields_as_the_bulk_read(tmp_path_factory, raw, chunk):
+    """read_records refuses, when called, each file the bulk reference refuses,
+    with the same error and message; of every other file it yields the same
+    records. Small chunks cut lines and UTF-8 sequences between reads."""
+    path = tmp_path_factory.mktemp("records") / "index.qix"
+    path.write_bytes(raw)
+    args = (path, "QANUSIDX", 3, CorruptIndex, "qapipe index")
+    try:
+        expected = reference_read_records(*args)
+    except QAError as exc:
+        expected = (type(exc), str(exc))
+    chunk_was, serde._CHUNK = serde._CHUNK, chunk
+    try:
+        records = read_records(*args)
+    except QAError as exc:
+        got = (type(exc), str(exc))
+    else:
+        got = list(records)  # a checked file yields every record without raising
+    finally:
+        serde._CHUNK = chunk_was
+    assert got == expected
 
 
 @given(st.lists(st.sampled_from(UNICODE_WORDS + [" ", ".", "_"]) | st.characters()).map("".join))
@@ -267,6 +350,36 @@ VOCAB = ["amber", "mill", "Mill", "built", "the", "İstanbul", "straße", "x1"]
 words_text = st.lists(st.sampled_from(VOCAB + [",", ".", " "]), max_size=12).map(" ".join)
 corpora = st.dictionaries(st.from_regex(r"d[0-9]{1,2}", fullmatch=True), words_text, max_size=8)
 queries = st.lists(st.sampled_from([w.lower() for w in VOCAB] + ["absent"]), max_size=4)
+
+
+def reference_build_index(docs):
+    """build_index as it was: a Counter per document and a cell string per
+    posting, every term's list of cells joined into a new dict at the end."""
+    stored = {doc.doc_id: doc for doc in docs}
+    doc_ids = sorted(stored)
+    doc_lengths: dict[str, int] = {}
+    cells: dict[str, list[str]] = {}
+    for ordinal, doc_id in enumerate(doc_ids):
+        words = terms(stored[doc_id].text)
+        doc_lengths[doc_id] = len(words)
+        for term, tf in Counter(words).items():
+            cells.setdefault(term, []).append(f"{ordinal}:{tf}")
+    joined = {term: "\t".join(term_cells) for term, term_cells in cells.items()}
+    return InvertedIndex(doc_ids, joined, doc_lengths, stored)
+
+
+@settings(max_examples=200)
+@given(st.lists(documents, max_size=6, unique_by=lambda d: d.doc_id)
+       | corpora.map(lambda d: [Document(i, t, ()) for i, t in d.items()]))
+def test_build_index_equals_the_counter_build(tmp_path_factory, docs):
+    """Cells shared by equal tfs and joined in place hold the same strings,
+    and write the same bytes, as a cell string per posting."""
+    built, reference = build_index(docs), reference_build_index(docs)
+    assert built == reference and list(built.cells) == list(reference.cells)
+    out = tmp_path_factory.mktemp("build")
+    write_index(built, out / "built.qix")
+    write_index(reference, out / "reference.qix")
+    assert (out / "built.qix").read_bytes() == (out / "reference.qix").read_bytes()
 
 
 @given(corpora, words_text | st.text(), queries, st.sampled_from([0.0, 2.0]))
@@ -482,6 +595,53 @@ def test_extraction_on_a_warm_memo_equals_extraction_afresh(inputs):
     assert extract_candidates(passage, answer_type, query, index=warm) == extract_candidates(
         passage, answer_type, query
     )
+
+
+def reference_best_sentence(passage, query_terms, index, coverage_weight):
+    """_best_sentence as it was: each sentence scored as a Passage of its own
+    text, whose features the memo keeps."""
+    best = None
+    best_score = float("-inf")
+    for a, b in split_sentences(passage.text):
+        pseudo = Passage(passage.doc_id, (a, b), passage.text[a:b])
+        s = score_passage(pseudo, query_terms, index, coverage_weight)
+        if s > best_score:
+            best_score = s
+            best = (a, passage.text[a:b])
+    return best
+
+
+# Sentences of the FOUR words and of words whose lowering or letters are not
+# ASCII, ended by any of ./?/!, and text of any characters.
+desc_text = (
+    st.lists(st.sampled_from(FOUR + UNICODE_WORDS + ["?", "!", ".", ",", "\n", "_"]), max_size=14)
+    .map(" ".join)
+    | paragraph
+    | st.text(max_size=20)
+)
+
+
+@settings(max_examples=300)
+@given(desc_text, st.data(), st.sampled_from([0.0, 2.0]))
+def test_best_sentence_equals_the_per_sentence_passage_path(text, data, weight):
+    """Each sentence scores from its slice of its passage's terms as it does as
+    a Passage of its own text, DESC picks the sentence that path picks, and
+    the memo keeps no sentence."""
+    query = data.draw(st.lists(st.sampled_from(FOUR_TERMS + terms(text) + ["absent"]),
+                               max_size=3))
+    doc = Document("d", text, ())
+    passage = Passage("d", (0, len(text)), text, 1.5)
+    index, reference = build_index([doc]), build_index([doc])
+    for a, b in split_sentences(text):
+        assert score_terms(
+            passage_features(text, index).terms[len(terms(text[:a])):len(terms(text[:b]))],
+            query, index, weight,
+        ) == score_passage(Passage("d", (a, b), text[a:b]), query, reference, weight)
+    best = reference_best_sentence(passage, query, reference, weight)
+    expected = [] if best is None else [CandidateAnswer(best[1], "d", best[0], 0, 1.5)]
+    assert extract_candidates(passage, AnswerType("DESC", None), query, index,
+                              AnswerSettings(coverage_weight=weight)) == expected
+    assert set(index.passage_features) <= {text}
 
 
 def reference_token_span(tokens, rel_start, rel_end):

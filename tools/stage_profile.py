@@ -23,14 +23,16 @@ with the stage-3 settings it names, `load_index`, `load_model`, and the
 first answer (analysis included). A tracing shim cannot see import
 time; this split can.
 
-In process, it times the index stage's layers: corpus
-parse, `terms` over every document, `build_index`, `write_index` (to a
-temporary directory) and `load_index`. Then it answers the fixture's
-analyses (the `process-questions` stage's `analysis.txt`) twice on one
-freshly loaded index, cold and then warm, and prints the ms per
-question of `answer_question` and of its layers: retrieve, segment,
-score, extract and rank, each its self time (the DESC extraction scores
-sentences, which counts as score), and the rest of `answer_question` as
+In process, it times the index stage's layers: corpus parse, `terms`
+over every document, `build_index`, `write_index` (to a temporary
+directory) and `load_index`. For each it also prints, from one more
+call under tracemalloc, the traced peak and the MB the call's result
+keeps, and last the ratio of the two for `load_index`. Then it answers
+the fixture's analyses (the `process-questions` stage's `analysis.txt`)
+twice on one freshly loaded index, cold and then warm, and prints the
+ms per question of `answer_question` and of its layers: retrieve,
+segment, score, extract and rank, each its self time (DESC's sentence
+scoring counts as extract), and the rest of `answer_question` as
 "other". Each layer is timed by a wrapper on the name `answer_question`
 calls, which adds two clock reads per call. Each figure is the median
 of N runs (default 3).
@@ -116,6 +118,19 @@ def timed(fn, runs: int):
         result = fn()
         times.append(time.perf_counter() - t0)
     return median(times), result
+
+
+def traced(fn) -> tuple[float, float]:
+    """The traced peak MB of one call of fn(), and the MB its result keeps,
+    both counting only what the call allocates (tracemalloc)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()  # held until the reading, so that it counts as kept
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20, kept / 2**20
 
 
 def time_layers(module, totals: dict[str, float]) -> None:
@@ -241,18 +256,24 @@ def main(argv=None) -> int:
         print(f"{name:24s} {seconds * 1000:8.1f}")
 
     fmt = config.param("corpus.format")
-    parse_s, docs = timed(lambda: list(parse_corpus(config.corpus_path, fmt)), args.runs)
-    terms_s, _ = timed(lambda: [terms(doc.text) for doc in docs], args.runs)
-    build_s, index = timed(lambda: build_index(docs), args.runs)
+    docs = list(parse_corpus(config.corpus_path, fmt))
+    index = build_index(docs)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "index.qix"
-        write_s, _ = timed(lambda: write_index(index, path), args.runs)
-        load_s, _ = timed(lambda: load_index(path), args.runs)
-    print(f"\n{'in process':24s} {'wall ms':>8s}")
-    for name, seconds in [("corpus parse", parse_s), ("terms", terms_s),
-                          ("build_index", build_s), ("write_index", write_s),
-                          ("load_index", load_s)]:
-        print(f"{name:24s} {seconds * 1000:8.1f}")
+        write_index(index, path)
+        steps = [("corpus parse", lambda: list(parse_corpus(config.corpus_path, fmt))),
+                 ("terms", lambda: [terms(doc.text) for doc in docs]),
+                 ("build_index", lambda: build_index(docs)),
+                 ("write_index", lambda: write_index(index, path)),
+                 ("load_index", lambda: load_index(path))]
+        print(f"\n{'in process':24s} {'wall ms':>8s} {'peak MB':>8s} {'kept MB':>8s}")
+        memory = {}
+        for name, fn in steps:
+            seconds, _ = timed(fn, args.runs)
+            peak, kept = memory[name] = traced(fn)
+            print(f"{name:24s} {seconds * 1000:8.1f} {peak:8.2f} {kept:8.2f}")
+    peak, kept = memory["load_index"]
+    print(f"{'load_index peak / kept':24s} {peak / kept:8.2f}")
 
     analyses = load_analyses(config.param("questions.analysis_out"))
     settings = AnswerSettings.from_config(config)
