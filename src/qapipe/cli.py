@@ -26,6 +26,7 @@ from .errors import UsageError
 from .extraction import AnswerSettings, answer_question
 from .pipeline import StageKind, run_pipeline
 from .questions import Question, analyze
+from .serde import escape_field
 from .stages import default_engines
 
 EXIT_OK = 0
@@ -110,8 +111,9 @@ def cmd_ask(args) -> int:
     def respond(qid: str, text: str) -> None:
         analysis = analyze(Question(qid, text), model)
         record = answer_question(idx, analysis, settings)
-        answer = record.answer if record.answer is not None else "NIL"
-        doc = record.supporting_doc if record.supporting_doc is not None else "-"
+        # Escaped as answers.txt stores them, so each reply is one line.
+        answer = "NIL" if record.answer is None else escape_field(record.answer)
+        doc = "-" if record.supporting_doc is None else escape_field(record.supporting_doc)
         print(f"{answer}\t{doc}\t{record.final_score:g}")
 
     if args.question:

@@ -8,8 +8,7 @@ and `judge` takes an answer and its qid's patterns. Accuracy is correct
 answers over the total number of gold questions; gold questions the
 system never answered count as wrong.
 
-`JudgedAnswer` is a NamedTuple record; `EvaluationReport` is a plain
-class with slots.
+`JudgedAnswer` and `EvaluationReport` are NamedTuple records.
 """
 
 import re
@@ -44,27 +43,15 @@ class JudgedAnswer(NamedTuple):
     matched_pattern: str | None = None
 
 
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     """The judged gold questions, their counts and the answers no gold
     question asked for."""
 
-    __slots__ = (
-        "total_questions", "correct_count", "per_question", "unanswered_qids", "ignored_answers",
-    )
-
-    def __init__(
-        self,
-        total_questions: int,
-        correct_count: int,
-        per_question: list[JudgedAnswer],
-        unanswered_qids: list[str],
-        ignored_answers: int,
-    ):
-        self.total_questions = total_questions
-        self.correct_count = correct_count
-        self.per_question = per_question
-        self.unanswered_qids = unanswered_qids
-        self.ignored_answers = ignored_answers
+    total_questions: int
+    correct_count: int
+    per_question: list[JudgedAnswer]
+    unanswered_qids: list[str]
+    ignored_answers: int
 
     @property
     def accuracy(self) -> float:

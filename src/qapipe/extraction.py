@@ -213,7 +213,7 @@ def _capitalized_runs(text: str, sentences) -> list[tuple[int, str, tuple[str, .
     return out
 
 
-def _query_free_hits(text: str, group: str, index: InvertedIndex | None) -> list:
+def _query_free_hits(text: str, group: str, index: InvertedIndex) -> list:
     """The hits of `group` in `text`: the matches of a _PATTERN_GROUPS group,
     or the _capitalized_runs for _RUNS. They depend on the text alone, so
     they are memoized on its features under the group's name."""
@@ -232,7 +232,7 @@ def _query_free_hits(text: str, group: str, index: InvertedIndex | None) -> list
 
 
 def _best_sentence(
-    passage: Passage, query_terms, index, coverage_weight: float
+    passage: Passage, query_terms, index: InvertedIndex, coverage_weight: float
 ) -> tuple[int, str] | None:
     """The passage's first sentence of the highest score_terms, with its
     offset. A sentence's terms are the slice of its passage's terms whose
@@ -254,16 +254,16 @@ def _best_sentence(
 def extract_candidates(
     passage: Passage,
     answer_type: AnswerType,
-    query_terms: list[str] = (),
-    index: InvertedIndex | None = None,
+    query_terms: list[str],
+    index: InvertedIndex,
     settings: AnswerSettings = AnswerSettings(),
     passage_index: int = 0,
 ) -> list[CandidateAnswer]:
     """Type-conditioned extraction; offsets are document-level.
 
     The query-independent hits are memoized on the passage's features
-    when `index` is given (see `_query_free_hits`); per call, only the
-    query-echo filter of capitalized runs and DESC's best sentence run.
+    (see `_query_free_hits`); per call, only the query-echo filter of
+    capitalized runs and DESC's best sentence run.
     """
     coarse, fine = answer_type.coarse, answer_type.fine
     text = passage.text
@@ -280,12 +280,7 @@ def extract_candidates(
             if not all(w in query for w in content)
         ]
     else:  # DESC, the one coarse class left
-        best = None
-        if index is not None:
-            best = _best_sentence(passage, query_terms, index, settings.coverage_weight)
-        if best is None and text.strip():
-            stripped = text.strip()
-            best = (text.index(stripped[0]), stripped)
+        best = _best_sentence(passage, query_terms, index, settings.coverage_weight)
         hits = [best] if best else []
 
     base = passage.char_span[0]
@@ -326,8 +321,8 @@ def rank_candidates(
     candidates: list[CandidateAnswer],
     analysis: QuestionAnalysis,
     passages: list[Passage],
+    index: InvertedIndex,
     settings: AnswerSettings = AnswerSettings(),
-    index: InvertedIndex | None = None,
 ) -> list[CandidateAnswer]:
     """Deduplicate, score, and order candidates best-first.
 
@@ -336,7 +331,7 @@ def rank_candidates(
     span and how many passages hold its text, never another duplicate.
     The scored candidates are copies; the given ones are not changed.
     A passage's terms and word offsets are read from its features,
-    memoized on `index` when one is given.
+    memoized on `index`.
     """
     earliest: dict[str, CandidateAnswer] = {}
     for cand in candidates:
@@ -424,17 +419,10 @@ def answer_question(
 
     candidates: list[CandidateAnswer] = []
     for i, passage in enumerate(kept):
-        candidates.extend(
-            extract_candidates(
-                passage,
-                analysis.answer_type,
-                analysis.query_terms,
-                index=index,
-                settings=settings,
-                passage_index=i,
-            )
-        )
-    ranked = rank_candidates(candidates, analysis, kept, settings, index)
+        candidates.extend(extract_candidates(
+            passage, analysis.answer_type, analysis.query_terms, index, settings, i
+        ))
+    ranked = rank_candidates(candidates, analysis, kept, index, settings)
     if not ranked:
         return nil
     top = ranked[0]

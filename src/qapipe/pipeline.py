@@ -8,9 +8,9 @@ manifest. `StageKind`'s definition order is the pipeline order.
 Stages hand off through files at the paths named in the config, never
 through memory, so any subset of stages can run in its own process and
 produce byte-identical artifacts. Stage outputs carry no timestamps;
-wall-clock data lives only in the run manifest. `StageRun` is a
-NamedTuple record; `RunManifest` is a plain class with slots whose
-`stages_run` grows as the stages run.
+wall-clock data lives only in the run manifest. `StageRun` and
+`RunManifest` are NamedTuple records; a manifest's `stages_run` list
+grows as the stages run.
 """
 
 import time
@@ -106,15 +106,12 @@ class StageRun(NamedTuple):
     detail: str = ""
 
 
-class RunManifest:
+class RunManifest(NamedTuple):
     """When a run started, its config's digest, and each stage it ran."""
 
-    __slots__ = ("started_at", "config_digest", "stages_run")
-
-    def __init__(self, started_at: str, config_digest: str):
-        self.started_at = started_at
-        self.config_digest = config_digest
-        self.stages_run: list[StageRun] = []
+    started_at: str
+    config_digest: str
+    stages_run: list[StageRun]
 
 
 def run_pipeline(
@@ -143,10 +140,7 @@ def run_pipeline(
     if issues:
         raise ValidationFailed(issues)
 
-    manifest = RunManifest(
-        started_at=datetime.now(timezone.utc).isoformat(),
-        config_digest=config.digest(),
-    )
+    manifest = RunManifest(datetime.now(timezone.utc).isoformat(), config.digest(), [])
     for stage in stages:
         t0 = time.perf_counter()
         try:

@@ -14,9 +14,8 @@ Analysis turns a question into the retrieval stage's input: query terms
 an expected answer type from the trained classifier, with a small rule
 table overriding low-confidence model output.
 
-`Question` is a NamedTuple record: questions compare and hash as tuples,
-and `_replace` copies one with fields changed. `QuestionAnalysis` is a
-plain class with slots that compares by its fields.
+`Question` and `QuestionAnalysis` are NamedTuple records: they compare
+as tuples, and `_replace` copies one with fields changed.
 """
 
 import re
@@ -49,35 +48,14 @@ class UnknownQuestionFormat(QAError):
     pass
 
 
-class QuestionAnalysis:
-    """The stage-2 record of one question; analyses compare by every field."""
+class QuestionAnalysis(NamedTuple):
+    """The stage-2 record of one question."""
 
-    __slots__ = ("qid", "text", "query_terms", "answer_type", "classifier_source")
-
-    def __init__(
-        self,
-        qid: str,
-        text: str,
-        query_terms: list[str],
-        answer_type: AnswerType,
-        classifier_source: str,  # "model" | "rule" | "default"
-    ):
-        self.qid = qid
-        self.text = text
-        self.query_terms = query_terms
-        self.answer_type = answer_type
-        self.classifier_source = classifier_source
-
-    def _key(self) -> tuple:
-        return self.qid, self.text, self.query_terms, self.answer_type, self.classifier_source
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        return "QuestionAnalysis({!r}, {!r}, {!r}, {!r}, {!r})".format(*self._key())
+    qid: str
+    text: str
+    query_terms: list[str]
+    answer_type: AnswerType
+    classifier_source: str  # "model" | "rule" | "default"
 
 
 _TARGET_RE = re.compile(r'<target\s+text="([^"]*)"\s*>(.*?)</target>', re.DOTALL)

@@ -186,11 +186,9 @@ class PassageFeatures:
         return self._starts, self._ends
 
 
-def passage_features(text: str, index: InvertedIndex | None) -> PassageFeatures:
+def passage_features(text: str, index: InvertedIndex) -> PassageFeatures:
     """The features of `text`, memoized on `index` by the text, which is all
-    they depend on; without an index they are made afresh."""
-    if index is None:
-        return PassageFeatures(text)
+    they depend on."""
     memo = index.passage_features
     features = memo.get(text)
     if features is None:

@@ -202,12 +202,13 @@ def _records(path, magic, version, error, rewrite) -> Iterator[str | None]:
 
 
 def read_text(path, error: type[Exception]) -> str:
-    """The UTF-8 text of `path` with newlines translated as text mode does;
-    bytes that are not UTF-8 raise `error(message)`, naming their line."""
+    """The UTF-8 text of `path` without one leading byte order mark, with
+    newlines translated as text mode does; bytes that are not UTF-8 raise
+    `error(message)`, naming their line."""
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line_no = raw.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}: line {line_no} is not valid UTF-8") from exc
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")

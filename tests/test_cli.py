@@ -197,6 +197,46 @@ def test_ask_repl_three_lines(tmp_path):
     assert lines[2] == "NIL\t-\t0"
 
 
+def test_ask_prints_one_escaped_line_per_question(tmp_path):
+    """A capitalized run and a DESC sentence that cross a line break, and a
+    doc id holding a tab and a backslash, print escaped as answers.txt stores
+    them, so each question gets one reply line."""
+    from qapipe.extraction import load_answers
+    from qapipe.serde import escape_field
+
+    write_basic_setup(tmp_path)
+    train(tmp_path)
+    (tmp_path / "corpus.tsv").write_text(
+        "<DOC>\n<DOCNO> D\\1\tx </DOCNO>\n<TEXT>\n"
+        "The onyx lighthouse was founded by Maria\nVoss in a harsh winter.\n"
+        "</TEXT>\n</DOC>\n",
+        encoding="utf-8",
+    )
+    questions = ["Who founded the onyx lighthouse?", "What is an onyx lighthouse?"]
+    (tmp_path / "questions.txt").write_text(
+        "".join(f"q{i}\t{q}\n" for i, q in enumerate(questions, start=1)), encoding="utf-8"
+    )
+    config = tmp_path / "config.qa"
+    config.write_text(
+        config.read_text(encoding="utf-8").replace("record-lines", "trec-sgml"), encoding="utf-8"
+    )
+    for command in ("index", "process-questions", "answer"):
+        result = run_cli(command, "--config", "config.qa", cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+    records = load_answers(tmp_path / "answers.txt")
+    assert [r.answer for r in records] == [
+        "Maria\nVoss", "The onyx lighthouse was founded by Maria\nVoss in a harsh winter."
+    ]
+    stdin = "".join(q + "\n" for q in questions)
+    result = run_cli("ask", "--config", "config.qa", cwd=tmp_path, stdin=stdin)
+    assert result.returncode == 0, result.stderr
+    replies = [line.split("\t") for line in result.stdout.split("\n")[:-1]]
+    assert [reply[:2] for reply in replies] == [
+        [escape_field(r.answer), escape_field(r.supporting_doc)] for r in records
+    ]
+    assert replies[0][:2] == ["Maria\\nVoss", "D\\\\1\\tx"]
+
+
 def test_ask_without_index_exits_1(tmp_path):
     write_basic_setup(tmp_path)
     train(tmp_path)

@@ -93,6 +93,13 @@ def test_comments_and_blanks_ignored(tmp_path):
     assert config.stage_params["retrieval.k"] == 50
 
 
+def test_leading_byte_order_mark_is_dropped(tmp_path):
+    """An editor that saves UTF-8 with a BOM puts U+FEFF before the first key."""
+    with_bom = load_config(write_config(tmp_path, "\ufeff" + MINIMAL, name="bom.qa"))
+    assert with_bom.digest() == load_config(write_config(tmp_path, MINIMAL)).digest()
+    assert with_bom.corpus_path == str(tmp_path / "corpus.tsv")
+
+
 def test_nul_byte_in_a_path_is_a_parse_error(tmp_path):
     path = write_config(tmp_path, MINIMAL + "extract.persons = a\x00b\n")
     with pytest.raises(ParseError) as exc:

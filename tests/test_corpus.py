@@ -86,6 +86,17 @@ def test_record_lines_split_on_newline_only(tmp_path):
     assert rejects == []
 
 
+def test_record_lines_drop_one_leading_byte_order_mark(tmp_path):
+    """The file's leading BOM is not part of the first doc id; any other
+    U+FEFF is text."""
+    path = tmp_path / "corpus.tsv"
+    path.write_text("\ufeffd1\t\tfirst\nd2\t\t\ufeffsecond\n", encoding="utf-8")
+    docs = list(parse_corpus(path, "record-lines"))
+    assert docs == [Document("d1", "first", ()), Document("d2", "\ufeffsecond", ())]
+    path.write_text("\ufeff\ufeffd1\t\tfirst\n", encoding="utf-8")
+    assert [d.doc_id for d in parse_corpus(path, "record-lines")] == ["\ufeffd1"]
+
+
 def test_record_lines_empty_doc_id_rejected(tmp_path):
     path = tmp_path / "corpus.tsv"
     path.write_text("\thead\ttext\n", encoding="utf-8")

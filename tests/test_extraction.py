@@ -23,6 +23,12 @@ def passage_of(text, doc_id="d1", score=0.0):
     return Passage(doc_id, (0, len(text)), text, score)
 
 
+def index_of(*passages):
+    """An index of one document per passage, holding the passage's text: the
+    index that answering memoizes each passage's features on."""
+    return build_index(Document(p.doc_id, p.text, ()) for p in passages)
+
+
 def analysis_for(terms, answer_type, qid="q1"):
     return QuestionAnalysis(qid, "", list(terms), answer_type, "rule")
 
@@ -33,57 +39,57 @@ def texts(candidates):
 
 def test_date_pattern_day_month_year():
     p = passage_of("The accord was signed on 12 January 2004 in Rome.")
-    cands = extract_candidates(p, AnswerType("NUM", "date"))
+    cands = extract_candidates(p, AnswerType("NUM", "date"), [], index_of(p))
     assert texts(cands) == ["12 January 2004"]
 
 
 def test_date_pattern_variants():
     p = passage_of("Records list January 12, 2004 and also March 1999 and plain 1873.")
-    cands = extract_candidates(p, AnswerType("NUM", "date"))
+    cands = extract_candidates(p, AnswerType("NUM", "date"), [], index_of(p))
     assert texts(cands) == ["January 12, 2004", "March 1999", "1873"]
 
 
 def test_date_bare_year_range():
     p = passage_of("Figures 0042 and 3120 are codes but 1066 is a year.")
-    cands = extract_candidates(p, AnswerType("NUM", "date"))
+    cands = extract_candidates(p, AnswerType("NUM", "date"), [], index_of(p))
     assert texts(cands) == ["1066"]
 
 
 def test_count_pattern_with_separators():
     p = passage_of("The convoy carried 1,500 barrels and 42 crates.")
-    cands = extract_candidates(p, AnswerType("NUM", "count"))
+    cands = extract_candidates(p, AnswerType("NUM", "count"), [], index_of(p))
     assert texts(cands) == ["1,500", "42"]
 
 
 def test_money_pattern():
     p = passage_of("It sold for $4.5 million while repairs cost 300 dollars.")
-    cands = extract_candidates(p, AnswerType("NUM", "money"))
+    cands = extract_candidates(p, AnswerType("NUM", "money"), [], index_of(p))
     assert texts(cands) == ["$4.5 million", "300 dollars"]
 
 
 def test_percent_pattern():
     p = passage_of("Support rose to 62 percent, then 17.5% later.")
-    cands = extract_candidates(p, AnswerType("NUM", "perc"))
+    cands = extract_candidates(p, AnswerType("NUM", "perc"), [], index_of(p))
     assert texts(cands) == ["62 percent", "17.5%"]
 
 
 def test_capitalized_runs_for_person():
     p = passage_of("Gordon Moore and Robert Noyce founded Intel.")
-    cands = extract_candidates(p, AnswerType("HUM", "ind"))
+    cands = extract_candidates(p, AnswerType("HUM", "ind"), [], index_of(p))
     assert "Gordon Moore" in texts(cands)
     assert "Robert Noyce" in texts(cands)
 
 
 def test_query_echo_excluded():
     p = passage_of("Gordon Moore and Robert Noyce founded Intel.")
-    cands = extract_candidates(p, AnswerType("HUM", "ind"), ["founded", "intel"])
+    cands = extract_candidates(p, AnswerType("HUM", "ind"), ["founded", "intel"], index_of(p))
     assert "Intel" not in texts(cands)
     assert "Gordon Moore" in texts(cands)
 
 
 def test_lone_sentence_initial_word_excluded():
     p = passage_of("Towers rose in the east. Beside them stood Ravenna Keep.")
-    cands = extract_candidates(p, AnswerType("LOC", "other"))
+    cands = extract_candidates(p, AnswerType("LOC", "other"), [], index_of(p))
     assert "Towers" not in texts(cands)
     assert "Beside" not in texts(cands)
     assert "Ravenna Keep" in texts(cands)
@@ -91,21 +97,21 @@ def test_lone_sentence_initial_word_excluded():
 
 def test_sentence_initial_stopword_stripped():
     p = passage_of("The Eiffel Tower stands in Paris.")
-    cands = extract_candidates(p, AnswerType("LOC", "other"))
+    cands = extract_candidates(p, AnswerType("LOC", "other"), [], index_of(p))
     assert "Eiffel Tower" in texts(cands)
     assert all(not c.text.startswith("The ") for c in cands)
 
 
 def test_connectors_allowed_inside_runs():
     p = passage_of("She praised the Bank of England and Vincent van Gogh yesterday.")
-    cands = extract_candidates(p, AnswerType("ENTY", "other"))
+    cands = extract_candidates(p, AnswerType("ENTY", "other"), [], index_of(p))
     assert "Bank of England" in texts(cands)
     assert "Vincent van Gogh" in texts(cands)
 
 
 def test_abbreviation_extraction():
     p = passage_of("The T.L.A. and NASA signed the memo.")
-    cands = extract_candidates(p, AnswerType("ABBR", "abb"))
+    cands = extract_candidates(p, AnswerType("ABBR", "abb"), [], index_of(p))
     assert "NASA" in texts(cands)
     assert "T.L.A." in texts(cands)
 
@@ -146,8 +152,11 @@ def test_extraction_soundness_offsets_slice_back():
 
 def test_rank_single_candidate():
     p = passage_of("The fort held 17 cannons.", score=3.0)
-    cands = extract_candidates(p, AnswerType("NUM", "count"), ["cannons"])
-    ranked = rank_candidates(cands, analysis_for(["cannons"], AnswerType("NUM", "count")), [p])
+    idx = index_of(p)
+    cands = extract_candidates(p, AnswerType("NUM", "count"), ["cannons"], idx)
+    ranked = rank_candidates(
+        cands, analysis_for(["cannons"], AnswerType("NUM", "count")), [p], idx
+    )
     assert len(ranked) == 1
     assert ranked[0].redundancy_count == 1
     assert ranked[0].final_score > 3.0
@@ -157,8 +166,9 @@ def test_rank_hand_computed_proximity_order():
     text = "The fort held 17 cannons. The barn held 9 goats. A mill stood far away near 4 streams."
     p = passage_of(text, score=2.0)
     analysis = analysis_for(["cannons"], AnswerType("NUM", "count"))
-    cands = extract_candidates(p, AnswerType("NUM", "count"), ["cannons"])
-    ranked = rank_candidates(cands, analysis, [p])
+    idx = index_of(p)
+    cands = extract_candidates(p, AnswerType("NUM", "count"), ["cannons"], idx)
+    ranked = rank_candidates(cands, analysis, [p], idx)
     assert texts(ranked) == ["17", "9", "4"]
     # tokens: the fort held 17 cannons the barn held 9 ... near 4 streams
     # "17" is 1 token from "cannons", "9" is 4 tokens, "4" is 12 tokens.
@@ -173,9 +183,10 @@ def test_rank_proximity_uses_source_end_of_token():
     p = passage_of("İstanbul$5 million", score=1.0)
     city = "İstanbul".lower()
     analysis = analysis_for([city], AnswerType("NUM", "money"))
-    cands = extract_candidates(p, AnswerType("NUM", "money"), [city])
+    idx = index_of(p)
+    cands = extract_candidates(p, AnswerType("NUM", "money"), [city], idx)
     assert texts(cands) == ["$5 million"]
-    ranked = rank_candidates(cands, analysis, [p])
+    ranked = rank_candidates(cands, analysis, [p], idx)
     assert ranked[0].proximity_score == pytest.approx(1.0 / 2.0)
 
 
@@ -183,10 +194,11 @@ def test_rank_redundancy_merges_duplicates():
     p1 = passage_of("Maria Voss led the march.", doc_id="d1", score=1.0)
     p2 = Passage("d2", (0, 26), "Crowds cheered Maria Voss.", 1.0)
     analysis = analysis_for(["march"], AnswerType("HUM", "ind"))
-    cands = extract_candidates(p1, AnswerType("HUM", "ind"), passage_index=0)
-    cands += extract_candidates(p2, AnswerType("HUM", "ind"), passage_index=1)
+    idx = index_of(p1, p2)
+    cands = extract_candidates(p1, AnswerType("HUM", "ind"), [], idx, passage_index=0)
+    cands += extract_candidates(p2, AnswerType("HUM", "ind"), [], idx, passage_index=1)
     assert texts(cands).count("Maria Voss") == 2
-    ranked = rank_candidates(cands, analysis, [p1, p2])
+    ranked = rank_candidates(cands, analysis, [p1, p2], idx)
     assert texts(ranked).count("Maria Voss") == 1
     winner = next(c for c in ranked if c.text == "Maria Voss")
     assert winner.redundancy_count == 2
@@ -196,8 +208,9 @@ def test_rank_redundancy_merges_duplicates():
 def test_rank_proximity_zero_when_term_absent():
     p = passage_of("Seventeen wagons rolled in 1885.", score=0.0)
     analysis = analysis_for(["harvest"], AnswerType("NUM", "date"))
-    cands = extract_candidates(p, AnswerType("NUM", "date"))
-    ranked = rank_candidates(cands, analysis, [p])
+    idx = index_of(p)
+    cands = extract_candidates(p, AnswerType("NUM", "date"), [], idx)
+    ranked = rank_candidates(cands, analysis, [p], idx)
     assert ranked[0].proximity_score == 0.0
 
 
@@ -381,16 +394,15 @@ def test_gazetteer_boost_outranks_closer_candidate():
 
     p = passage_of("Kellan Drue spoke while Maria Voss listened quietly.", score=1.0)
     analysis = analysis_for(["spoke"], AnswerType("HUM", "ind"))
+    idx = index_of(p)
     plain = rank_candidates(
-        extract_candidates(p, AnswerType("HUM", "ind")), analysis, [p]
+        extract_candidates(p, AnswerType("HUM", "ind"), [], idx), analysis, [p], idx
     )
     assert texts(plain) == ["Kellan Drue", "Maria Voss"]  # proximity favors Kellan
 
     gaz = AnswerSettings(persons=frozenset({"maria voss"}))
     boosted = rank_candidates(
-        extract_candidates(p, AnswerType("HUM", "ind"), settings=gaz),
-        analysis,
-        [p],
+        extract_candidates(p, AnswerType("HUM", "ind"), [], idx, gaz), analysis, [p], idx, gaz
     )
     assert texts(boosted) == ["Maria Voss", "Kellan Drue"]
     assert boosted[0].gazetteer_match
@@ -404,5 +416,5 @@ def test_gazetteer_ignored_for_other_types():
 
     p = passage_of("Kellan Drue praised Maria Voss.", score=1.0)
     gaz = AnswerSettings(persons=frozenset({"maria voss"}))
-    cands = extract_candidates(p, AnswerType("ENTY", "other"), settings=gaz)
+    cands = extract_candidates(p, AnswerType("ENTY", "other"), [], index_of(p), gaz)
     assert all(not c.gazetteer_match for c in cands)

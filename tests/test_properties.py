@@ -573,8 +573,7 @@ def warm_extractions(draw):
                 .map(" ".join) | st.text(max_size=20))
     query = st.lists(st.sampled_from(FOUR_TERMS + terms(text)), max_size=3)
     earlier = draw(st.lists(st.tuples(memo_types, query), max_size=4))
-    last = draw(memo_types.filter(lambda t: t.coarse != "DESC"))
-    return text, earlier, last, draw(query)
+    return text, earlier, draw(memo_types), draw(query)
 
 
 # The run "Voss of Kent" only echoes the first query, not the second.
@@ -584,16 +583,15 @@ def warm_extractions(draw):
 @given(warm_extractions())
 def test_extraction_on_a_warm_memo_equals_extraction_afresh(inputs):
     """A passage yields the same candidates on an index that has already
-    extracted it under other answer types and queries as it does afresh,
-    without an index. DESC, whose best sentence needs an index, is only
-    extracted first; its answers are compared in the warm-index test above."""
+    extracted it under other answer types and queries as it does on a
+    freshly built index of the same document."""
     text, earlier, answer_type, query = inputs
     passage = Passage("d", (7, 7 + len(text)), text, 1.5)
     warm = build_index([Document("d", text, ())])
     for earlier_type, earlier_query in earlier:
-        extract_candidates(passage, earlier_type, earlier_query, index=warm)
-    assert extract_candidates(passage, answer_type, query, index=warm) == extract_candidates(
-        passage, answer_type, query
+        extract_candidates(passage, earlier_type, earlier_query, warm)
+    assert extract_candidates(passage, answer_type, query, warm) == extract_candidates(
+        passage, answer_type, query, build_index([Document("d", text, ())])
     )
 
 
@@ -696,12 +694,13 @@ named_text = st.lists(st.sampled_from(NAMED), max_size=20).map(" ".join)
        st.lists(st.sampled_from(NAMED[:4]), min_size=1, max_size=3))
 def test_rank_proximity_matches_per_candidate_reference(texts, query):
     passages = [Passage("d", (0, len(t)), t) for t in texts]
+    index = build_index(Document(f"d{i}", t, ()) for i, t in enumerate(texts))
     candidates = [
         c
         for i, p in enumerate(passages)
-        for c in extract_candidates(p, AnswerType("HUM", "ind"), query, passage_index=i)
+        for c in extract_candidates(p, AnswerType("HUM", "ind"), query, index, passage_index=i)
     ]
-    for ranked in rank_candidates(candidates, analysis_of(query), passages):
+    for ranked in rank_candidates(candidates, analysis_of(query), passages, index):
         passage = passages[ranked.passage_index]
         assert ranked.proximity_score == reference_proximity(passage, ranked, query)
 
@@ -817,7 +816,8 @@ def test_rank_candidates_matches_score_then_dedup_reference(inputs, query, proxi
     given_candidates = list(candidates)
     settings = AnswerSettings(proximity_weight=proximity, redundancy_weight=redundancy)
     analysis = analysis_of(query)
-    assert rank_candidates(candidates, analysis, passages, settings) == (
+    index = build_index(Document(f"p{i}", p.text, ()) for i, p in enumerate(passages))
+    assert rank_candidates(candidates, analysis, passages, index, settings) == (
         reference_rank_candidates(candidates, analysis, passages, settings)
     )
     assert candidates == given_candidates
