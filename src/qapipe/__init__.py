@@ -3,58 +3,56 @@
 The framework (pipeline and config: a system is one engine per stage) and
 the reference engines (indexing, question analysis, answer retrieval,
 evaluation) it ships with.
+
+`import qapipe` loads no submodule. Each name in `__all__` is imported
+from the module that owns it when it is first read (PEP 562), so a
+process pays only for the modules it uses.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .classifier import ClassifierModel, classify_question, train_classifier
-from .config import PipelineConfig, load_config
-from .corpus import Document, parse_corpus
-from .evaluation import EvaluationReport, evaluate_answers, judge, load_gold
-from .extraction import AnswerRecord, answer_question, extract_candidates, rank_candidates
-from .index import InvertedIndex, build_index, load_index, write_index
-from .pipeline import RunManifest, StageKind, run_pipeline, validate_config
-from .questions import Question, QuestionAnalysis, analyze, parse_questions
-from .retrieval import retrieve_documents, score_passage, segment_passages
-from .stages import default_engines
-from .stopwords import STOPWORDS
-from .taxonomy import AnswerType
-from .text import Token, tokenize
+# Each qapipe module -> the names exported from it.
+_EXPORTS = {
+    "answers": ("AnswerRecord",),
+    "classifier": ("ClassifierModel", "classify_question", "train_classifier"),
+    "config": ("PipelineConfig", "load_config"),
+    "corpus": ("Document", "parse_corpus"),
+    "evaluation": ("EvaluationReport", "evaluate_answers", "judge", "load_gold"),
+    "extraction": ("answer_question", "extract_candidates", "rank_candidates"),
+    "index": ("InvertedIndex", "build_index", "load_index", "write_index"),
+    "pipeline": ("RunManifest", "StageKind", "run_pipeline", "validate_config"),
+    "questions": ("Question", "QuestionAnalysis", "analyze", "parse_questions"),
+    "retrieval": ("retrieve_documents", "score_passage", "segment_passages"),
+    "stages": ("default_engines",),
+    "stopwords": ("STOPWORDS",),
+    "taxonomy": ("AnswerType",),
+    "text": ("Token", "tokenize"),
+}
+_OWNERS = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_OWNERS)
 
-__all__ = [
-    "AnswerRecord",
-    "AnswerType",
-    "ClassifierModel",
-    "Document",
-    "EvaluationReport",
-    "InvertedIndex",
-    "PipelineConfig",
-    "Question",
-    "QuestionAnalysis",
-    "RunManifest",
-    "STOPWORDS",
-    "StageKind",
-    "Token",
-    "analyze",
-    "answer_question",
-    "build_index",
-    "classify_question",
-    "default_engines",
-    "evaluate_answers",
-    "extract_candidates",
-    "judge",
-    "load_config",
-    "load_gold",
-    "load_index",
-    "parse_corpus",
-    "parse_questions",
-    "rank_candidates",
-    "retrieve_documents",
-    "run_pipeline",
-    "score_passage",
-    "segment_passages",
-    "tokenize",
-    "train_classifier",
-    "validate_config",
-    "write_index",
-]
+
+def _import_on_first_use(namespace: dict, owners: dict[str, str]):
+    """A module `__getattr__` (PEP 562) for the module whose globals are
+    `namespace`. It imports each name of `owners` from the qapipe module
+    named there and binds it in `namespace`, so later reads find it
+    without a call. A name that is bound, such as a wrapper set on the
+    module, is never looked up here."""
+
+    def __getattr__(name: str):
+        owner = owners.get(name)
+        if owner is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(f"{__name__}.{owner}"), name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _import_on_first_use(globals(), _OWNERS)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

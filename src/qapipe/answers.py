@@ -1,0 +1,51 @@
+"""The answers file: stage 3's artifact, which stage 4 reads.
+
+One record per question: qid, answer, supporting doc id and final
+score, framed by serde's `write_records`. A NIL answer and a missing
+doc are absent fields. This module holds the codec alone, so the
+`evaluate` stage reads answers without importing the answer engine in
+`extraction`.
+
+`AnswerRecord` is a NamedTuple record.
+"""
+
+from typing import NamedTuple
+
+from .errors import QAError
+from .serde import (
+    escape_field, escape_optional, read_records, unescape_field, unescape_optional, write_records,
+)
+
+MAGIC = "QANUSANS"
+VERSION = 1
+
+
+class AnswerRecord(NamedTuple):
+    qid: str
+    answer: str | None        # None encodes NIL
+    supporting_doc: str | None
+    final_score: float
+
+
+def write_answers(records: list[AnswerRecord], path) -> None:
+    """Stage 3 artifact: qid, answer, doc, score; NIL and no doc are absent fields."""
+    write_records(path, MAGIC, VERSION, (
+        f"{escape_field(r.qid)}\t{escape_optional(r.answer)}\t"
+        f"{escape_optional(r.supporting_doc)}\t{r.final_score:.6f}"
+        for r in records
+    ))
+
+
+def load_answers(path) -> list[AnswerRecord]:
+    out: list[AnswerRecord] = []
+    records = read_records(path, MAGIC, VERSION, QAError, "qapipe answer")
+    for line_no, line in enumerate(records, start=2):
+        try:
+            qid, answer, doc, score = line.split("\t")
+            final_score = float(score)
+        except ValueError as exc:
+            raise QAError(f"malformed answer record at line {line_no}: {exc}") from exc
+        out.append(AnswerRecord(
+            unescape_field(qid), unescape_optional(answer), unescape_optional(doc), final_score
+        ))
+    return out

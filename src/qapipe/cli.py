@@ -14,20 +14,29 @@ One binary, one subcommand per invocation:
 Exit codes: 0 success, 1 usage or validation error or an input path
 that is missing or a directory, 2 runtime failure.
 Diagnostics go to standard error only.
+
+Each command imports what it runs when it runs, so a process loads only
+its command's modules: the stage engines come from `stages`, the stage-3
+settings from `config.AnswerSettings`, and only `answer`, `run-all` and
+`ask` load the answer engine in `extraction`. `load_model`, `analyze`
+and `answer_question` are read through this module's namespace, which
+imports each from its owner on first use, so a wrapper set on this
+module is the one a command calls.
 """
 
 import argparse
 import sys
 
-from . import index as index_mod
-from .classifier import load_model, parse_training_file, train_classifier, write_model
-from .config import load_config
+from . import _import_on_first_use
+from .config import AnswerSettings, load_config
 from .errors import UsageError
-from .extraction import AnswerSettings, answer_question
 from .pipeline import StageKind, run_pipeline
-from .questions import Question, analyze
 from .serde import escape_field
-from .stages import default_engines
+
+__getattr__ = _import_on_first_use(globals(), {
+    "load_model": "classifier", "analyze": "questions", "answer_question": "extraction",
+})
+_module = sys.modules[__name__]  # `__main__` under `python -m qapipe.cli`
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,6 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_stages(args) -> int:
+    from .stages import default_engines
+
     config = load_config(args.config)
     stages = _STAGE_COMMANDS[args.command]
     if args.command == "run-all" and not config.gold_path:
@@ -85,6 +96,8 @@ def cmd_stages(args) -> int:
 
 
 def cmd_train_classifier(args) -> int:
+    from .classifier import parse_training_file, train_classifier, write_model
+
     examples, rejected = parse_training_file(args.train_file)
     for line in rejected:
         print(f"rejected: {line}", file=sys.stderr)
@@ -103,10 +116,15 @@ def cmd_train_classifier(args) -> int:
 
 
 def cmd_ask(args) -> int:
+    from .index import load_index
+    from .questions import Question
+
     config = load_config(args.config)
     settings = AnswerSettings.from_config(config)
-    idx = index_mod.load_index(config.index_path)
-    model = load_model(config.classifier_model_path) if config.classifier_model_path else None
+    idx = load_index(config.index_path)
+    path = config.classifier_model_path
+    model = _module.load_model(path) if path else None
+    analyze, answer_question = _module.analyze, _module.answer_question
 
     def respond(qid: str, text: str) -> None:
         analysis = analyze(Question(qid, text), model)
@@ -120,25 +138,26 @@ def cmd_ask(args) -> int:
         respond("q1", " ".join(args.question))
     else:
         for i, line in enumerate(sys.stdin, start=1):
-            if line.strip():
-                respond(f"q{i}", line.strip())
+            respond(f"q{i}", line.strip())  # a blank line gets a NIL reply
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
     import os
 
+    from .index import load_index
+
     config = load_config(args.config)
     found = False
     if os.path.isfile(config.index_path):
-        st = index_mod.load_index(config.index_path).stats()
+        st = load_index(config.index_path).stats()
         print(
             f"index: docs={st.doc_count} terms={st.distinct_terms} "
             f"postings={st.total_postings} avg_len={st.avg_doc_length:.2f}"
         )
         found = True
     if config.classifier_model_path and os.path.isfile(config.classifier_model_path):
-        model = load_model(config.classifier_model_path)
+        model = _module.load_model(config.classifier_model_path)
         print(
             f"model: labels={len(model.example_counts)} vocab={len(model.vocabulary)} "
             f"alpha={model.alpha:g} space={model.label_space}"

@@ -29,13 +29,16 @@ Stage parameters and their defaults:
     extract.locations        locations gazetteer path (unset)
 
 The retrieval.*, weights.* and extract.* keys are the stage-3 settings.
-Their defaults are those of `extraction.AnswerSettings`, which both the
-`answer` stage and the `ask` command build from the config, gazetteers
-included, so the two answer a question alike.
+`AnswerSettings`, defined here, holds them and their defaults. Both the
+`answer` stage and the `ask` command build it from the config with
+`AnswerSettings.from_config`, gazetteers included, so the two answer a
+question alike. This module imports neither the answer engine
+(`extraction`) nor question analysis (`questions`): each format's names
+live in `corpus`, so every command can load a config cheaply.
 
 `PipelineConfig` is a plain class with slots; to change a config, build
-it anew, which parses and checks the new values. `ConfigIssue` is a
-NamedTuple record.
+it anew, which parses and checks the new values. `ConfigIssue` and
+`AnswerSettings` are NamedTuple records.
 """
 
 import hashlib
@@ -44,10 +47,8 @@ from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import CORPUS_FORMATS
-from .errors import UsageError
-from .extraction import AnswerSettings
-from .questions import QUESTION_FORMATS
+from .corpus import CORPUS_FORMATS, QUESTION_FORMATS
+from .errors import QAError, UsageError
 from .serde import read_text
 
 REQUIRED_PATH_KEYS = ("corpus_path", "index_path", "questions_path", "answers_out_path")
@@ -81,6 +82,47 @@ def _path(text: str) -> str:
     if not text:
         raise ValueError("must not be empty")
     return text
+
+
+def load_gazetteer(path) -> frozenset[str]:
+    """One name per line, case-insensitive membership."""
+    names = {
+        line.strip().lower()
+        for line in read_text(path, QAError).split("\n")
+        if line.strip()
+    }
+    return frozenset(names)
+
+
+class AnswerSettings(NamedTuple):
+    """Stage-3 settings; the defaults here are the config defaults."""
+
+    k: int = 50                      # documents to retrieve
+    max_passages: int = 20           # passages kept per question
+    coverage_weight: float = 2.0
+    proximity_weight: float = 1.0
+    redundancy_weight: float = 0.5
+    persons: frozenset[str] = frozenset()    # gazetteer names, lowercased
+    locations: frozenset[str] = frozenset()
+
+    @classmethod
+    def from_config(cls, config) -> "AnswerSettings":
+        """Take a PipelineConfig's stage-3 values, which the config parsed and
+        checked when it was built, and load the gazetteers it names.
+
+        Raises FileNotFoundError for a named gazetteer file that is missing.
+        """
+        persons = config.param("extract.persons")
+        locations = config.param("extract.locations")
+        return cls(
+            k=config.param("retrieval.k"),
+            max_passages=config.param("retrieval.max_passages"),
+            coverage_weight=config.param("weights.coverage"),
+            proximity_weight=config.param("weights.proximity"),
+            redundancy_weight=config.param("weights.redundancy"),
+            persons=load_gazetteer(persons) if persons else frozenset(),
+            locations=load_gazetteer(locations) if locations else frozenset(),
+        )
 
 
 _STAGE3 = AnswerSettings()

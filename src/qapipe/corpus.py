@@ -15,6 +15,10 @@ Malformed records follow a skip-and-report policy: parsing continues and
 the bad record is appended to the caller's rejects list (pipeline stages
 persist these as a .rejects sidecar next to the index).
 
+`QUESTION_FORMATS`, the names of the question file formats that
+`questions` parses, sits beside `CORPUS_FORMATS`, so that `config`
+checks both format keys without importing `questions`.
+
 `Document` and `MalformedRecord` are NamedTuple records: they compare
 and hash as tuples, and `_replace` copies one with fields changed.
 """
@@ -26,6 +30,7 @@ from .errors import QAError
 from .serde import atomic_write_text, read_text
 
 CORPUS_FORMATS = ("trec-sgml", "record-lines")
+QUESTION_FORMATS = ("trec-xml", "qline")
 
 
 class Document(NamedTuple):

@@ -8,14 +8,18 @@ and `judge` takes an answer and its qid's patterns. Accuracy is correct
 answers over the total number of gold questions; gold questions the
 system never answered count as wrong.
 
+The answers judged are `answers.AnswerRecord`s, read from the answers
+file by `answers.load_answers`; neither this module nor the `evaluate`
+stage imports the answer engine in `extraction`.
+
 `JudgedAnswer` and `EvaluationReport` are NamedTuple records.
 """
 
 import re
 from typing import NamedTuple
 
+from .answers import AnswerRecord
 from .errors import QAError
-from .extraction import AnswerRecord
 from .serde import atomic_write_text, read_text
 
 NIL = "NIL"

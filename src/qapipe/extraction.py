@@ -32,13 +32,14 @@ Per question, answering retrieves and scores passages, keeps the top
 ones, drops the capitalized runs that only echo the query or picks
 DESC's best sentence, and scores and orders the candidates.
 
-`AnswerSettings` holds every stage-3 setting and its default. The
-`answer` stage and the `ask` command both build it with
-`AnswerSettings.from_config`, so they answer alike for one config.
+The stage-3 settings are `config.AnswerSettings`. The `answer` stage
+and the `ask` command both build them with `AnswerSettings.from_config`,
+so they answer alike for one config. Each answer is an
+`answers.AnswerRecord`; the answers file codec lives in `answers`, so
+that the `evaluate` stage reads that file without importing this module.
 
-`CandidateAnswer`, `AnswerRecord` and `AnswerSettings` are NamedTuple
-records: they compare and hash as tuples, and `_replace` copies one
-with fields changed.
+`CandidateAnswer` is a NamedTuple record: it compares and hashes as a
+tuple, and `_replace` copies one with fields changed.
 """
 
 import re
@@ -46,23 +47,21 @@ from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import QAError
+# write_answers and load_answers are bound here too: qabench/trace_shim.py
+# wraps both names on this module, and the answer stage writes through it.
+from .answers import AnswerRecord, load_answers, write_answers
+from .config import AnswerSettings
 from .index import InvertedIndex
 from .questions import QuestionAnalysis
 from .retrieval import (
     Passage, passage_features, retrieve_documents, score_passage, score_terms, segment_passages,
 )
-from .serde import (
-    escape_field, escape_optional, read_records, read_text, unescape_field,
-    unescape_optional, write_records,
-)
+from .serde import unescape_field  # unused: qabench/trace_shim.py wraps this name
 from .stopwords import STOPWORDS
 from .taxonomy import AnswerType
 from .text import tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
 
 GAZETTEER_BONUS = 1.0
-MAGIC = "QANUSANS"  # the answers file, framed by serde's write_records
-VERSION = 1
 
 
 class CandidateAnswer(NamedTuple):
@@ -75,54 +74,6 @@ class CandidateAnswer(NamedTuple):
     redundancy_count: int = 1
     gazetteer_match: bool = False
     final_score: float = 0.0
-
-
-class AnswerRecord(NamedTuple):
-    qid: str
-    answer: str | None        # None encodes NIL
-    supporting_doc: str | None
-    final_score: float
-
-
-def load_gazetteer(path) -> frozenset[str]:
-    """One name per line, case-insensitive membership."""
-    names = {
-        line.strip().lower()
-        for line in read_text(path, QAError).split("\n")
-        if line.strip()
-    }
-    return frozenset(names)
-
-
-class AnswerSettings(NamedTuple):
-    """Stage-3 settings; the defaults here are the config defaults."""
-
-    k: int = 50                      # documents to retrieve
-    max_passages: int = 20           # passages kept per question
-    coverage_weight: float = 2.0
-    proximity_weight: float = 1.0
-    redundancy_weight: float = 0.5
-    persons: frozenset[str] = frozenset()    # gazetteer names, lowercased
-    locations: frozenset[str] = frozenset()
-
-    @classmethod
-    def from_config(cls, config) -> "AnswerSettings":
-        """Take a PipelineConfig's stage-3 values, which the config parsed and
-        checked when it was built, and load the gazetteers it names.
-
-        Raises FileNotFoundError for a named gazetteer file that is missing.
-        """
-        persons = config.param("extract.persons")
-        locations = config.param("extract.locations")
-        return cls(
-            k=config.param("retrieval.k"),
-            max_passages=config.param("retrieval.max_passages"),
-            coverage_weight=config.param("weights.coverage"),
-            proximity_weight=config.param("weights.proximity"),
-            redundancy_weight=config.param("weights.redundancy"),
-            persons=load_gazetteer(persons) if persons else frozenset(),
-            locations=load_gazetteer(locations) if locations else frozenset(),
-        )
 
 
 _MONTH = (
@@ -428,26 +379,3 @@ def answer_question(
     top = ranked[0]
     return AnswerRecord(analysis.qid, top.text, top.doc_id, top.final_score)
 
-
-def write_answers(records: list[AnswerRecord], path) -> None:
-    """Stage 3 artifact: qid, answer, doc, score; NIL and no doc are absent fields."""
-    write_records(path, MAGIC, VERSION, (
-        f"{escape_field(r.qid)}\t{escape_optional(r.answer)}\t"
-        f"{escape_optional(r.supporting_doc)}\t{r.final_score:.6f}"
-        for r in records
-    ))
-
-
-def load_answers(path) -> list[AnswerRecord]:
-    out: list[AnswerRecord] = []
-    records = read_records(path, MAGIC, VERSION, QAError, "qapipe answer")
-    for line_no, line in enumerate(records, start=2):
-        try:
-            qid, answer, doc, score = line.split("\t")
-            final_score = float(score)
-        except ValueError as exc:
-            raise QAError(f"malformed answer record at line {line_no}: {exc}") from exc
-        out.append(AnswerRecord(
-            unescape_field(qid), unescape_optional(answer), unescape_optional(doc), final_score
-        ))
-    return out

@@ -22,14 +22,13 @@ import re
 from typing import NamedTuple
 
 from .classifier import ClassifierModel, classify_question
-from .corpus import MalformedRecord
+from .corpus import QUESTION_FORMATS, MalformedRecord
 from .errors import QAError
 from .serde import escape_field, read_records, read_text, unescape_field, write_records
 from .stopwords import STOPWORDS
 from .taxonomy import AnswerType, InvalidAnswerType
 from .text import terms, tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
 
-QUESTION_FORMATS = ("trec-xml", "qline")
 MAGIC = "QANUSQAN"  # the analyses file, framed by serde's write_records
 VERSION = 1
 

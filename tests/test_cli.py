@@ -197,6 +197,22 @@ def test_ask_repl_three_lines(tmp_path):
     assert lines[2] == "NIL\t-\t0"
 
 
+def test_ask_replies_to_every_line_blank_ones_with_nil(tmp_path):
+    """A client that sends one line and waits for one reply must get it,
+    so a blank or all-whitespace line gets the NIL reply of a question
+    without query terms."""
+    write_basic_setup(tmp_path)
+    train(tmp_path)
+    run_cli("index", "--config", "config.qa", cwd=tmp_path)
+    stdin = "Who built the amber mill?\n\n   \nWhat?\n"
+    result = run_cli("ask", "--config", "config.qa", cwd=tmp_path, stdin=stdin)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 4
+    assert lines[0].startswith("Rolf Akkerman\t")
+    assert lines[1:] == ["NIL\t-\t0"] * 3
+
+
 def test_ask_prints_one_escaped_line_per_question(tmp_path):
     """A capitalized run and a DESC sentence that cross a line break, and a
     doc id holding a tab and a backslash, print escaped as answers.txt stores

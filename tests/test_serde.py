@@ -2,10 +2,11 @@ import os
 
 import pytest
 
+from qapipe.answers import AnswerRecord, load_answers, write_answers
 from qapipe.classifier import parse_training_file
+from qapipe.config import load_gazetteer
 from qapipe.corpus import parse_corpus
 from qapipe.errors import QAError
-from qapipe.extraction import AnswerRecord, load_answers, load_gazetteer, write_answers
 from qapipe.questions import parse_questions
 from qapipe.serde import atomic_write_text, write_records
 

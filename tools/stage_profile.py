@@ -17,11 +17,16 @@ for it. The stages write their artifacts into FIXTURE_DIR as
 
 Next it prints the start-up floor that every such process pays: the
 wall time of `python -c pass` and of `python -c "import qapipe.cli"`.
-Then it splits the set-up of that `ask` into its steps, timed inside a
-fresh `python` process per run: importing `qapipe.cli`, `load_config`
-with the stage-3 settings it names, `load_index`, `load_model`, and the
-first answer (analysis included). A tracing shim cannot see import
-time; this split can.
+For each stage command it then runs one more process under
+`python -X importtime` and prints the qapipe modules that the process
+imports, with the ms of their imports: the cumulative time of each
+qapipe import that no other qapipe import encloses, summed. (`qapipe.cli`
+itself runs as `__main__`, so it is not among them.) Then it splits the
+set-up of that `ask` into its steps, timed inside a fresh `python`
+process per run: importing `qapipe.cli`, `load_config` with the stage-3
+settings it names, `load_index`, `load_model`, and the first answer
+(analysis included), each step with the imports it makes first. A
+tracing shim cannot see import time; this split can.
 
 In process, it times the index stage's layers: corpus parse, `terms`
 over every document, `build_index`, `write_index` (to a temporary
@@ -89,15 +94,49 @@ t.append(time.perf_counter())
 config = cli.load_config("config.qa")
 settings = cli.AnswerSettings.from_config(config)
 t.append(time.perf_counter())
-index = cli.index_mod.load_index(config.index_path)
+from qapipe.index import load_index
+index = load_index(config.index_path)
 t.append(time.perf_counter())
-model = cli.load_model(config.classifier_model_path)
+from qapipe.classifier import load_model
+model = load_model(config.classifier_model_path)
 t.append(time.perf_counter())
-cli.answer_question(index, cli.analyze(cli.Question("q1", sys.argv[1]), model), settings)
+from qapipe.extraction import answer_question
+from qapipe.questions import Question, analyze
+answer_question(index, analyze(Question("q1", sys.argv[1]), model), settings)
 t.append(time.perf_counter())
 print(*(b - a for a, b in zip(t, t[1:])))
 """
 ASK_SETUP = ("import qapipe.cli", "load_config", "load_index", "load_model", "first answer")
+
+
+def qapipe_imports(cli_args, cwd, env) -> tuple[list[str], float]:
+    """The qapipe modules that one `python -m qapipe.cli` process imports,
+    and the ms of their imports: the cumulative `-X importtime` time of
+    each qapipe import that no other qapipe import encloses, summed."""
+    result = subprocess.run([sys.executable, "-X", "importtime", "-m", "qapipe.cli", *cli_args],
+                            cwd=cwd, env=env, stdin=subprocess.DEVNULL,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    if result.returncode:
+        raise SystemExit(f"{' '.join(cli_args)} exited {result.returncode}")
+    modules, total_us = [], 0
+    # `-X importtime` prints each import after the ones it encloses, which
+    # are indented further; read backwards, an import precedes them.
+    enclosing: list[tuple[int, bool]] = []  # (indent, is qapipe) of the open imports
+    for line in reversed(result.stderr.splitlines()):
+        fields = line.split("|")
+        if not line.startswith("import time:") or not fields[1].strip().isdigit():
+            continue
+        name = fields[2].strip()
+        indent = len(fields[2]) - len(fields[2].lstrip())
+        while enclosing and enclosing[-1][0] >= indent:
+            enclosing.pop()
+        is_qapipe = name.split(".")[0] == "qapipe"
+        if is_qapipe:
+            modules.append(name)
+            if not any(q for _, q in enclosing):
+                total_us += int(fields[1])
+        enclosing.append((indent, is_qapipe))
+    return sorted(modules), total_us / 1000
 
 
 def ask_setup(fixture: Path, env, question: str, runs: int) -> list[float]:
@@ -251,6 +290,11 @@ def main(argv=None) -> int:
     for name, code in [("python -c pass", "pass"), ("import qapipe.cli", "import qapipe.cli")]:
         runs = [run_pinned([sys.executable, "-c", code], fixture, env) for _ in range(args.runs)]
         print(f"{name:24s} {median(w for w, _ in runs) * 1000:8.1f}")
+    print(f"\n{'qapipe imports, 1 run':24s} {'ms':>8s}  modules")
+    for name, cli_args in commands[:len(STAGES)]:
+        modules, ms = qapipe_imports(cli_args, fixture, env)
+        short = " ".join(m.removeprefix("qapipe.") for m in modules)
+        print(f"{name:24s} {ms:8.1f}  {len(modules)}: {short}")
     print(f"\n{'ask set-up, in process':24s} {'wall ms':>8s}")
     for name, seconds in zip(ASK_SETUP, ask_setup(fixture, env, question, args.runs)):
         print(f"{name:24s} {seconds * 1000:8.1f}")
