@@ -4,12 +4,14 @@ trec-sgml:
     <DOC> blocks with a mandatory <DOCNO> and a <TEXT> body that may
     carry <P>...</P> paragraph markers. Paragraphs are joined with blank
     lines and their character spans recorded. Every other tag, such as
-    <HEADLINE>, is read past. An element runs from its open tag to the
-    first close tag after it, and the tags are found with `str.find`.
+    <HEADLINE>, is read past. `_elements` scans every element, a block's
+    DOCNO and TEXT too (the first of each): an element runs from its open
+    tag to the first close tag after it, found with `str.find`.
 
 record-lines:
     one record per line, tab-separated: doc_id <TAB> headline <TAB> text.
-    The middle field must be there but is read past.
+    The middle field must be there but is read past. `tab_separated`
+    scans these lines, and qline question files too.
 
 Malformed records follow a skip-and-report policy: parsing continues and
 the bad record is appended to the caller's rejects list (pipeline stages
@@ -74,60 +76,46 @@ def _elements(text: str, open_tag: str, close_tag: str):
         pos = end + len(close_tag)
 
 
-def _first_element(text: str, open_tag: str, close_tag: str) -> str | None:
-    """The text of the first `open_tag`...`close_tag` element, or None."""
-    start = text.find(open_tag)
-    if start < 0:
-        return None
-    start += len(open_tag)
-    end = text.find(close_tag, start)
-    return None if end < 0 else text[start:end]
-
-
 def _parse_trec_sgml(raw: str, rejects: list[MalformedRecord]):
     for block_no, block in enumerate(_elements(raw, "<DOC>", "</DOC>"), start=1):
         where = f"doc block {block_no}"
-        doc_id = (_first_element(block, "<DOCNO>", "</DOCNO>") or "").strip()
+        doc_id = next(_elements(block, "<DOCNO>", "</DOCNO>"), "").strip()
         if not doc_id:
             rejects.append(MalformedRecord(where, "missing or empty DOCNO"))
             continue
-        body = _first_element(block, "<TEXT>", "</TEXT>")
+        body = next(_elements(block, "<TEXT>", "</TEXT>"), None)
         if body is None:
             rejects.append(MalformedRecord(where, "missing TEXT"))
             continue
         paras = [p.strip() for p in _elements(body, "<P>", "</P>")]
-        if paras:
-            text_parts: list[str] = []
-            spans: list[tuple[int, int]] = []
-            pos = 0
-            for p in paras:
-                if text_parts:
-                    text_parts.append("\n\n")
-                    pos += 2
-                spans.append((pos, pos + len(p)))
-                text_parts.append(p)
-                pos += len(p)
-            yield Document(doc_id, "".join(text_parts), tuple(spans))
-        else:
-            yield Document(doc_id, body.strip(), ())
+        spans, pos = [], 0
+        for p in paras:  # each paragraph starts past the "\n\n" after the one before
+            spans.append((pos, pos + len(p)))
+            pos += len(p) + 2
+        yield Document(doc_id, "\n\n".join(paras) if paras else body.strip(), tuple(spans))
 
 
-def _parse_record_lines(raw: str, rejects: list[MalformedRecord]):
+def tab_separated(raw: str, n_fields: int, rejects: list[MalformedRecord]):
+    """Yield `(location, fields)` for each non-blank line of `raw`, split on
+    tabs; a line without exactly `n_fields` fields goes to `rejects`."""
     for line_no, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
-        where = f"line {line_no}"
-        if len(fields) != 3:
-            rejects.append(
-                MalformedRecord(where, f"expected 3 tab-separated fields, got {len(fields)}")
-            )
-            continue
-        doc_id, _, text = fields
-        if not doc_id.strip():
+        if len(fields) == n_fields:
+            yield f"line {line_no}", fields
+        else:
+            rejects.append(MalformedRecord(
+                f"line {line_no}", f"expected {n_fields} tab-separated fields, got {len(fields)}"
+            ))
+
+
+def _parse_record_lines(raw: str, rejects: list[MalformedRecord]):
+    for where, (doc_id, _, text) in tab_separated(raw, 3, rejects):
+        if doc_id.strip():
+            yield Document(doc_id.strip(), text, ())
+        else:
             rejects.append(MalformedRecord(where, "empty doc_id"))
-            continue
-        yield Document(doc_id.strip(), text, ())
 
 
 def write_rejects(rejects, path) -> None:

@@ -341,14 +341,13 @@ def answer_question(
     analysis: QuestionAnalysis,
     settings: AnswerSettings = AnswerSettings(),
 ) -> AnswerRecord:
-    """Retrieve, segment, score, extract, rank; NIL when nothing survives.
+    """Retrieve, segment, score, extract, rank; NIL when nothing survives,
+    as for an empty query, which retrieves no document.
 
     A document is segmented on its first retrieval and its passages kept
     on the index, so a passage's text is one object for every question.
     """
     nil = AnswerRecord(analysis.qid, None, None, 0.0)
-    if not analysis.query_terms:
-        return nil
     docs = retrieve_documents(index, analysis.query_terms, settings.k)
     if not docs:
         return nil

@@ -7,7 +7,8 @@ trec-xml:
     entries; every question in a block carries the block's target topic.
 
 qline:
-    one `qid <TAB> question` per line, no target.
+    one `qid <TAB> question` per line, no target, scanned by
+    `corpus.tab_separated` as record-lines corpora are.
 
 Analysis turns a question into the retrieval stage's input: query terms
 (stopwords dropped, order-preserving dedup, target terms appended) and
@@ -22,7 +23,7 @@ import re
 from typing import NamedTuple
 
 from .classifier import ClassifierModel, classify_question
-from .corpus import QUESTION_FORMATS, MalformedRecord
+from .corpus import QUESTION_FORMATS, MalformedRecord, tab_separated
 from .errors import QAError
 from .serde import escape_field, read_records, read_text, unescape_field, write_records
 from .stopwords import STOPWORDS
@@ -30,7 +31,7 @@ from .taxonomy import AnswerType, InvalidAnswerType
 from .text import terms, tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
 
 MAGIC = "QANUSQAN"  # the analyses file, framed by serde's write_records
-VERSION = 1
+VERSION = 2
 
 
 class Question(NamedTuple):
@@ -100,21 +101,12 @@ def _parse_trec_xml(raw: str, rejects: list[MalformedRecord]) -> list[Question]:
 
 def _parse_qline(raw: str, rejects: list[MalformedRecord]) -> list[Question]:
     out: list[Question] = []
-    for line_no, line in enumerate(raw.split("\n"), start=1):
-        if not line.strip():
-            continue
-        where = f"line {line_no}"
-        fields = line.split("\t")
-        if len(fields) != 2:
-            rejects.append(
-                MalformedRecord(where, f"expected 2 tab-separated fields, got {len(fields)}")
-            )
-            continue
-        qid, text = fields[0].strip(), fields[1].strip()
-        if not qid or not text:
+    for where, (qid, text) in tab_separated(raw, 2, rejects):
+        qid, text = qid.strip(), text.strip()
+        if qid and text:
+            out.append(Question(qid, text))
+        else:
             rejects.append(MalformedRecord(where, "empty qid or question"))
-            continue
-        out.append(Question(qid, text))
     return out
 
 
@@ -168,8 +160,10 @@ def analyze(
 
 
 def write_analyses(analyses: list[QuestionAnalysis], path) -> None:
-    """Stage 2 -> 3 hand-off artifact, one record per question. Query terms
-    are joined by spaces, so an empty term or one holding whitespace is refused."""
+    """Stage 2 -> 3 hand-off artifact, one record per question: qid, query
+    terms, coarse and fine type, confidence (as `repr`, so it loads back
+    exactly), classifier source and question text. Query terms are joined
+    by spaces, so an empty term or one holding whitespace is refused."""
 
     def record(a: QuestionAnalysis) -> str:
         if any(term.split() != [term] for term in a.query_terms):
@@ -177,23 +171,24 @@ def write_analyses(analyses: list[QuestionAnalysis], path) -> None:
         return "\t".join((
             escape_field(a.qid), " ".join(a.query_terms), a.answer_type.coarse,
             "-" if a.answer_type.fine is None else a.answer_type.fine,
-            f"{a.answer_type.confidence:.6f}", escape_field(a.classifier_source),
+            repr(a.answer_type.confidence), escape_field(a.classifier_source),
+            escape_field(a.text),
         ))
 
     write_records(path, MAGIC, VERSION, map(record, analyses))
 
 
 def load_analyses(path) -> list[QuestionAnalysis]:
-    """Read the stage-2 artifact; the question text is not part of it."""
+    """Read the stage-2 artifact; a version-1 file, which held no question
+    text, raises VersionMismatch."""
     out: list[QuestionAnalysis] = []
     records = read_records(path, MAGIC, VERSION, QAError, "qapipe process-questions")
     for line_no, line in enumerate(records, start=2):
         try:
-            qid, query, coarse, fine, confidence, source = line.split("\t")
+            qid, query, coarse, fine, confidence, source, text = line.split("\t")
             answer_type = AnswerType(coarse, None if fine == "-" else fine, float(confidence))
         except (ValueError, InvalidAnswerType) as exc:
             raise QAError(f"malformed analysis record at line {line_no}: {exc}") from exc
-        out.append(QuestionAnalysis(
-            unescape_field(qid), "", query.split(), answer_type, unescape_field(source)
-        ))
+        out.append(QuestionAnalysis(unescape_field(qid), unescape_field(text), query.split(),
+                                    answer_type, unescape_field(source)))
     return out

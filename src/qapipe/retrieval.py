@@ -5,8 +5,9 @@ idf = ln(1 + (N - df + 0.5) / (df + 0.5)), which is non-negative, so
 adding an occurrence of a matched term never lowers a passage score.
 
 Passages are source paragraphs when the document has paragraph markup;
-otherwise sentences are split on ./?/! followed by whitespace and an
-uppercase letter, and windowed 3 at a time with stride 2.
+otherwise sentences are cut after ./?/! followed by whitespace and an
+uppercase letter, each trimmed of whitespace as it is cut, and windowed
+3 at a time with stride 2.
 
 What answering reads that does not depend on the question is memoized
 on the index for its lifetime: each term's BM25 impacts, as parallel
@@ -71,7 +72,8 @@ def _term_impacts(index: InvertedIndex, term: str) -> tuple[list[str], list[floa
 def retrieve_documents(
     index: InvertedIndex, query_terms: list[str], k: int
 ) -> list[ScoredDocument]:
-    """Top-k BM25; ties break by doc_id ascending. Empty query -> [].
+    """Top-k BM25; ties break by doc_id ascending. An empty query scores
+    no document, so it gives [].
 
     A term's impacts are computed on its first use and memoized on the
     index; a document's score adds them in query-term order. Only the
@@ -79,8 +81,6 @@ def retrieve_documents(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not query_terms:
-        return []
     memo = index.bm25_impacts
     scores: dict[str, float] = {}
     get = scores.get
@@ -104,23 +104,18 @@ _SENT_BREAK_RE = re.compile(r"[.?!](?=\s+[A-Z])")
 
 
 def split_sentences(text: str) -> list[tuple[int, int]]:
-    """Character spans of sentences; spans cover the trimmed sentence text."""
+    """Character spans of sentences, each cut at a break end (or the end of
+    the text) and trimmed of whitespace as it is cut; empty ones are dropped."""
     spans: list[tuple[int, int]] = []
     start = 0
-    for m in _SENT_BREAK_RE.finditer(text):
-        spans.append((start, m.end()))
-        start = m.end()
-    if start < len(text):
-        spans.append((start, len(text)))
-    trimmed: list[tuple[int, int]] = []
-    for a, b in spans:
-        while a < b and text[a].isspace():
-            a += 1
-        while b > a and text[b - 1].isspace():
-            b -= 1
+    for end in [*(m.end() for m in _SENT_BREAK_RE.finditer(text)), len(text)]:
+        sentence = text[start:end].lstrip()
+        a = end - len(sentence)
+        b = a + len(sentence.rstrip())
         if a < b:
-            trimmed.append((a, b))
-    return trimmed
+            spans.append((a, b))
+        start = end
+    return spans
 
 
 def segment_passages(document: Document) -> list[Passage]:

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from qapipe.answers import AnswerRecord
 from qapipe.classifier import (
     TrainingExample,
     classify_question,
@@ -32,7 +33,6 @@ from qapipe.classifier import (
 )
 from qapipe.corpus import Document, parse_corpus
 from qapipe.evaluation import evaluate_answers, format_report
-from qapipe.extraction import AnswerRecord
 from qapipe.index import build_index, load_index, write_index
 from qapipe.retrieval import retrieve_documents
 

@@ -217,7 +217,7 @@ def test_ask_prints_one_escaped_line_per_question(tmp_path):
     """A capitalized run and a DESC sentence that cross a line break, and a
     doc id holding a tab and a backslash, print escaped as answers.txt stores
     them, so each question gets one reply line."""
-    from qapipe.extraction import load_answers
+    from qapipe.answers import load_answers
     from qapipe.serde import escape_field
 
     write_basic_setup(tmp_path)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qapipe.answers import AnswerRecord
 from qapipe.evaluation import (
     BadPattern,
     EmptyGold,
@@ -12,7 +13,6 @@ from qapipe.evaluation import (
     load_gold,
     write_report,
 )
-from qapipe.extraction import AnswerRecord
 
 
 def record(qid, answer, doc="D1", score=1.0):

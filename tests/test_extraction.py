@@ -1,14 +1,9 @@
 import pytest
 
+from qapipe.answers import AnswerRecord, load_answers, write_answers
+from qapipe.config import AnswerSettings
 from qapipe.corpus import Document
-from qapipe.extraction import (
-    AnswerRecord,
-    answer_question,
-    extract_candidates,
-    load_answers,
-    rank_candidates,
-    write_answers,
-)
+from qapipe.extraction import answer_question, extract_candidates, rank_candidates
 from qapipe.index import build_index
 from qapipe.questions import QuestionAnalysis
 from qapipe.retrieval import Passage, segment_passages
@@ -255,8 +250,6 @@ def test_answer_question_tokenizes_only_kept_passages(monkeypatch):
     import importlib
 
     from qapipe import retrieval
-    from qapipe.extraction import AnswerSettings
-
     idx = guild_hall_index()
     tokenized: list[str] = []
     for name in ("index", "retrieval", "extraction", "classifier", "questions"):
@@ -390,8 +383,6 @@ def test_load_answers_refuses_with_qaerror_naming_the_line(tmp_path, raw, messag
 
 
 def test_gazetteer_boost_outranks_closer_candidate():
-    from qapipe.extraction import AnswerSettings
-
     p = passage_of("Kellan Drue spoke while Maria Voss listened quietly.", score=1.0)
     analysis = analysis_for(["spoke"], AnswerType("HUM", "ind"))
     idx = index_of(p)
@@ -412,8 +403,6 @@ def test_gazetteer_boost_outranks_closer_candidate():
 
 
 def test_gazetteer_ignored_for_other_types():
-    from qapipe.extraction import AnswerSettings
-
     p = passage_of("Kellan Drue praised Maria Voss.", score=1.0)
     gaz = AnswerSettings(persons=frozenset({"maria voss"}))
     cands = extract_candidates(p, AnswerType("ENTY", "other"), [], index_of(p), gaz)

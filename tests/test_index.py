@@ -259,6 +259,16 @@ def test_descending_doc_ids_rejected(tmp_path):
         load_altered_two_doc_index(tmp_path, (A_LINE + B_LINE, B_LINE + A_LINE))
 
 
+def test_unknown_record_kind_rejected(tmp_path):
+    with pytest.raises(CorruptIndex, match="unknown record kind 'bogus'"):
+        load_altered_two_doc_index(tmp_path, (B_LINE, B_LINE + b"bogus\tb\t2\n"))
+
+
+def test_doc_line_with_too_few_fields_rejected(tmp_path):
+    with pytest.raises(CorruptIndex, match="malformed index record"):
+        load_altered_two_doc_index(tmp_path, (B_LINE, b"doc\tb\t2\n"))
+
+
 def test_load_index_peaks_near_what_it_keeps(tmp_path):
     """The file is read as a stream, so loading holds little beyond the index
     it returns: reading the whole file at once would hold its bytes, its

@@ -169,7 +169,7 @@ def test_ids_holding_a_tab_survive_every_stage(tmp_path):
     """A trec-sgml DOCNO and a trec-xml question id with a tab are escaped in
     analysis.txt and answers.txt, so evaluation reads them back."""
     from qapipe.classifier import TrainingExample, train_classifier, write_model
-    from qapipe.extraction import load_answers
+    from qapipe.answers import load_answers
     from qapipe.questions import load_analyses
 
     (tmp_path / "corpus.sgml").write_text(
@@ -234,7 +234,7 @@ def test_gazetteer_wired_through_answer_stage(tmp_path):
 
 def test_desc_sentence_choice_uses_coverage_weight(tmp_path):
     from qapipe.classifier import TrainingExample, train_classifier, write_model
-    from qapipe.extraction import load_answers
+    from qapipe.answers import load_answers
 
     # With weights.coverage = 0 the first sentence scores 2.06 against 1.11;
     # the default coverage bonus of 2.0 would favour the second.

@@ -2,12 +2,14 @@
 format, tokenization and its ASCII path, query terms, passage scoring and its memo, BM25
 retrieval and its ties, answers and extraction on a warm index, candidate word spans and
 proximity, candidate ranking, the stage-file round trips, the stage-file loaders, the parsers
-of the files a user writes and the TREC SGML scan against its regex form."""
+of the files a user writes, the TREC SGML scan against its regex form, the tab-separated line
+and sentence scanners against their earlier forms, and `ask` against the staged pipeline."""
 
 import hashlib
 import math
 import re
 import string
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -18,18 +20,26 @@ from qapipe.classifier import (
     COARSE_FINE, COARSE_ONLY, CorruptModel, TrainingExample, load_model, parse_training_file,
     train_classifier, write_model,
 )
-from qapipe.config import OPTIONAL_PATH_KEYS, PARAM_SPECS, REQUIRED_PATH_KEYS, load_config
-from qapipe.corpus import Document, MalformedRecord, _parse_trec_sgml, parse_corpus
+from qapipe.answers import AnswerRecord, load_answers, write_answers
+from qapipe.config import (
+    OPTIONAL_PATH_KEYS, PARAM_SPECS, REQUIRED_PATH_KEYS, AnswerSettings, PipelineConfig,
+    load_config,
+)
+from qapipe.corpus import (
+    Document, MalformedRecord, _parse_record_lines, _parse_trec_sgml, parse_corpus,
+)
 from qapipe.errors import QAError
 from qapipe.evaluation import load_gold
 from qapipe.extraction import (
-    GAZETTEER_BONUS, AnswerRecord, AnswerSettings, CandidateAnswer, _token_span, answer_question,
-    extract_candidates, load_answers, rank_candidates, write_answers,
+    GAZETTEER_BONUS, CandidateAnswer, _token_span, answer_question, extract_candidates,
+    rank_candidates,
 )
 from qapipe import serde
 from qapipe.index import CorruptIndex, InvertedIndex, build_index, load_index, write_index
+from qapipe.pipeline import StageKind, run_pipeline
 from qapipe.questions import (
-    Question, QuestionAnalysis, analyze, load_analyses, parse_questions, write_analyses,
+    Question, QuestionAnalysis, _parse_qline, analyze, load_analyses, parse_questions,
+    write_analyses,
 )
 from qapipe.stopwords import STOPWORDS
 from qapipe.retrieval import (
@@ -40,6 +50,7 @@ from qapipe.taxonomy import FINE_CLASSES, AnswerType
 from qapipe.serde import (
     VersionMismatch, escape_field, read_records, unescape_field, write_records,
 )
+from qapipe.stages import default_engines
 from qapipe.text import ASCII_TABLE, TOKEN_RE, terms, tokenize
 
 from conftest import framed
@@ -827,7 +838,7 @@ def test_rank_candidates_matches_score_then_dedup_reference(inputs, query, proxi
 LABELS = sorted([*FINE_CLASSES] + [f"{c}:{f}" for c, fines in FINE_CLASSES.items() for f in fines])
 answer_types = st.sampled_from(sorted(FINE_CLASSES)).flatmap(lambda coarse: st.builds(
     AnswerType, st.just(coarse), st.sampled_from([None, *sorted(FINE_CLASSES[coarse])]),
-    st.integers(0, 10**6).map(lambda n: n / 10**6),  # written with 6 decimals
+    st.floats(0.0, 1.0),
 ))
 # NIL, "-" and \N are answer texts and doc ids like any other.
 field_text = st.sampled_from(["NIL", "-", "\\N", ""]) | tricky_text
@@ -845,7 +856,7 @@ def test_answers_round_trip(tmp_path_factory, records):
 
 
 @given(st.lists(st.builds(
-    QuestionAnalysis, qid=field_text, text=st.just(""),
+    QuestionAnalysis, qid=field_text, text=field_text,
     query_terms=st.lists(st.from_regex(r"[a-z0-9]{1,6}", fullmatch=True) | tricky_text,
                          max_size=4),
     answer_type=answer_types,
@@ -889,7 +900,8 @@ def written_stage_files(tmp_path):
     write_model(train_classifier([TrainingExample("HUM:ind", "who built it"),
                                   TrainingExample("NUM", "when")], 0.5), path)
     model = path.read_bytes()
-    write_analyses([QuestionAnalysis("q1", "", ["mill"], AnswerType("HUM", "ind", 0.5), "model"),
+    write_analyses([QuestionAnalysis("q1", "Who built the mill?", ["mill"],
+                                     AnswerType("HUM", "ind", 0.5), "model"),
                     QuestionAnalysis("q\t2", "", [], AnswerType("DESC", None, 0.0), "default")],
                    path)
     analyses = path.read_bytes()
@@ -951,9 +963,9 @@ STAGE_FILES = {
     ), "\t", "QANUSANS 1"),
     load_analyses: records(st.lists(
         st.sampled_from(["q1", "mill built", "NUM", "HUM", "date", "-", "0.5", "2", "x",
-                         "model"]) | SHORT,
-        min_size=5, max_size=7,
-    ), "\t", "QANUSQAN 1"),
+                         "model", "Who?"]) | SHORT,
+        min_size=6, max_size=8,
+    ), "\t", "QANUSQAN 2"),
     load_model: model_files(),
     load_gold: records(st.tuples(
         st.sampled_from(["q1", "#", ""]) | SHORT,
@@ -1068,6 +1080,103 @@ def test_trec_sgml_scan_equals_regex_form(raw):
     assert rejects == expected_rejects
 
 
+def reference_parse_record_lines(raw: str, rejects: list) -> list[Document]:
+    """The record-lines parser before corpus.tab_separated, kept as the oracle."""
+    docs = []
+    for line_no, line in enumerate(raw.split("\n"), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        where = f"line {line_no}"
+        if len(fields) != 3:
+            rejects.append(
+                MalformedRecord(where, f"expected 3 tab-separated fields, got {len(fields)}")
+            )
+            continue
+        doc_id, _, text = fields
+        if not doc_id.strip():
+            rejects.append(MalformedRecord(where, "empty doc_id"))
+            continue
+        docs.append(Document(doc_id.strip(), text, ()))
+    return docs
+
+
+def reference_parse_qline(raw: str, rejects: list) -> list[Question]:
+    """The qline parser before corpus.tab_separated, kept as the oracle."""
+    out = []
+    for line_no, line in enumerate(raw.split("\n"), start=1):
+        if not line.strip():
+            continue
+        where = f"line {line_no}"
+        fields = line.split("\t")
+        if len(fields) != 2:
+            rejects.append(
+                MalformedRecord(where, f"expected 2 tab-separated fields, got {len(fields)}")
+            )
+            continue
+        qid, text = fields[0].strip(), fields[1].strip()
+        if not qid or not text:
+            rejects.append(MalformedRecord(where, "empty qid or question"))
+            continue
+        out.append(Question(qid, text))
+    return out
+
+
+# Tabs, line breaks that str.split("\n") keeps inside a line, and blank or
+# whitespace-only fields.
+TAB_PIECES = ["\t", "\n", "\r", " ", "\x0c", "\u2028", "\x85", "d1", " q2 ", "Who?", "x"]
+tab_text = st.lists(st.sampled_from(TAB_PIECES) | st.text(max_size=3), max_size=24).map("".join)
+
+
+@settings(max_examples=500)
+@given(tab_text | st.text())
+def test_record_lines_scan_equals_the_line_loop(raw):
+    rejects, expected_rejects = [], []
+    assert list(_parse_record_lines(raw, rejects)) == (
+        reference_parse_record_lines(raw, expected_rejects)
+    )
+    assert rejects == expected_rejects
+
+
+@settings(max_examples=500)
+@given(tab_text | st.text())
+def test_qline_scan_equals_the_line_loop(raw):
+    rejects, expected_rejects = [], []
+    assert _parse_qline(raw, rejects) == reference_parse_qline(raw, expected_rejects)
+    assert rejects == expected_rejects
+
+
+def reference_split_sentences(text: str) -> list[tuple[int, int]]:
+    """The two-pass sentence splitter (cut, then trim), kept as the oracle."""
+    spans = []
+    start = 0
+    for m in re.finditer(r"[.?!](?=\s+[A-Z])", text):
+        spans.append((start, m.end()))
+        start = m.end()
+    if start < len(text):
+        spans.append((start, len(text)))
+    trimmed = []
+    for a, b in spans:
+        while a < b and text[a].isspace():
+            a += 1
+        while b > a and text[b - 1].isspace():
+            b -= 1
+        if a < b:
+            trimmed.append((a, b))
+    return trimmed
+
+
+SENTENCE_PIECES = [". A", "! B", "? C", ". d", ".", " ", "\n", "\t", "\u2028", "\x1c", "x",
+                   "Ünd", "É"]
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(SENTENCE_PIECES) | st.text(max_size=3), max_size=24).map(
+    "".join) | st.text())
+def test_split_sentences_equals_the_cut_then_trim_form(text):
+    assert split_sentences(text) == reference_split_sentences(text)
+
+
 def parse_record_lines(path):
     return list(parse_corpus(path, "record-lines"))
 
@@ -1112,3 +1221,91 @@ def test_user_file_parsers_take_arbitrary_text(tmp_path_factory, parser, data):
     path = tmp_path_factory.mktemp("parser") / "input"
     path.write_bytes(raw)
     load_or_refuse(parser, path)
+
+
+# `ask` answers as the staged pipeline does. Documents hold names, years,
+# amounts, an abbreviation, a dotted and a non-ASCII word and a backslash,
+# apart by spaces, full stops, tabs, form feeds and line breaks; questions
+# may be all stopwords. `ask` reads only questions, one per line, so the
+# staged side reads a qline file.
+ASK_WORDS = [*FOUR, "İstanbul", "Dr.", "\\", "12", "x1"]
+ASK_GAPS = [".", "\t", "\x0c", "\r\n", "\n"]
+ask_text = st.lists(st.sampled_from(ASK_WORDS + ASK_GAPS), min_size=1, max_size=14).map(" ".join)
+ASK_TRAINING = [
+    TrainingExample("HUM:ind", "who built the mill"), TrainingExample("HUM:ind", "who sold it"),
+    TrainingExample("NUM:date", "when was the wall built"),
+    TrainingExample("NUM:money", "how much was the barn sold for"),
+    TrainingExample("LOC:other", "where is the dock"),
+    TrainingExample("ABBR:exp", "what does nato stand for"),
+    TrainingExample("DESC:def", "what is a mill"),
+]
+QUESTION_WORDS = ["Who", "When", "Where", "What", "How much", "built", "sold", "the", "of",
+                  "mill", "Voss", "1921", "NATO", "İstanbul", "\\"]
+GAZETTEER_NAMES = ["voss", "Voss Kent", "hale", "İstanbul", "nato"]
+
+
+@st.composite
+def staged_inputs(draw):
+    """A corpus (trec-sgml or record-lines), a qline question file, the
+    stage-3 parameters and the gazetteers (None: the key is unset)."""
+    texts = draw(st.lists(st.lists(ask_text, min_size=1, max_size=3), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        fmt = "trec-sgml"
+        bodies = [
+            "\n".join(f"<P>{p}</P>" for p in paras) if draw(st.booleans()) else " ".join(paras)
+            for paras in texts
+        ]
+        corpus = "".join(f"<DOC>\n<DOCNO> D{i} </DOCNO>\n<TEXT>\n{body}\n</TEXT>\n</DOC>\n"
+                         for i, body in enumerate(bodies))
+    else:
+        fmt = "record-lines"
+        corpus = "".join(f"D{i}\t\t{' '.join(paras)}\n" for i, paras in enumerate(texts))
+    asked = draw(st.lists(st.lists(st.sampled_from(QUESTION_WORDS), min_size=1, max_size=5),
+                          min_size=1, max_size=4))
+    questions = "".join(f"q{i}\t{' '.join(words)}?\n" for i, words in enumerate(asked))
+    params = {
+        "corpus.format": fmt, "questions.format": "qline",
+        "retrieval.k": draw(st.integers(1, 5)), "retrieval.max_passages": draw(st.integers(1, 4)),
+        **{f"weights.{w}": draw(st.floats(-2.0, 4.0))
+           for w in ("coverage", "proximity", "redundancy")},
+    }
+    gazetteers = {key: draw(st.none() | st.lists(st.sampled_from(GAZETTEER_NAMES), max_size=3))
+                  for key in ("extract.persons", "extract.locations")}
+    return corpus, questions, params, gazetteers
+
+
+@settings(max_examples=200, deadline=None)
+@given(staged_inputs())
+def test_ask_answers_as_the_staged_pipeline(inputs):
+    """Per question, `ask`'s path (analyze, then answer_question on the
+    loaded index) gives the staged answer and supporting doc, and the staged
+    analyses file loads back as exactly `ask`'s analyses."""
+    corpus, questions, params, gazetteers = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "corpus").write_bytes(corpus.encode("utf-8"))
+        (out / "questions.txt").write_bytes(questions.encode("utf-8"))
+        write_model(train_classifier(ASK_TRAINING), out / "model.nb")
+        for key, names in gazetteers.items():
+            if names is not None:
+                params[key] = out / key
+                params[key].write_text("".join(name + "\n" for name in names), encoding="utf-8")
+        config = PipelineConfig(
+            str(out / "corpus"), str(out / "index.qix"), str(out / "questions.txt"),
+            str(out / "answers.txt"), str(out / "model.nb"), stage_params=params,
+        )
+        run_pipeline(config, default_engines(), [StageKind.INFO_SOURCE_PREP,
+                                                 StageKind.QUESTION_PROCESSING,
+                                                 StageKind.ANSWER_RETRIEVAL])
+
+        model = load_model(config.classifier_model_path)
+        index = load_index(config.index_path)
+        answer_settings = AnswerSettings.from_config(config)
+        analyses = [analyze(Question(q.qid, q.text), model)
+                    for q in parse_questions(config.questions_path, "qline")]
+        replies = [answer_question(index, a, answer_settings) for a in analyses]
+        assert load_analyses(config.param("questions.analysis_out")) == analyses
+        assert [(r.qid, r.answer, r.supporting_doc)
+                for r in load_answers(config.answers_out_path)] == [
+            (r.qid, r.answer, r.supporting_doc) for r in replies
+        ]

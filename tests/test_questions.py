@@ -81,11 +81,11 @@ def test_trec_xml_missing_id_rejected(tmp_path):
 def test_analyses_version_mismatch_names_process_questions(tmp_path, tiny_model):
     path = tmp_path / "analysis.txt"
     write_analyses([analyze(Question("q1", "Who built the mill?"), tiny_model)], path)
-    with_version(path, 2)
+    with_version(path, 1)
     with pytest.raises(VersionMismatch) as exc:
         load_analyses(path)
     assert str(exc.value) == (
-        f"{path}: QANUSQAN version '2', expected 1; "
+        f"{path}: QANUSQAN version '1', expected 2; "
         "run 'qapipe process-questions' to rewrite it"
     )
 
@@ -200,43 +200,44 @@ def test_analysis_artifact_round_trip(tmp_path, tiny_model):
 @pytest.mark.parametrize(
     "raw, message",
     [  # the header is line 1, so the first record is line 2; a blank record is malformed
-        (b"q1\tstatue\tHUM\tind\tsure\tmodel\n", "malformed analysis record at line 2"),
-        (b"\nq1\tstatue\tHUM\tplanet\t0.5\tmodel\n", "malformed analysis record at line 2: not enough"),
-        (b"q1\tstatue\tHUM\tplanet\t0.5\tmodel\n", "at line 2: unknown fine class"),
-        (b"q1\tstatue\tHUM\tind\t0.5\n", "malformed analysis record at line 2"),
-        (b"q1\tstatue\tHUM\tind\t0.5\tmodel\n\xc3(\n", "line 3 is not valid UTF-8"),
+        (b"q1\tstatue\tHUM\tind\tsure\tmodel\tWho?\n", "malformed analysis record at line 2"),
+        (b"\nq1\tstatue\tHUM\tplanet\t0.5\tmodel\tWho?\n",
+         "malformed analysis record at line 2: not enough"),
+        (b"q1\tstatue\tHUM\tplanet\t0.5\tmodel\tWho?\n", "at line 2: unknown fine class"),
+        (b"q1\tstatue\tHUM\tind\t0.5\tmodel\n", "malformed analysis record at line 2"),
+        (b"q1\tstatue\tHUM\tind\t0.5\tmodel\tWho?\n\xc3(\n", "line 3 is not valid UTF-8"),
     ],
 )
 def test_load_analyses_refuses_with_qaerror_naming_the_line(tmp_path, raw, message):
     from qapipe.errors import QAError
 
     path = tmp_path / "analysis.txt"
-    path.write_bytes(framed(b"QANUSQAN 1\n" + raw))
+    path.write_bytes(framed(b"QANUSQAN 2\n" + raw))
     with pytest.raises(QAError, match=message):
         load_analyses(path)
 
 
 PLANTED_GOLDEN_ANALYSES = """\
-q01\tcrimson frigate completed\tNUM\tdate\t0.982267\tmodel
-q02\tamber treaty completed\tNUM\tdate\t0.982267\tmodel
-q03\tobsidian observatory completed\tNUM\tdate\t0.982267\tmodel
-q04\tcobalt aqueduct completed\tNUM\tdate\t0.982267\tmodel
-q05\temerald foundry completed\tNUM\tdate\t0.982267\tmodel
-q06\tmany cannons scarlet citadel carry\tNUM\tcount\t0.991608\tmodel
-q07\tmany cannons violet archive carry\tNUM\tcount\t0.991608\tmodel
-q08\tmany cannons bronze monastery carry\tNUM\tcount\t0.991608\tmodel
-q09\tmany cannons copper viaduct carry\tNUM\tcount\t0.991608\tmodel
-q10\tmany cannons jade granary carry\tNUM\tcount\t0.991608\tmodel
-q11\tfounded onyx lighthouse\tHUM\tind\t0.985585\tmodel
-q12\tfounded pearl armory\tHUM\tind\t0.985585\tmodel
-q13\tfounded sable chapel\tHUM\tind\t0.985585\tmodel
-q14\tfounded teal garrison\tHUM\tind\t0.985585\tmodel
-q15\tfounded umber windmill\tHUM\tind\t0.985585\tmodel
-q16\tochre bastion located\tLOC\tother\t0.922482\tmodel
-q17\tindigo atelier located\tLOC\tother\t0.922482\tmodel
-q18\tmaroon cannery located\tLOC\tother\t0.922482\tmodel
-q19\tsepia seminary located\tLOC\tother\t0.922482\tmodel
-q20\tviridian arsenal located\tLOC\tother\t0.922482\tmodel
+q01\tcrimson frigate completed\tNUM\tdate\t0.9822673371671955\tmodel\tWhen was the crimson frigate completed?
+q02\tamber treaty completed\tNUM\tdate\t0.9822673371671955\tmodel\tWhen was the amber treaty completed?
+q03\tobsidian observatory completed\tNUM\tdate\t0.9822673371671955\tmodel\tWhen was the obsidian observatory completed?
+q04\tcobalt aqueduct completed\tNUM\tdate\t0.9822673371671955\tmodel\tWhen was the cobalt aqueduct completed?
+q05\temerald foundry completed\tNUM\tdate\t0.9822673371671955\tmodel\tWhen was the emerald foundry completed?
+q06\tmany cannons scarlet citadel carry\tNUM\tcount\t0.9916083197427427\tmodel\tHow many cannons did the scarlet citadel carry?
+q07\tmany cannons violet archive carry\tNUM\tcount\t0.9916083197427427\tmodel\tHow many cannons did the violet archive carry?
+q08\tmany cannons bronze monastery carry\tNUM\tcount\t0.9916083197427427\tmodel\tHow many cannons did the bronze monastery carry?
+q09\tmany cannons copper viaduct carry\tNUM\tcount\t0.9916083197427427\tmodel\tHow many cannons did the copper viaduct carry?
+q10\tmany cannons jade granary carry\tNUM\tcount\t0.9916083197427427\tmodel\tHow many cannons did the jade granary carry?
+q11\tfounded onyx lighthouse\tHUM\tind\t0.9855845644769029\tmodel\tWho founded the onyx lighthouse?
+q12\tfounded pearl armory\tHUM\tind\t0.9855845644769029\tmodel\tWho founded the pearl armory?
+q13\tfounded sable chapel\tHUM\tind\t0.9855845644769029\tmodel\tWho founded the sable chapel?
+q14\tfounded teal garrison\tHUM\tind\t0.9855845644769029\tmodel\tWho founded the teal garrison?
+q15\tfounded umber windmill\tHUM\tind\t0.9855845644769029\tmodel\tWho founded the umber windmill?
+q16\tochre bastion located\tLOC\tother\t0.9224817882071478\tmodel\tWhere is the ochre bastion located?
+q17\tindigo atelier located\tLOC\tother\t0.9224817882071478\tmodel\tWhere is the indigo atelier located?
+q18\tmaroon cannery located\tLOC\tother\t0.9224817882071478\tmodel\tWhere is the maroon cannery located?
+q19\tsepia seminary located\tLOC\tother\t0.9224817882071478\tmodel\tWhere is the sepia seminary located?
+q20\tviridian arsenal located\tLOC\tother\t0.9224817882071478\tmodel\tWhere is the viridian arsenal located?
 """
 
 

@@ -266,7 +266,7 @@ def main(argv=None) -> int:
     from qapipe import extraction
     from qapipe.config import load_config
     from qapipe.corpus import parse_corpus
-    from qapipe.extraction import AnswerSettings
+    from qapipe.config import AnswerSettings
     from qapipe.index import build_index, load_index, write_index
     from qapipe.questions import load_analyses, parse_questions
     from qapipe.text import terms
