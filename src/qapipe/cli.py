@@ -16,12 +16,13 @@ that is missing or a directory, 2 runtime failure.
 Diagnostics go to standard error only.
 
 Each command imports what it runs when it runs, so a process loads only
-its command's modules: the stage engines come from `stages`, the stage-3
-settings from `config.AnswerSettings`, and only `answer`, `run-all` and
-`ask` load the answer engine in `extraction`. `load_model`, `analyze`
-and `answer_question` are read through this module's namespace, which
-imports each from its owner on first use, so a wrapper set on this
-module is the one a command calls.
+its command's modules: the stage machinery comes from `pipeline` and the
+stage engines from `stages`, which `ask` and `stats` never load; the
+stage-3 settings come from `config.AnswerSettings`, and only `answer`,
+`run-all` and `ask` load the answer engine in `extraction`.
+`run_pipeline`, `load_model`, `analyze` and `answer_question` are read
+through this module's namespace, which imports each from its owner on
+first use, so a wrapper set on this module is the one a command calls.
 """
 
 import argparse
@@ -30,11 +31,11 @@ import sys
 from . import _import_on_first_use
 from .config import AnswerSettings, load_config
 from .errors import UsageError
-from .pipeline import StageKind, run_pipeline
 from .serde import escape_field
 
 __getattr__ = _import_on_first_use(globals(), {
-    "load_model": "classifier", "analyze": "questions", "answer_question": "extraction",
+    "run_pipeline": "pipeline", "load_model": "classifier", "analyze": "questions",
+    "answer_question": "extraction",
 })
 _module = sys.modules[__name__]  # `__main__` under `python -m qapipe.cli`
 
@@ -52,13 +53,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# Commands that run pipeline stages; run-all drops evaluation when no gold is set.
+# Commands that run pipeline stages, by `pipeline.StageKind` value;
+# run-all drops evaluation when no gold is set.
 _STAGE_COMMANDS = {
-    "index": [StageKind.INFO_SOURCE_PREP],
-    "process-questions": [StageKind.QUESTION_PROCESSING],
-    "answer": [StageKind.ANSWER_RETRIEVAL],
-    "evaluate": [StageKind.EVALUATION],
-    "run-all": list(StageKind),
+    "index": ["info-source-prep"],
+    "process-questions": ["question-processing"],
+    "answer": ["answer-retrieval"],
+    "evaluate": ["evaluation"],
+    "run-all": ["info-source-prep", "question-processing", "answer-retrieval", "evaluation"],
 }
 
 
@@ -83,13 +85,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_stages(args) -> int:
+    from .pipeline import StageKind
     from .stages import default_engines
 
     config = load_config(args.config)
-    stages = _STAGE_COMMANDS[args.command]
+    stages = [StageKind(value) for value in _STAGE_COMMANDS[args.command]]
     if args.command == "run-all" and not config.gold_path:
         stages = stages[:3]
-    manifest = run_pipeline(config, default_engines(), stages)
+    manifest = _module.run_pipeline(config, default_engines(), stages)
     for run in manifest.stages_run:
         print(f"{run.stage.value}: {run.detail}")
     return EXIT_OK

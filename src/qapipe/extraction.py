@@ -344,8 +344,9 @@ def answer_question(
     """Retrieve, segment, score, extract, rank; NIL when nothing survives,
     as for an empty query, which retrieves no document.
 
-    A document is segmented on its first retrieval and its passages kept
-    on the index, so a passage's text is one object for every question.
+    A document is decoded and segmented on its first retrieval and its
+    passages kept on the index, so a passage's text is one object for
+    every question.
     """
     nil = AnswerRecord(analysis.qid, None, None, 0.0)
     docs = retrieve_documents(index, analysis.query_terms, settings.k)
@@ -358,7 +359,7 @@ def answer_question(
     for doc_rank, scored_doc in enumerate(docs):
         passages = memo.get(scored_doc.doc_id)
         if passages is None:
-            document = index.stored_docs[scored_doc.doc_id]
+            document = index.document(scored_doc.doc_id)
             passages = memo[scored_doc.doc_id] = segment_passages(document)
         for passage in passages:
             s = score_passage(passage, analysis.query_terms, index, settings.coverage_weight)

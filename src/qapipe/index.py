@@ -22,18 +22,24 @@ digest) is serde's `write_records`; a truncated or damaged file raises
 CorruptIndex, and one of another version raises VersionMismatch: run
 `qapipe index` again.
 
-Built and loaded indexes hold one form: the decoded documents, the doc
-ids by ordinal, and each term's cells as the tab-joined string the file
+Built and loaded indexes hold one form: each document's record as the
+file stores it (`spans<TAB>text`, still escaped), the doc ids by
+ordinal, and each term's cells as the tab-joined string the file
 stores. Building counts documents in doc id order, so a document's
-position is its ordinal, and counts each document's terms in a plain
+position is its ordinal, makes each document's record as it counts it
+and drops the document, and counts each document's terms in a plain
 dict. A document's postings with equal tf share one cell string (most
 have tf 1), and each term's list of cells is joined in place, so the
 list is freed as its string is made. Writing streams each line to the
-file, copying the cells, and loading parses each line as serde's
-`read_records` streams it, after the file's checks; neither holds the
-whole file in memory.
-`postings(term)` decodes a term's cells into (doc_id, tf) pairs on each
-call. Answering memoizes on the index what it reads that does not
+file, copying the records and cells, and loading splits each line as
+serde's `read_records` streams it, after the file's checks; neither
+holds the whole file in memory. Loading decodes only what every
+question reads, the doc ids and lengths, so it keeps no decoded text.
+`document(doc_id)` decodes one document from its record on each call,
+and `postings(term)` a term's cells into (doc_id, tf) pairs; neither
+keeps what it decodes. A malformed record in a file whose digest holds
+raises CorruptIndex, naming the doc id or term, when it is first read.
+Answering memoizes on the index what it reads that does not
 depend on the question: each term's BM25 impacts (its doc ids and
 their impacts, as two parallel lists), each retrieved document's
 passages, and each passage text's features, which hold the extraction
@@ -75,10 +81,10 @@ class IndexStats(NamedTuple):
 class InvertedIndex:
     """An index is not modified once built or loaded: its statistics are
     computed once. Two indexes are equal when their doc ids, cells, doc
-    lengths and documents are; the memos are left out."""
+    lengths and doc records are; the memos are left out."""
 
     __slots__ = (
-        "doc_ids", "cells", "doc_lengths", "stored_docs", "avg_doc_length",
+        "doc_ids", "cells", "doc_lengths", "doc_records", "avg_doc_length",
         "bm25_impacts", "passage_features", "doc_passages", "_idf",
     )
 
@@ -87,12 +93,14 @@ class InvertedIndex:
         doc_ids: list[str],
         cells: dict[str, str],
         doc_lengths: dict[str, int],
-        stored_docs: dict[str, Document],
+        doc_records: dict[str, str],
     ):
         self.doc_ids = doc_ids  # doc id by ordinal, ascending
         self.cells = cells      # term -> its `ord:tf` cells, tab-joined as in the file
         self.doc_lengths = doc_lengths
-        self.stored_docs = stored_docs
+        # doc id -> `spans<TAB>text`, escaped as in the file; `document`
+        # decodes one on each read.
+        self.doc_records = doc_records
         self.avg_doc_length = sum(doc_lengths.values()) / len(doc_lengths) if doc_lengths else 0.0
         # term -> ([doc_id], [BM25 impact]), two parallel lists in posting
         # order, filled by retrieval on a term's first use.
@@ -113,7 +121,7 @@ class InvertedIndex:
             self.doc_ids == other.doc_ids
             and self.cells == other.cells
             and self.doc_lengths == other.doc_lengths
-            and self.stored_docs == other.stored_docs
+            and self.doc_records == other.doc_records
         )
 
     @property
@@ -124,6 +132,20 @@ class InvertedIndex:
         """Postings of `term`, counted from its cells without decoding them."""
         cells = self.cells.get(term)
         return 0 if cells is None else cells.count("\t") + 1
+
+    def document(self, doc_id: str) -> Document:
+        """The document `doc_id`, decoded from its record on each call and not
+        kept. A malformed spans field raises CorruptIndex naming the doc id."""
+        spans, _, text = self.doc_records[doc_id].partition("\t")
+        try:
+            span_list = () if spans == "-" else tuple([
+                (int(a), int(b)) for a, b in [pair.split(":") for pair in spans.split(",")]
+            ])
+        except ValueError as exc:
+            raise CorruptIndex(
+                f"malformed paragraph spans {spans[:40]!r} of doc id {doc_id!r}"
+            ) from exc
+        return Document(doc_id, unescape_field(text), span_list)
 
     def postings(self, term: str) -> list[tuple[str, int]]:
         """(doc_id, tf) per cell of `term`, decoded on each call and not kept;
@@ -160,18 +182,23 @@ class InvertedIndex:
 
 def build_index(documents: Iterable[Document]) -> InvertedIndex:
     """Index a document stream; doc_ids must be unique. Documents are counted
-    in doc id order, so a document's position is its ordinal in the file."""
+    in doc id order, so a document's position is its ordinal in the file;
+    each is replaced by its record as it is counted."""
     stored: dict[str, Document] = {}
     for doc in documents:
         if doc.doc_id in stored:
             raise DuplicateDocId(f"duplicate doc_id: {doc.doc_id}")
         stored[doc.doc_id] = doc
     doc_ids = sorted(stored)
+    records: dict[str, str] = {}
     doc_lengths: dict[str, int] = {}
     cells: dict = {}  # term -> its list of cells, then their tab-joined string
     term_cells = cells.get
     for ordinal, doc_id in enumerate(doc_ids):
-        words = terms(stored[doc_id].text)
+        doc = stored.pop(doc_id)
+        spans = ",".join(f"{a}:{b}" for a, b in doc.paragraph_spans) or "-"
+        records[doc_id] = spans + "\t" + escape_field(doc.text)
+        words = terms(doc.text)
         doc_lengths[doc_id] = len(words)
         counts: dict[str, int] = {}
         count = counts.get
@@ -189,7 +216,7 @@ def build_index(documents: Iterable[Document]) -> InvertedIndex:
                 listed.append(cell)
     for term, listed in cells.items():
         cells[term] = "\t".join(listed)
-    return InvertedIndex(doc_ids, cells, doc_lengths, stored)
+    return InvertedIndex(doc_ids, cells, doc_lengths, records)
 
 
 def _stats_line(index: InvertedIndex) -> str:
@@ -199,12 +226,9 @@ def _stats_line(index: InvertedIndex) -> str:
 
 def _index_lines(index: InvertedIndex) -> Iterator[str]:
     yield _stats_line(index)
+    lengths, records = index.doc_lengths, index.doc_records
     for doc_id in index.doc_ids:
-        doc = index.stored_docs[doc_id]
-        spans = ",".join(f"{a}:{b}" for a, b in doc.paragraph_spans) or "-"
-        yield "doc\t{}\t{}\t{}\t{}".format(
-            escape_field(doc.doc_id), index.doc_lengths[doc_id], spans, escape_field(doc.text),
-        )
+        yield f"doc\t{escape_field(doc_id)}\t{lengths[doc_id]}\t{records[doc_id]}"
     for term, cells in sorted(index.cells.items()):
         yield "term\t" + term + "\t" + cells
 
@@ -219,31 +243,25 @@ def load_index(path) -> InvertedIndex:
 
     The framing is checked before anything is decoded, the doc ids must
     strictly ascend, and the stats line must match the documents read and
-    the term cells counted. Postings are decoded per term by `postings`.
+    the term cells counted. Each document is decoded on read by `document`,
+    and each term's postings by `postings`.
     """
     records = read_records(path, MAGIC, VERSION, CorruptIndex, "qapipe index")
     stats = list(islice(records, 1))
     docs_by_ord: list[str] = []
     doc_lengths: dict[str, int] = {}
-    stored: dict[str, Document] = {}
+    doc_records: dict[str, str] = {}
     cells_by_term: dict[str, str] = {}
     try:
         for line in records:
             kind, _, rest = line.partition("\t")
             if kind == "doc":
-                doc_id, length, spans, text = rest.split("\t", 3)
+                doc_id, length, record = rest.split("\t", 2)
+                record.index("\t")  # a record without its text field raises ValueError
                 doc_id = unescape_field(doc_id)
                 if docs_by_ord and doc_id <= docs_by_ord[-1]:
                     raise CorruptIndex(f"doc id {doc_id!r} does not follow {docs_by_ord[-1]!r}")
-                span_list = (
-                    tuple(
-                        (int(a), int(b))
-                        for a, b in (p.split(":") for p in spans.split(","))
-                    )
-                    if spans != "-"
-                    else ()
-                )
-                stored[doc_id] = Document(doc_id, unescape_field(text), span_list)
+                doc_records[doc_id] = record
                 doc_lengths[doc_id] = int(length)
                 docs_by_ord.append(doc_id)
             elif kind == "term":
@@ -253,7 +271,7 @@ def load_index(path) -> InvertedIndex:
                 raise CorruptIndex(f"unknown record kind {kind!r}")
     except (ValueError, IndexError) as exc:
         raise CorruptIndex(f"malformed index record: {exc}") from exc
-    index = InvertedIndex(docs_by_ord, cells_by_term, doc_lengths, stored)
+    index = InvertedIndex(docs_by_ord, cells_by_term, doc_lengths, doc_records)
     if stats != [_stats_line(index)]:
         raise CorruptIndex(f"stats line {stats} does not match the records")
     return index

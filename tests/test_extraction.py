@@ -114,7 +114,7 @@ def test_abbreviation_extraction():
 def test_description_picks_best_sentence():
     docs = {"d1": "Glass blowing is an old craft. A glacier is a slow river of ice. Pigeons fly home."}
     idx = build_index([Document("d1", docs["d1"], ())])
-    p = segment_passages(idx.stored_docs["d1"])[0]
+    p = segment_passages(idx.document("d1"))[0]
     cands = extract_candidates(p, AnswerType("DESC", "def"), ["glacier"], index=idx)
     assert texts(cands) == ["A glacier is a slow river of ice."]
 
@@ -286,7 +286,7 @@ def test_second_question_reads_only_passages_it_has_not_seen(monkeypatch):
     real = retrieval.terms
     monkeypatch.setattr(retrieval, "terms", lambda text: read.append(text) or real(text))
     answer_question(idx, analysis_for(["amber", "guild"], AnswerType("HUM", "ind")))
-    paragraphs = {p.text for p in segment_passages(idx.stored_docs["d0"])}
+    paragraphs = {p.text for p in segment_passages(idx.document("d0"))}
     assert sorted(read) == sorted(paragraphs)
 
     read.clear()

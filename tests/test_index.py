@@ -269,6 +269,25 @@ def test_doc_line_with_too_few_fields_rejected(tmp_path):
         load_altered_two_doc_index(tmp_path, (B_LINE, b"doc\tb\t2\n"))
 
 
+def test_doc_line_without_its_text_field_rejected(tmp_path):
+    """A doc record is kept unread, so the loader checks that it holds both
+    of its fields: spans, then text."""
+    with pytest.raises(CorruptIndex, match="malformed index record"):
+        load_altered_two_doc_index(tmp_path, (B_LINE, b"doc\tb\t2\t-\n"))
+
+
+@pytest.mark.parametrize("spans", [b"", b"x", b"1-2", b"0:1:2", b"0:1,", b"0:1,,2:3", b"x:y"])
+def test_malformed_spans_fail_when_their_document_is_read(tmp_path, spans):
+    """A digest-valid file whose spans field is malformed loads; reading that
+    document raises naming its doc id, and the other documents still read."""
+    bad_line = B_LINE.replace(b"\t-\t", b"\t%s\t" % spans)
+    idx = load_altered_two_doc_index(tmp_path, (B_LINE, bad_line))
+    with pytest.raises(CorruptIndex, match="doc id 'b'"):
+        idx.document("b")
+    assert idx.document("a") == doc("a", "apple pie")
+    assert [d.doc_id for d in retrieve_documents(idx, ["cherry"], 5)] == ["b"]
+
+
 def test_load_index_peaks_near_what_it_keeps(tmp_path):
     """The file is read as a stream, so loading holds little beyond the index
     it returns: reading the whole file at once would hold its bytes, its

@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qapipe.classifier import (
     COARSE_FINE, COARSE_ONLY, CorruptModel, TrainingExample, load_model, parse_training_file,
@@ -173,6 +173,39 @@ def test_index_round_trip(tmp_path_factory, docs):
         assert {t: index.postings(t) for t in index.cells} == postings
     write_index(loaded, out / "again.qix")
     assert (out / "again.qix").read_bytes() == (out / "idx.qix").read_bytes()
+
+
+# Paragraph text with the characters a doc record escapes; no "<", so
+# each paragraph stays one <P> element.
+PARAGRAPH_PIECES = ["\t", "\n", "\r", "\r\n", "\\", "\\t", "\\n", " ", "pie", "Mill", "é", "."]
+paragraph_text = st.lists(st.sampled_from(PARAGRAPH_PIECES), max_size=8).map("".join)
+sgml_docs = st.lists(
+    st.tuples(st.sampled_from(["d1", "d2", "a\\b", "x\ty", "é3"]),
+              st.lists(paragraph_text, max_size=4)),
+    max_size=5, unique_by=lambda d: d[0],
+)
+
+
+@settings(max_examples=200)
+@given(sgml_docs, st.lists(documents, max_size=5, unique_by=lambda d: d.doc_id))
+def test_document_reads_equal_the_indexed_documents(tmp_path_factory, sgml, drawn):
+    """Every document read through `document`, on a built index and on a
+    written and loaded one, equals the document indexed: each document of a
+    parsed trec-sgml corpus with <P> paragraphs, and each drawn one."""
+    out = tmp_path_factory.mktemp("docs")
+    (out / "corpus.sgml").write_text("".join(
+        f"<DOC>\n<DOCNO>{doc_id}</DOCNO>\n<TEXT>\n"
+        + "".join(f"<P>{p}</P>\n" for p in paragraphs) + "</TEXT>\n</DOC>\n"
+        for doc_id, paragraphs in sgml
+    ), encoding="utf-8", newline="")
+    parsed = list(parse_corpus(out / "corpus.sgml", "trec-sgml"))
+    assert [d.doc_id for d in parsed] == [doc_id for doc_id, _ in sgml]
+    for docs in (parsed, drawn):
+        built = build_index(docs)
+        write_index(built, out / "idx.qix")
+        loaded = load_index(out / "idx.qix")
+        for doc in docs:
+            assert built.document(doc.doc_id) == doc == loaded.document(doc.doc_id)
 
 
 @given(st.text())
@@ -376,7 +409,12 @@ def reference_build_index(docs):
         for term, tf in Counter(words).items():
             cells.setdefault(term, []).append(f"{ordinal}:{tf}")
     joined = {term: "\t".join(term_cells) for term, term_cells in cells.items()}
-    return InvertedIndex(doc_ids, joined, doc_lengths, stored)
+    records = {
+        doc_id: (",".join(f"{a}:{b}" for a, b in doc.paragraph_spans) or "-")
+        + "\t" + escape_field(doc.text)
+        for doc_id, doc in stored.items()
+    }
+    return InvertedIndex(doc_ids, joined, doc_lengths, records)
 
 
 @settings(max_examples=200)
@@ -1260,6 +1298,10 @@ def staged_inputs(draw):
     else:
         fmt = "record-lines"
         corpus = "".join(f"D{i}\t\t{' '.join(paras)}\n" for i, paras in enumerate(texts))
+        # A line break in a text starts a record of its own; two such
+        # records may share a doc id, which indexing rightly refuses.
+        doc_ids = [doc.doc_id for doc in _parse_record_lines(corpus, [])]
+        assume(len(set(doc_ids)) == len(doc_ids))
     asked = draw(st.lists(st.lists(st.sampled_from(QUESTION_WORDS), min_size=1, max_size=5),
                           min_size=1, max_size=4))
     questions = "".join(f"q{i}\t{' '.join(words)}?\n" for i, words in enumerate(asked))

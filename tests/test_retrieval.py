@@ -144,20 +144,20 @@ def test_passage_spans_slice_back_on_fixture():
 
 def test_score_passage_no_match_is_zero():
     idx = make_index({"d1": "alpha beta gamma"})
-    passage = segment_passages(idx.stored_docs["d1"])[0]
+    passage = segment_passages(idx.document("d1"))[0]
     assert score_passage(passage, ["missing", "words"], idx, 2.0) == 0.0
 
 
 def test_score_passage_all_terms_once():
     idx = make_index({"d1": "alpha beta gamma", "d2": "delta epsilon"})
-    passage = segment_passages(idx.stored_docs["d1"])[0]
+    passage = segment_passages(idx.document("d1"))[0]
     expected = idx.idf("alpha") + idx.idf("beta") + 2.0
     assert score_passage(passage, ["alpha", "beta"], idx, 2.0) == pytest.approx(expected)
 
 
 def test_score_passage_empty_query():
     idx = make_index({"d1": "alpha"})
-    passage = segment_passages(idx.stored_docs["d1"])[0]
+    passage = segment_passages(idx.document("d1"))[0]
     assert score_passage(passage, [], idx, 2.0) == 0.0
 
 
@@ -182,7 +182,7 @@ def test_hand_recomputed_scores_frozen():
     )
     n = 3
     idf = lambda df: math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-    passage = segment_passages(idx.stored_docs["d1"])[0]  # both sentences
+    passage = segment_passages(idx.document("d1"))[0]  # both sentences
     cases = [
         (["ship"], idf(2) * (1 + math.log(2)) + 2.0 * 1.0),
         (["north"], idf(2) * 1.0 + 2.0 * 1.0),

@@ -11,24 +11,26 @@ from conftest import SRC_DIR
 ENV = dict(os.environ, PYTHONPATH=str(SRC_DIR))
 
 
-def loaded_after(code: str) -> set[str]:
-    """The modules that running `code` in a fresh interpreter adds to
-    sys.modules. The modules loaded before it, such as those `site` loads,
-    do not count."""
+def loaded_after(code: str, cwd=None) -> set[str]:
+    """The modules that running `code` in a fresh interpreter (in `cwd`)
+    adds to sys.modules. The modules loaded before it, such as those `site`
+    loads, do not count."""
     probe = (
         f"import sys; before = set(sys.modules); {code}; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
     return set(subprocess.run(
-        [sys.executable, "-c", probe], env=ENV, capture_output=True, text=True, check=True
-    ).stdout.split())
+        [sys.executable, "-c", probe], cwd=cwd, env=ENV, capture_output=True, text=True,
+        check=True,
+    ).stdout.splitlines()[-1].split())
 
 
-def imported_by_command(tmp_path, command: str) -> set[str]:
-    """The qapipe modules that `python -m qapipe.cli COMMAND` imports, read
-    from its `-X importtime` report."""
+def imported_by_command(tmp_path, command: str, *args: str) -> set[str]:
+    """The qapipe modules that `python -m qapipe.cli COMMAND --config
+    config.qa ARGS` imports, read from its `-X importtime` report."""
     result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "qapipe.cli", command, "--config", "config.qa"],
+        [sys.executable, "-X", "importtime", "-m", "qapipe.cli", command, "--config", "config.qa",
+         *args],
         cwd=tmp_path, env=ENV, capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
@@ -85,3 +87,26 @@ def test_each_stage_command_imports_only_what_it_runs(tmp_path):
     evaluate = imported_by_command(tmp_path, "evaluate")
     assert {"qapipe.answers", "qapipe.evaluation"} <= evaluate
     assert not (engine | analysis) & evaluate
+
+
+def test_ask_imports_no_stage_machinery(tmp_path):
+    """`ask` answers from the index and the model alone: it loads neither the
+    pipeline orchestration (nor, through it, `datetime`) nor the stage
+    engines. `-X importtime` does not report a module imported through
+    `importlib.import_module`, as `cli` imports the answer engine, so the
+    modules loaded are read from sys.modules as well."""
+    paths = write_fixture(tmp_path)
+    examples, _ = parse_training_file(paths["train"])
+    write_model(train_classifier(examples), tmp_path / "model.nb")
+    subprocess.run([sys.executable, "-m", "qapipe.cli", "index", "--config", "config.qa"],
+                   cwd=tmp_path, env=ENV, capture_output=True, check=True)
+    question = "Who founded the onyx lighthouse?"
+    reported = imported_by_command(tmp_path, "ask", question)
+    assert {"qapipe.index", "qapipe.retrieval"} <= reported
+    assert not {"qapipe.pipeline", "qapipe.stages"} & reported
+    loaded = loaded_after(
+        f"from qapipe.cli import main; main(['ask', '--config', 'config.qa', {question!r}])",
+        cwd=tmp_path,
+    )
+    assert {"qapipe.index", "qapipe.extraction"} <= loaded
+    assert not {"qapipe.pipeline", "qapipe.stages", "datetime"} & loaded

@@ -40,7 +40,12 @@ segment, score, extract and rank, each its self time (DESC's sentence
 scoring counts as extract), and the rest of `answer_question` as
 "other". Each layer is timed by a wrapper on the name `answer_question`
 calls, which adds two clock reads per call. Each figure is the median
-of N runs (default 3).
+of N runs (default 3). After the passes it prints how many documents
+answering decoded, against the index's doc count: a document is decoded
+only when it is first segmented, so that is the number of documents
+whose passages the index keeps. (An index from before documents were
+decoded on read, with no `document` method, decoded all of them at
+load.)
 
 Last, it answers the analyses cold and then warm once more, on another
 freshly loaded index with tracemalloc on, and prints each per-index
@@ -321,12 +326,16 @@ def main(argv=None) -> int:
 
     analyses = load_analyses(config.param("questions.analysis_out"))
     settings = AnswerSettings.from_config(config)
-    runs = [answer_passes(extraction, load_index(config.index_path), analyses, settings)
-            for _ in range(args.runs)]
+    runs = []
+    for _ in range(args.runs):
+        index = load_index(config.index_path)
+        runs.append(answer_passes(extraction, index, analyses, settings))
     print(f"\n{f'answer, ms per question ({len(analyses)})':32s} {'cold':>8s} {'warm':>8s}")
     for name in runs[0][0]:
         cold, warm = (median(run[i][name] for run in runs) for i in (0, 1))
         print(f"{name:32s} {cold:8.3f} {warm:8.3f}")
+    decoded = len(index.doc_passages) if hasattr(index, "document") else index.doc_count
+    print(f"{'documents decoded':32s} {decoded:8d} of {index.doc_count}")
 
     sizes = memo_sizes(extraction, load_index(config.index_path), analyses, settings)
     print(f"\n{'memo after cold + warm':24s} {'entries':>8s} {'MB':>8s}")
