@@ -9,8 +9,6 @@ from the module that owns it when it is first read (PEP 562), so a
 process pays only for the modules it uses.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
 
 # Each qapipe module -> the names exported from it.
@@ -45,7 +43,7 @@ def _import_on_first_use(namespace: dict, owners: dict[str, str]):
         owner = owners.get(name)
         if owner is None:
             raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        value = namespace[name] = getattr(import_module(f"{__name__}.{owner}"), name)
+        value = namespace[name] = getattr(__import__(f"{__name__}.{owner}", fromlist=[name]), name)
         return value
 
     return __getattr__

@@ -2,9 +2,10 @@
 
 One record per question: qid, answer, supporting doc id and final
 score, framed by serde's `write_records`. A NIL answer and a missing
-doc are absent fields. This module holds the codec alone, so the
-`evaluate` stage reads answers without importing the answer engine in
-`extraction`.
+doc are absent fields, and the score is written as `repr(float)`, so
+`load_answers(write_answers(x)) == x`. This module holds the codec
+alone, so the `evaluate` stage reads answers without importing the
+answer engine in `extraction`.
 
 `AnswerRecord` is a NamedTuple record.
 """
@@ -17,7 +18,7 @@ from .serde import (
 )
 
 MAGIC = "QANUSANS"
-VERSION = 1
+VERSION = 2
 
 
 class AnswerRecord(NamedTuple):
@@ -31,7 +32,7 @@ def write_answers(records: list[AnswerRecord], path) -> None:
     """Stage 3 artifact: qid, answer, doc, score; NIL and no doc are absent fields."""
     write_records(path, MAGIC, VERSION, (
         f"{escape_field(r.qid)}\t{escape_optional(r.answer)}\t"
-        f"{escape_optional(r.supporting_doc)}\t{r.final_score:.6f}"
+        f"{escape_optional(r.supporting_doc)}\t{r.final_score!r}"
         for r in records
     ))
 

@@ -53,14 +53,15 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# Commands that run pipeline stages, by `pipeline.StageKind` value;
-# run-all drops evaluation when no gold is set.
+# Each command that runs one pipeline stage -> that stage's `StageKind`
+# value; run-all (None) runs them in `StageKind` order, less evaluation
+# when no gold is set.
 _STAGE_COMMANDS = {
-    "index": ["info-source-prep"],
-    "process-questions": ["question-processing"],
-    "answer": ["answer-retrieval"],
-    "evaluate": ["evaluation"],
-    "run-all": ["info-source-prep", "question-processing", "answer-retrieval", "evaluation"],
+    "index": "info-source-prep",
+    "process-questions": "question-processing",
+    "answer": "answer-retrieval",
+    "evaluate": "evaluation",
+    "run-all": None,
 }
 
 
@@ -89,9 +90,10 @@ def cmd_stages(args) -> int:
     from .stages import default_engines
 
     config = load_config(args.config)
-    stages = [StageKind(value) for value in _STAGE_COMMANDS[args.command]]
-    if args.command == "run-all" and not config.gold_path:
-        stages = stages[:3]
+    value = _STAGE_COMMANDS[args.command]
+    stages = [StageKind(value)] if value else [
+        s for s in StageKind if config.gold_path or s is not StageKind.EVALUATION
+    ]
     manifest = _module.run_pipeline(config, default_engines(), stages)
     for run in manifest.stages_run:
         print(f"{run.stage.value}: {run.detail}")
@@ -128,20 +130,14 @@ def cmd_ask(args) -> int:
     path = config.classifier_model_path
     model = _module.load_model(path) if path else None
     analyze, answer_question = _module.analyze, _module.answer_question
-
-    def respond(qid: str, text: str) -> None:
-        analysis = analyze(Question(qid, text), model)
-        record = answer_question(idx, analysis, settings)
-        # Escaped as answers.txt stores them, so each reply is one line.
+    for i, line in enumerate([" ".join(args.question)] if args.question else sys.stdin, start=1):
+        # A blank line gets a NIL reply, so every line sent gets one.
+        record = answer_question(idx, analyze(Question(f"q{i}", line.strip()), model), settings)
+        # Escaped as answers.txt stores them, so each reply is one line, and
+        # flushed, so a client reading a pipe gets it before its next line.
         answer = "NIL" if record.answer is None else escape_field(record.answer)
         doc = "-" if record.supporting_doc is None else escape_field(record.supporting_doc)
-        print(f"{answer}\t{doc}\t{record.final_score:g}")
-
-    if args.question:
-        respond("q1", " ".join(args.question))
-    else:
-        for i, line in enumerate(sys.stdin, start=1):
-            respond(f"q{i}", line.strip())  # a blank line gets a NIL reply
+        print(f"{answer}\t{doc}\t{record.final_score:g}", flush=True)
     return EXIT_OK
 
 

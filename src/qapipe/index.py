@@ -51,7 +51,6 @@ NamedTuple record.
 
 import math
 from collections.abc import Iterable, Iterator
-from itertools import islice
 from typing import NamedTuple
 
 from .corpus import Document
@@ -247,7 +246,7 @@ def load_index(path) -> InvertedIndex:
     and each term's postings by `postings`.
     """
     records = read_records(path, MAGIC, VERSION, CorruptIndex, "qapipe index")
-    stats = list(islice(records, 1))
+    stats = next(records, None)
     docs_by_ord: list[str] = []
     doc_lengths: dict[str, int] = {}
     doc_records: dict[str, str] = {}
@@ -272,6 +271,6 @@ def load_index(path) -> InvertedIndex:
     except (ValueError, IndexError) as exc:
         raise CorruptIndex(f"malformed index record: {exc}") from exc
     index = InvertedIndex(docs_by_ord, cells_by_term, doc_lengths, doc_records)
-    if stats != [_stats_line(index)]:
-        raise CorruptIndex(f"stats line {stats} does not match the records")
+    if stats != _stats_line(index):
+        raise CorruptIndex(f"stats line {stats!r} does not match the records")
     return index

@@ -43,7 +43,6 @@ class StageFailure(QAError):
     def __init__(self, stage: StageKind, cause: BaseException):
         super().__init__(f"stage {stage.value} failed: {cause}")
         self.stage = stage
-        self.cause = cause
 
 
 def stage_files(config: PipelineConfig, stage: StageKind) -> tuple[list[str], list[str]]:

@@ -1,6 +1,12 @@
+import os
+import select
+import subprocess
+import sys
+import time
+
 import pytest
 
-from conftest import rewrite_as_index_version_2, run_cli
+from conftest import SRC_DIR, rewrite_as_index_version_2, run_cli
 
 TOY_TRAINING = """ABBR:exp What does DNA stand for ?
 DESC:def What is an atoll ?
@@ -126,6 +132,21 @@ def test_run_all_answers_planted_questions(tmp_path):
     assert "accuracy = 1.000" in report
 
 
+def test_run_all_without_gold_runs_the_first_three_stages(tmp_path):
+    write_basic_setup(tmp_path)
+    train(tmp_path)
+    config = (tmp_path / "config.qa").read_text(encoding="utf-8")
+    config = config.replace("gold_path = gold.txt\n", "")
+    (tmp_path / "config.qa").write_text(config, encoding="utf-8")
+    result = run_cli("run-all", "--config", "config.qa", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert [line.split(":")[0] for line in result.stdout.splitlines()] == [
+        "info-source-prep", "question-processing", "answer-retrieval"
+    ]
+    assert (tmp_path / "answers.txt").is_file()
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_evaluate_without_gold_exits_1(tmp_path):
     write_basic_setup(tmp_path)
     train(tmp_path)
@@ -211,6 +232,46 @@ def test_ask_replies_to_every_line_blank_ones_with_nil(tmp_path):
     assert len(lines) == 4
     assert lines[0].startswith("Rolf Akkerman\t")
     assert lines[1:] == ["NIL\t-\t0"] * 3
+
+
+def read_reply(fd: int, seconds: float) -> str:
+    """One reply line from `fd`, which must arrive within `seconds`."""
+    deadline = time.monotonic() + seconds
+    reply = b""
+    while not reply.endswith(b"\n"):
+        ready, _, _ = select.select([fd], [], [], max(0.0, deadline - time.monotonic()))
+        assert ready, f"no whole reply line within {seconds} s, got {reply!r}"
+        chunk = os.read(fd, 4096)
+        assert chunk, f"ask closed its output after {reply!r}"
+        reply += chunk
+    return reply.decode("utf-8")
+
+
+def test_ask_replies_to_each_line_before_the_next_is_sent(tmp_path):
+    """A closed-loop client sends one line and waits for its reply, so each
+    reply reaches a pipe when it is printed, with no PYTHONUNBUFFERED in the
+    environment."""
+    write_basic_setup(tmp_path)
+    train(tmp_path)
+    run_cli("index", "--config", "config.qa", cwd=tmp_path)
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "PYTHONPATH")}
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + os.environ.get("PYTHONPATH", "")
+    replies = []
+    with subprocess.Popen(
+        [sys.executable, "-m", "qapipe.cli", "ask", "--config", "config.qa"],
+        cwd=tmp_path, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+    ) as proc:
+        try:
+            for line in ("Who built the amber mill?", "", "When did the old mill burn down?"):
+                proc.stdin.write(line.encode("utf-8") + b"\n")
+                proc.stdin.flush()
+                replies.append(read_reply(proc.stdout.fileno(), 30.0))
+        finally:
+            proc.kill()  # so a failed wait cannot leave ask running
+    assert replies[0].startswith("Rolf Akkerman\td1\t")
+    assert replies[1] == "NIL\t-\t0\n"
+    assert replies[2].startswith("1742\td3\t")
 
 
 def test_ask_prints_one_escaped_line_per_question(tmp_path):

@@ -161,6 +161,13 @@ def test_validate_artifacts_may_be_produced_in_run(tmp_path):
     assert "MissingFile" in codes(partial)
 
 
+def test_validate_missing_output_dir(tmp_path):
+    (tmp_path / "corpus.tsv").write_text("d1\t\ttext\n", encoding="utf-8")
+    config = load_config(write_config(tmp_path, MINIMAL.replace("index.qix", "out/index.qix")))
+    issues = validate_config(config, {StageKind.INFO_SOURCE_PREP})
+    assert [(i.code, i.detail) for i in issues] == [("MissingDir", str(tmp_path / "out"))]
+
+
 def test_validate_model_required_for_question_processing(tmp_path):
     (tmp_path / "questions.txt").write_text("q1\tWho?\n", encoding="utf-8")
     config = load_config(write_config(tmp_path, MINIMAL))

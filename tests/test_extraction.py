@@ -32,6 +32,12 @@ def texts(candidates):
     return [c.text for c in candidates]
 
 
+def test_sentence_initial_stopword_and_the_connector_after_it_are_dropped():
+    p = passage_of("The de Vries family built it.")
+    cands = extract_candidates(p, AnswerType("HUM", "ind"), [], index_of(p))
+    assert [(c.text, c.char_offset) for c in cands] == [("Vries", 7)]
+
+
 def test_date_pattern_day_month_year():
     p = passage_of("The accord was signed on 12 January 2004 in Rome.")
     cands = extract_candidates(p, AnswerType("NUM", "date"), [], index_of(p))
@@ -325,11 +331,11 @@ def test_nil_iff_no_supporting_doc():
 def test_answers_version_mismatch_names_qapipe_answer(tmp_path):
     path = tmp_path / "answers.txt"
     write_answers([AnswerRecord("q1", "Elena Castwright", "D1", 7.25)], path)
-    with_version(path, 2)
+    with_version(path, 1)
     with pytest.raises(VersionMismatch) as exc:
         load_answers(path)
     assert str(exc.value) == (
-        f"{path}: QANUSANS version '2', expected 1; run 'qapipe answer' to rewrite it"
+        f"{path}: QANUSANS version '1', expected 2; run 'qapipe answer' to rewrite it"
     )
 
 
@@ -377,7 +383,7 @@ def test_load_answers_refuses_with_qaerror_naming_the_line(tmp_path, raw, messag
     from qapipe.errors import QAError
 
     path = tmp_path / "answers.txt"
-    path.write_bytes(framed(b"QANUSANS 1\n" + raw))
+    path.write_bytes(framed(b"QANUSANS 2\n" + raw))
     with pytest.raises(QAError, match=message):
         load_answers(path)
 

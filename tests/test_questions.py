@@ -78,6 +78,17 @@ def test_trec_xml_missing_id_rejected(tmp_path):
     assert len(rejects) == 1
 
 
+def test_trec_xml_empty_text_rejected(tmp_path):
+    path = tmp_path / "q.xml"
+    path.write_text(
+        '<target text="X"><q id="q1">Good?</q><q id="q2">   </q></target>', encoding="utf-8"
+    )
+    rejects: list[MalformedRecord] = []
+    qs = parse_questions(path, "trec-xml", rejects)
+    assert [q.qid for q in qs] == ["q1"]
+    assert rejects == [MalformedRecord("target 1 question 2", "empty question text")]
+
+
 def test_analyses_version_mismatch_names_process_questions(tmp_path, tiny_model):
     path = tmp_path / "analysis.txt"
     write_analyses([analyze(Question("q1", "Who built the mill?"), tiny_model)], path)

@@ -17,11 +17,12 @@ for it. The stages write their artifacts into FIXTURE_DIR as
 
 Next it prints the start-up floor that every such process pays: the
 wall time of `python -c pass` and of `python -c "import qapipe.cli"`.
-For each stage command it then runs one more process under
+For each of those commands it then runs one more process under
 `python -X importtime` and prints the qapipe modules that the process
-imports, with the ms of their imports: the cumulative time of each
-qapipe import that no other qapipe import encloses, summed. (`qapipe.cli`
-itself runs as `__main__`, so it is not among them.) Then it splits the
+imports (those that a module imports on first use of a name included),
+with the ms of their imports: the cumulative time of each qapipe import
+that no other qapipe import encloses, summed. (`qapipe.cli` itself runs
+as `__main__`, so it is not among them.) Then it splits the
 set-up of that `ask` into its steps, timed inside a fresh `python`
 process per run: importing `qapipe.cli`, `load_config` with the stage-3
 settings it names, `load_index`, `load_model`, and the first answer
@@ -29,8 +30,9 @@ settings it names, `load_index`, `load_model`, and the first answer
 tracing shim cannot see import time; this split can.
 
 In process, it times the index stage's layers: corpus parse, `terms`
-over every document, `build_index`, `write_index` (to a temporary
-directory) and `load_index`. For each it also prints, from one more
+over every document, `build_index` on the parse stream as the index
+stage calls it (so that row includes the parse), `write_index` (to a
+temporary directory) and `load_index`. For each it also prints, from one more
 call under tracemalloc, the traced peak and the MB the call's result
 keeps, and last the ratio of the two for `load_index`. Then it answers
 the fixture's analyses (the `process-questions` stage's `analysis.txt`)
@@ -43,9 +45,7 @@ calls, which adds two clock reads per call. Each figure is the median
 of N runs (default 3). After the passes it prints how many documents
 answering decoded, against the index's doc count: a document is decoded
 only when it is first segmented, so that is the number of documents
-whose passages the index keeps. (An index from before documents were
-decoded on read, with no `document` method, decoded all of them at
-load.)
+whose passages the index keeps.
 
 Last, it answers the analyses cold and then warm once more, on another
 freshly loaded index with tracemalloc on, and prints each per-index
@@ -229,9 +229,7 @@ def memo_sizes(extraction, index, analyses, settings) -> list[tuple[str, int, fl
         for _ in ("cold", "warm"):
             for analysis in analyses:
                 extraction.answer_question(index, analysis, settings)
-        # getattr: a SRC from before the hits memo has no `hits` slot.
-        with_hits = sum(getattr(f, "hits", None) is not None
-                        for f in index.passage_features.values())
+        with_hits = sum(f.hits is not None for f in index.passage_features.values())
 
         def clear(name, entries, clear_memo):
             gc.collect()
@@ -242,8 +240,7 @@ def memo_sizes(extraction, index, analyses, settings) -> list[tuple[str, int, fl
 
         def drop_hits():
             for features in index.passage_features.values():
-                if getattr(features, "hits", None) is not None:
-                    features.hits = None
+                features.hits = None
 
         return [
             clear("passage hits", with_hits, drop_hits),
@@ -296,7 +293,7 @@ def main(argv=None) -> int:
         runs = [run_pinned([sys.executable, "-c", code], fixture, env) for _ in range(args.runs)]
         print(f"{name:24s} {median(w for w, _ in runs) * 1000:8.1f}")
     print(f"\n{'qapipe imports, 1 run':24s} {'ms':>8s}  modules")
-    for name, cli_args in commands[:len(STAGES)]:
+    for name, cli_args in commands:
         modules, ms = qapipe_imports(cli_args, fixture, env)
         short = " ".join(m.removeprefix("qapipe.") for m in modules)
         print(f"{name:24s} {ms:8.1f}  {len(modules)}: {short}")
@@ -306,23 +303,24 @@ def main(argv=None) -> int:
 
     fmt = config.param("corpus.format")
     docs = list(parse_corpus(config.corpus_path, fmt))
-    index = build_index(docs)
+    index = build_index(parse_corpus(config.corpus_path, fmt))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "index.qix"
         write_index(index, path)
         steps = [("corpus parse", lambda: list(parse_corpus(config.corpus_path, fmt))),
                  ("terms", lambda: [terms(doc.text) for doc in docs]),
-                 ("build_index", lambda: build_index(docs)),
+                 ("build_index(parse_corpus)",
+                  lambda: build_index(parse_corpus(config.corpus_path, fmt))),
                  ("write_index", lambda: write_index(index, path)),
                  ("load_index", lambda: load_index(path))]
-        print(f"\n{'in process':24s} {'wall ms':>8s} {'peak MB':>8s} {'kept MB':>8s}")
+        print(f"\n{'in process':26s} {'wall ms':>8s} {'peak MB':>8s} {'kept MB':>8s}")
         memory = {}
         for name, fn in steps:
             seconds, _ = timed(fn, args.runs)
             peak, kept = memory[name] = traced(fn)
-            print(f"{name:24s} {seconds * 1000:8.1f} {peak:8.2f} {kept:8.2f}")
+            print(f"{name:26s} {seconds * 1000:8.1f} {peak:8.2f} {kept:8.2f}")
     peak, kept = memory["load_index"]
-    print(f"{'load_index peak / kept':24s} {peak / kept:8.2f}")
+    print(f"{'load_index peak / kept':26s} {peak / kept:8.2f}")
 
     analyses = load_analyses(config.param("questions.analysis_out"))
     settings = AnswerSettings.from_config(config)
@@ -334,8 +332,7 @@ def main(argv=None) -> int:
     for name in runs[0][0]:
         cold, warm = (median(run[i][name] for run in runs) for i in (0, 1))
         print(f"{name:32s} {cold:8.3f} {warm:8.3f}")
-    decoded = len(index.doc_passages) if hasattr(index, "document") else index.doc_count
-    print(f"{'documents decoded':32s} {decoded:8d} of {index.doc_count}")
+    print(f"{'documents decoded':32s} {len(index.doc_passages):8d} of {index.doc_count}")
 
     sizes = memo_sizes(extraction, load_index(config.index_path), analyses, settings)
     print(f"\n{'memo after cold + warm':24s} {'entries':>8s} {'MB':>8s}")
