@@ -117,8 +117,14 @@ def evaluate_answers(
     return EvaluationReport(len(gold), correct, per_question, unanswered, ignored)
 
 
+# The tab that separates a report line's fields and every character that
+# str.splitlines breaks a line at: each is read as a space in a qid, an
+# answer or a pattern, so each judged question stays one line of its report.
+_ONE_LINE = str.maketrans(dict.fromkeys("\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", " "))
+
+
 def format_report(report: EvaluationReport) -> str:
-    """Deterministic human-readable report text."""
+    """Deterministic human-readable report text, one line per judged question."""
     lines = [
         f"accuracy = {report.accuracy:.3f} "
         f"({report.correct_count}/{report.total_questions})",
@@ -130,10 +136,9 @@ def format_report(report: EvaluationReport) -> str:
     ]
     for j in report.per_question:
         verdict = "CORRECT" if j.correct else "WRONG"
-        given = j.given.replace("\t", " ").replace("\n", " ")
-        line = f"{j.qid}\t{verdict}\t{given}"
+        line = f"{j.qid.translate(_ONE_LINE)}\t{verdict}\t{j.given.translate(_ONE_LINE)}"
         if j.matched_pattern is not None:
-            line += f"\t[{j.matched_pattern}]"
+            line += f"\t[{j.matched_pattern.translate(_ONE_LINE)}]"
         lines.append(line)
     return "".join(line + "\n" for line in lines)
 

@@ -23,12 +23,13 @@ offsets, and the word positions of each query term are found in its
 passage's terms with `tuple.index`; no positional tokens are built.
 
 What answering reads that does not depend on the question is memoized
-on the index (see `retrieval`): each retrieved document's passages and
-each passage text's features. A kept passage's features also hold its
-extraction hits by pattern group, found on the first extraction that
-reads the group: the pattern matches of each NUM group and of ABBR:abb,
-and the capitalized runs, trimmed, each with its content words.
-Per question, answering retrieves and scores passages, keeps the top
+on the index (see `retrieval`): each retrieved document's passages with
+their terms, and each passage text's features. A kept passage's
+features also hold its extraction hits by pattern group, found on the
+first extraction that reads the group: the pattern matches of each NUM
+group and of ABBR:abb, and the capitalized runs, trimmed, each with its
+content words. Per question, answering retrieves documents, scores all
+their passages with one call of the passage-score kernel, keeps the top
 ones, drops the capitalized runs that only echo the query or picks
 DESC's best sentence, and scores and orders the candidates.
 
@@ -44,7 +45,8 @@ tuple, and `_replace` copies one with fields changed.
 
 import re
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
+from itertools import count, repeat
+from operator import contains, itemgetter, neg
 from typing import NamedTuple
 
 # write_answers and load_answers are bound here too: qabench/trace_shim.py
@@ -54,8 +56,10 @@ from .config import AnswerSettings
 from .index import InvertedIndex
 from .questions import QuestionAnalysis
 from .retrieval import (
-    Passage, passage_features, retrieve_documents, score_passage, score_terms, segment_passages,
+    Passage, passage_features, query_weights, retrieve_documents, score_term_tuples,
+    segment_passages,
 )
+from .retrieval import score_passage  # unused: qabench/trace_shim.py wraps this name
 from .serde import unescape_field  # unused: qabench/trace_shim.py wraps this name
 from .stopwords import STOPWORDS
 from .taxonomy import AnswerType
@@ -185,21 +189,23 @@ def _query_free_hits(text: str, group: str, index: InvertedIndex) -> list:
 def _best_sentence(
     passage: Passage, query_terms, index: InvertedIndex, coverage_weight: float
 ) -> tuple[int, str] | None:
-    """The passage's first sentence of the highest score_terms, with its
-    offset. A sentence's terms are the slice of its passage's terms whose
-    words start within it: no word crosses a sentence's end, which follows
-    punctuation or ends the text."""
+    """The passage's first sentence of the highest score, with its offset.
+    Its sentences are scored with one call of the passage-score kernel. A
+    sentence's terms are the slice of its passage's terms whose words start
+    within it: no word crosses a sentence's end, which follows punctuation
+    or ends the text."""
     features = passage_features(passage.text, index)
+    sentences = features.sentences
+    if not sentences:
+        return None
     words, starts = features.terms, features.word_offsets[0]
-    best: tuple[int, str] | None = None
-    best_score = float("-inf")
-    for a, b in features.sentences:
-        sentence_words = words[bisect_left(starts, a):bisect_left(starts, b)]
-        s = score_terms(sentence_words, query_terms, index, coverage_weight)
-        if s > best_score:
-            best_score = s
-            best = (a, passage.text[a:b])
-    return best
+    scores = score_term_tuples(
+        [words[bisect_left(starts, a):bisect_left(starts, b)] for a, b in sentences],
+        query_weights(query_terms, index),
+        coverage_weight,
+    )
+    a, b = sentences[scores.index(max(scores))]
+    return a, passage.text[a:b]
 
 
 def extract_candidates(
@@ -228,7 +234,7 @@ def extract_candidates(
         hits = [
             (start, run)
             for start, run, content in _query_free_hits(text, _RUNS, index)
-            if not all(w in query for w in content)
+            if not query.issuperset(content)
         ]
     else:  # DESC, the one coarse class left
         best = _best_sentence(passage, query_terms, index, settings.coverage_weight)
@@ -322,7 +328,7 @@ def rank_candidates(
                 for o in occurrences
             )
             prox += 1.0 / (1.0 + dist)
-        red = sum(1 for lp in lowered_passages if key in lp)
+        red = sum(map(contains, lowered_passages, repeat(key)))
         final = (
             cand.passage_score
             + settings.proximity_weight * prox
@@ -344,9 +350,10 @@ def answer_question(
     """Retrieve, segment, score, extract, rank; NIL when nothing survives,
     as for an empty query, which retrieves no document.
 
-    A document is decoded and segmented on its first retrieval and its
-    passages kept on the index, so a passage's text is one object for
-    every question.
+    A document is decoded and segmented on its first retrieval, and its
+    passages are kept on the index with their terms, so a passage's text
+    is one object for every question. The passages of all retrieved
+    documents are scored with one call of the passage-score kernel.
     """
     nil = AnswerRecord(analysis.qid, None, None, 0.0)
     docs = retrieve_documents(index, analysis.query_terms, settings.k)
@@ -354,19 +361,31 @@ def answer_question(
         return nil
 
     memo = index.doc_passages
-    # (-score, doc rank, start, passage): the best passages are the smallest.
-    scored_passages: list[tuple[float, int, int, Passage]] = []
+    passages: list[Passage] = []
+    passage_terms: list[tuple[str, ...]] = []
+    doc_ranks: list[int] = []
     for doc_rank, scored_doc in enumerate(docs):
-        passages = memo.get(scored_doc.doc_id)
-        if passages is None:
-            document = index.document(scored_doc.doc_id)
-            passages = memo[scored_doc.doc_id] = segment_passages(document)
-        for passage in passages:
-            s = score_passage(passage, analysis.query_terms, index, settings.coverage_weight)
-            scored_passages.append((-s, doc_rank, passage.char_span[0], passage))
-    scored_passages.sort(key=itemgetter(0, 1, 2))
-    top = scored_passages[: settings.max_passages]
-    kept = [Passage(p.doc_id, p.char_span, p.text, -neg) for neg, _, _, p in top]
+        entry = memo.get(scored_doc.doc_id)
+        if entry is None:
+            doc_passages = segment_passages(index.document(scored_doc.doc_id))
+            entry = memo[scored_doc.doc_id] = (
+                doc_passages, [passage_features(p.text, index).terms for p in doc_passages]
+            )
+        passages += entry[0]
+        passage_terms += entry[1]
+        doc_ranks += repeat(doc_rank, len(entry[0]))
+    scores = score_term_tuples(
+        passage_terms, query_weights(analysis.query_terms, index), settings.coverage_weight
+    )
+    # (-score, doc rank, start, running index, passage): the best passages
+    # are the smallest, and the running index keeps equal keys in their
+    # retrieval order, so no two tuples compare their passages.
+    starts = map(itemgetter(0), map(itemgetter(1), passages))
+    by_score = sorted(zip(map(neg, scores), doc_ranks, starts, count(), passages))
+    kept = [
+        Passage(p.doc_id, p.char_span, p.text, -neg_score)
+        for neg_score, _, _, _, p in by_score[: settings.max_passages]
+    ]
 
     candidates: list[CandidateAnswer] = []
     for i, passage in enumerate(kept):

@@ -40,10 +40,11 @@ and `postings(term)` a term's cells into (doc_id, tf) pairs; neither
 keeps what it decodes. A malformed record in a file whose digest holds
 raises CorruptIndex, naming the doc id or term, when it is first read.
 Answering memoizes on the index what it reads that does not
-depend on the question: each term's BM25 impacts (its doc ids and
-their impacts, as two parallel lists), each retrieved document's
-passages, and each passage text's features, which hold the extraction
-hits of each kept passage. No memo is written to the file.
+depend on the question: each term's BM25 impacts, as one dict of doc
+id to impact, which retrieval sums by dict union; each retrieved
+document's passages with their interned terms, which one kernel call
+per question scores; and each passage text's features, which hold the
+extraction hits of each kept passage. No memo is written to the file.
 
 `InvertedIndex` is a plain class with slots, and `IndexStats` a
 NamedTuple record.
@@ -101,16 +102,19 @@ class InvertedIndex:
         # decodes one on each read.
         self.doc_records = doc_records
         self.avg_doc_length = sum(doc_lengths.values()) / len(doc_lengths) if doc_lengths else 0.0
-        # term -> ([doc_id], [BM25 impact]), two parallel lists in posting
-        # order, filled by retrieval on a term's first use.
-        self.bm25_impacts: dict[str, tuple[list[str], list[float]]] = {}
+        # term -> {doc_id: BM25 impact} in posting order, filled by
+        # retrieval on a term's first use.
+        self.bm25_impacts: dict[str, dict[str, float]] = {}
         # passage text -> its retrieval.PassageFeatures (terms, sentence
-        # spans, word offsets, extraction hits by pattern group), filled by
-        # passage scoring, extraction and ranking.
+        # spans, word offsets, extraction hits by pattern group), filled
+        # when answering first segments a document, and by score_passage,
+        # extraction and ranking.
         self.passage_features: dict[str, object] = {}
-        # doc id -> the document's passages (retrieval.segment_passages),
-        # filled by extraction for each retrieved document.
-        self.doc_passages: dict[str, list] = {}
+        # doc id -> (the document's passages (retrieval.segment_passages),
+        # each passage's terms from its features), filled by extraction on
+        # the document's first retrieval; the passage-score kernel reads
+        # the terms.
+        self.doc_passages: dict[str, tuple[list, list[tuple[str, ...]]]] = {}
         self._idf: dict[str, float] = {}
 
     def __eq__(self, other):

@@ -10,14 +10,19 @@ uppercase letter, each trimmed of whitespace as it is cut, and windowed
 3 at a time with stride 2.
 
 What answering reads that does not depend on the question is memoized
-on the index for its lifetime: each term's BM25 impacts, as parallel
-lists of doc ids and impacts; each retrieved document's passages (by
-doc id, filled by extraction); and each passage text's
+on the index for its lifetime: each term's BM25 impacts, as one dict of
+doc id to impact; each retrieved document's passages with their terms
+(by doc id, filled by extraction); and each passage text's
 `PassageFeatures` (by text), which also hold the extraction hits that
 no query changes. Per question, only query-dependent work is left:
-summing impacts and taking the top k, which sorts only the scores at or
-above the k-th largest, and counting the query terms in each passage's
-terms.
+summing impacts by dict union and taking the top k, which sorts only
+the scores at or above the k-th largest, and scoring term tuples.
+
+One kernel, `score_term_tuples`, holds the passage-score formula. It
+scores a list of term tuples against the question's (term, idf) pairs
+from `query_weights`: answering scores every passage of the retrieved
+documents with one call per question, and DESC every sentence of a
+kept passage with one call per passage.
 
 `ScoredDocument` and `Passage` are NamedTuple records: they compare and
 hash as tuples, and `_replace` copies one with fields changed.
@@ -53,20 +58,16 @@ class Passage(NamedTuple):
     passage_score: float = 0.0
 
 
-def _term_impacts(index: InvertedIndex, term: str) -> tuple[list[str], list[float]]:
-    """The doc ids of `term`'s postings and their BM25 impacts, as two
-    parallel lists in posting order."""
-    postings = index.postings(term)
+def _term_impacts(index: InvertedIndex, term: str) -> dict[str, float]:
+    """The BM25 impact of `term` in each document of its postings, by doc id."""
     avg = index.avg_doc_length
     idf = index.idf(term)
     lengths = index.doc_lengths
     k1, b = BM25_K1, BM25_B
-    doc_ids = [doc_id for doc_id, _ in postings]
-    impacts = [
-        idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * lengths[doc_id] / avg))
-        for doc_id, tf in postings
-    ]
-    return doc_ids, impacts
+    return {
+        doc_id: idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * lengths[doc_id] / avg))
+        for doc_id, tf in index.postings(term)
+    }
 
 
 def retrieve_documents(
@@ -76,20 +77,28 @@ def retrieve_documents(
     no document, so it gives [].
 
     A term's impacts are computed on its first use and memoized on the
-    index; a document's score adds them in query-term order. Only the
-    scores at or above the k-th largest are ordered.
+    index. Scores are summed by dict union, in query-term order: the
+    first term's impacts are the scores, each next term's impacts update
+    them, and only the documents scored before it get Python work, their
+    old score plus its impact. Every impact is positive, so a document's
+    first impact is its score exactly, as 0.0 plus the impact is. Only
+    the scores at or above the k-th largest are ordered.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     memo = index.bm25_impacts
     scores: dict[str, float] = {}
-    get = scores.get
     for term in query_terms:
         impacts = memo.get(term)
         if impacts is None:
             impacts = memo[term] = _term_impacts(index, term)
-        for doc_id, impact in zip(*impacts):
-            scores[doc_id] = get(doc_id, 0.0) + impact
+        if not scores:
+            scores = dict(impacts)
+            continue
+        common = scores.keys() & impacts.keys()
+        sums = [scores[doc_id] + impacts[doc_id] for doc_id in common]
+        scores.update(impacts)
+        scores.update(zip(common, sums))
     items = scores.items()
     if len(scores) > k:
         kth = sorted(scores.values(), reverse=True)[k - 1]
@@ -191,37 +200,48 @@ def passage_features(text: str, index: InvertedIndex) -> PassageFeatures:
     return features
 
 
+def query_weights(query_terms: list[str], index: InvertedIndex) -> list[tuple[str, float]]:
+    """Each query term with its idf, in query-term order: all that the
+    passage score reads of the question and the index."""
+    return [(term, index.idf(term)) for term in query_terms]
+
+
+def score_term_tuples(
+    term_tuples: list[tuple[str, ...]],
+    weights: list[tuple[str, float]],
+    coverage_weight: float,
+) -> list[float]:
+    """The score of each tuple of terms: the sum of idf-weighted log term
+    counts plus a query-coverage bonus, the share of query terms matched
+    times `coverage_weight` (the stage-3 setting, whose default
+    `AnswerSettings` holds). `weights` are the question's `query_weights`,
+    added in their order; a question without query terms scores 0.0.
+    A tuple holds the terms of the text scored: a passage's, or the slice
+    of them for one of its sentences."""
+    if not weights:
+        return [0.0] * len(term_tuples)
+    # The coverage bonus of each number of matched query terms.
+    bonus = [coverage_weight * (matched / len(weights)) for matched in range(len(weights) + 1)]
+    scores = []
+    for words in term_tuples:
+        score = 0.0
+        matched = 0
+        for term, idf in weights:
+            # A query has a few terms, so counting each in the tuple beats a Counter.
+            n = words.count(term)
+            if n > 0:
+                matched += 1
+                score += idf * (1.0 + math.log(n))
+        scores.append(score + bonus[matched])
+    return scores
+
+
 def score_passage(
     passage: Passage,
     query_terms: list[str],
     index: InvertedIndex,
     coverage_weight: float,
 ) -> float:
-    """score_terms of the passage's terms, read from its memoized features."""
-    return score_terms(
-        passage_features(passage.text, index).terms, query_terms, index, coverage_weight
-    )
-
-
-def score_terms(
-    words: tuple[str, ...],
-    query_terms: list[str],
-    index: InvertedIndex,
-    coverage_weight: float,
-) -> float:
-    """Sum of idf-weighted log term counts plus a query-coverage bonus, the
-    share of query terms matched times `coverage_weight` (the stage-3
-    setting, whose default `AnswerSettings` holds). `words` are the terms
-    of the text scored: a passage's, or a slice of them for one of its
-    sentences."""
-    if not query_terms:
-        return 0.0
-    # A query has a few terms, so counting each in the tuple beats a Counter.
-    score = 0.0
-    matched = 0
-    for term in query_terms:
-        n = words.count(term)
-        if n > 0:
-            matched += 1
-            score += index.idf(term) * (1.0 + math.log(n))
-    return score + coverage_weight * (matched / len(query_terms))
+    """The kernel's score of the passage's terms, read from its memoized features."""
+    words = passage_features(passage.text, index).terms
+    return score_term_tuples([words], query_weights(query_terms, index), coverage_weight)[0]

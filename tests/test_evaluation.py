@@ -154,3 +154,39 @@ def test_report_bytes_deterministic(tmp_path):
     write_report(report, p1)
     write_report(report, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# Every character str.splitlines breaks a line at, \r\n, and the field tab.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029", "\t"]
+
+
+@pytest.mark.parametrize("sep", LINE_BREAKS, ids=lambda s: "+".join(f"U{ord(c):04X}" for c in s))
+def test_report_keeps_each_judged_question_on_one_line(sep):
+    """A capitalized-run answer may cross any whitespace, line breaks included;
+    the report reads each break in an answer, a pattern or a qid as a space."""
+    gold = {"q1": [f"anna{sep}berg"], f"q{sep}2": ["rome"]}
+    answers = [record("q1", f"Anna{sep}Berg"), record(f"q{sep}2", f"went{sep}home")]
+    lines = format_report(evaluate_answers(answers, gold)).splitlines()
+    spaces = " " * len(sep)
+    assert len(lines) == 8
+    assert lines[-2:] == [
+        f"q1\tCORRECT\tAnna{spaces}Berg\t[anna{spaces}berg]",
+        f"q{spaces}2\tWRONG\twent{spaces}home",
+    ]
+
+
+def test_report_of_a_run_across_a_carriage_return_is_one_line(tmp_path):
+    """The capitalized run of a one-document index crosses its "\\r"."""
+    from qapipe.corpus import Document
+    from qapipe.extraction import answer_question
+    from qapipe.index import build_index
+    from qapipe.questions import QuestionAnalysis
+    from qapipe.taxonomy import AnswerType
+
+    index = build_index([Document("d1", "It was built by Anna\rBerg in spring.", ())])
+    analysis = QuestionAnalysis("q1", "Who built it?", ["built"], AnswerType("HUM", "ind"), "rule")
+    answer = answer_question(index, analysis)
+    assert answer.answer == "Anna\rBerg"
+    lines = format_report(evaluate_answers([answer], {"q1": ["anna"]})).splitlines()
+    assert len(lines) == 7 and lines[-1] == "q1\tCORRECT\tAnna Berg\t[anna]"

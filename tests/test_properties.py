@@ -1,9 +1,10 @@
 """Property tests for the field codec and its unescape fast path, the record writer, the index file
-format, tokenization and its ASCII path, query terms, passage scoring and its memo, BM25
-retrieval and its ties, answers and extraction on a warm index, candidate word spans and
-proximity, candidate ranking, the stage-file round trips, the stage-file loaders, the parsers
-of the files a user writes, the TREC SGML scan against its regex form, the tab-separated line
-and sentence scanners against their earlier forms, and `ask` against the staged pipeline."""
+format, tokenization and its ASCII path, query terms, the passage-score kernel and its memo,
+the passages answering keeps, BM25 retrieval, its dict-union sum and its ties, answers and
+extraction on a warm index, candidate word spans and proximity, candidate ranking, the
+stage-file round trips, the stage-file loaders, the parsers of the files a user writes, the
+TREC SGML scan against its regex form, the tab-separated line and sentence scanners against
+their earlier forms, and `ask` against the staged pipeline."""
 
 import hashlib
 import math
@@ -11,7 +12,9 @@ import re
 import string
 import tempfile
 from collections import Counter
+from operator import itemgetter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -28,6 +31,7 @@ from qapipe.config import (
 from qapipe.corpus import (
     Document, MalformedRecord, _parse_record_lines, _parse_trec_sgml, parse_corpus,
 )
+from qapipe import extraction
 from qapipe.errors import QAError
 from qapipe.evaluation import load_gold
 from qapipe.extraction import (
@@ -43,8 +47,9 @@ from qapipe.questions import (
 )
 from qapipe.stopwords import STOPWORDS
 from qapipe.retrieval import (
-    BM25_B, BM25_K1, Passage, ScoredDocument, passage_features, retrieve_documents,
-    score_passage, score_terms, segment_passages, split_sentences,
+    BM25_B, BM25_K1, Passage, ScoredDocument, passage_features, query_weights,
+    retrieve_documents, score_passage, score_term_tuples, segment_passages,
+    split_sentences,
 )
 from qapipe.taxonomy import FINE_CLASSES, AnswerType
 from qapipe.serde import (
@@ -440,6 +445,35 @@ def test_score_passage_matches_token_reference(docs, text, query, weight):
     )
 
 
+def bits(floats):
+    """Each float's exact bits, so -0.0 and 0.0 differ."""
+    return [x.hex() for x in floats]
+
+
+# Coverage weights: zero of both signs, the default, negative ones and any finite float.
+coverage_weights = st.sampled_from([0.0, -0.0, 2.0, -1.5]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+@given(corpora, st.lists(words_text | st.text(max_size=16) | st.just(""), max_size=5),
+       st.data(), coverage_weights)
+def test_kernel_scores_each_tuple_as_the_token_reference(docs, texts, data, weight):
+    """One kernel call over many texts' terms gives, bit for bit, each text's
+    per-Token score. The texts may be empty or not ASCII, and the query
+    terms repeat, miss the index, or are the texts' own."""
+    index = build_index(Document(d, t, ()) for d, t in docs.items())
+    pool = [w.lower() for w in VOCAB + UNICODE_WORDS] + ["absent"] + terms(" ".join(texts))
+    query = data.draw(st.lists(st.sampled_from(pool), max_size=5))
+    scores = score_term_tuples(
+        [passage_features(text, index).terms for text in texts], query_weights(query, index),
+        weight,
+    )
+    assert bits(scores) == bits(
+        reference_score_passage(Passage("p", (0, len(t)), t), query, index, weight)
+        for t in texts
+    )
+
+
 # The second paragraph's sentence spans (0, 5) within it, as the first paragraph does.
 @example(["amber", "built"], ["amber"], 0.0)
 @given(st.lists(words_text | st.text(max_size=12), min_size=1, max_size=4), queries,
@@ -537,6 +571,87 @@ def test_retrieval_breaks_score_ties_by_doc_id(tied):
     docs, query, k = tied
     index = build_index(Document(d, t, ()) for d, t in docs.items())
     assert retrieve_documents(index, query, k) == reference_retrieve(index, query, k)
+
+
+@example(({"t1": "amber mill", "t2": "amber mill", "a": "mill"}, ["amber"], 1), ["absent"])
+@given(tied_corpora(), queries)
+def test_dict_union_sum_equals_the_per_posting_reference(tied, more):
+    """The dict-union sum gives the per-posting reference's top k, scores bit
+    for bit, on a fresh index and again once the memo holds every term's
+    impacts. The query repeats terms and holds terms absent from the
+    index, and k cuts a group of equal scores."""
+    docs, query, k = tied
+    query = query + more + query[:2]
+    index = build_index(Document(d, t, ()) for d, t in docs.items())
+    expected = reference_retrieve(index, query, k)
+    for _ in ("fresh", "warm"):
+        got = retrieve_documents(index, query, k)
+        assert [d.doc_id for d in got] == [d.doc_id for d in expected]
+        assert bits(d.retrieval_score for d in got) == bits(d.retrieval_score for d in expected)
+
+
+def reference_kept_passages(index, analysis, answer_settings):
+    """The passages answer_question kept before the kernel: each scored by its
+    own score_passage call and ordered by a stable sort on (-score, doc rank,
+    start)."""
+    docs = retrieve_documents(index, analysis.query_terms, answer_settings.k)
+    scored = []
+    for doc_rank, scored_doc in enumerate(docs):
+        for passage in segment_passages(index.document(scored_doc.doc_id)):
+            s = score_passage(passage, analysis.query_terms, index,
+                              answer_settings.coverage_weight)
+            scored.append((-s, doc_rank, passage.char_span[0], passage))
+    scored.sort(key=itemgetter(0, 1, 2))
+    return [Passage(p.doc_id, p.char_span, p.text, -neg)
+            for neg, _, _, p in scored[:answer_settings.max_passages]]
+
+
+@st.composite
+def span_corpora(draw):
+    """Documents that share texts, so scores tie across documents; half have
+    drawn paragraph spans, which may repeat a start, overlap, be empty, or
+    come out of order, so scores tie within a document too."""
+    pool = draw(st.lists(words_text, min_size=1, max_size=3))
+    docs = []
+    for i in range(draw(st.integers(1, 5))):
+        text = draw(st.sampled_from(pool))
+        spans = ()
+        if draw(st.booleans()):
+            spans = []
+            for _ in range(draw(st.integers(1, 4))):
+                a = draw(st.sampled_from(sorted({0, len(text) // 2})))
+                spans.append((a, draw(st.integers(a, len(text)))))
+            spans = tuple(spans)
+        docs.append(Document(f"d{i}", text, spans))
+    return docs
+
+
+@example([Document("d0", "amber mill", ((0, 5), (0, 10), (0, 5))),
+          Document("d1", "amber mill", ((0, 10), (0, 5)))],
+         ["amber"], AnswerSettings(k=2, max_passages=3))
+@settings(max_examples=200)
+@given(span_corpora(), queries,
+       st.builds(lambda k, max_passages, weight: AnswerSettings(
+           k=k, max_passages=max_passages, coverage_weight=weight),
+           st.integers(1, 5), st.integers(1, 6), st.sampled_from([0.0, 2.0, -1.5])))
+def test_answering_keeps_the_passages_the_per_passage_path_keeps(docs, query, answer_settings):
+    """answer_question hands ranking the passages, scores and order that
+    scoring each passage alone and a stable (-score, doc rank, start) sort
+    give."""
+    index, reference = build_index(docs), build_index(docs)
+    handed = []
+    rank = extraction.rank_candidates
+
+    def recording_rank(candidates, analysis, passages, *args):
+        handed.append(passages)
+        return rank(candidates, analysis, passages, *args)
+
+    with mock.patch.object(extraction, "rank_candidates", recording_rank):
+        answer_question(index, analysis_of(query), answer_settings)
+    expected = reference_kept_passages(reference, analysis_of(query), answer_settings)
+    kept = handed[0] if handed else []
+    assert kept == expected
+    assert bits(p.passage_score for p in kept) == bits(p.passage_score for p in expected)
 
 
 # Words mostly of one length, so passages of different documents share char
@@ -680,10 +795,10 @@ def test_best_sentence_equals_the_per_sentence_passage_path(text, data, weight):
     passage = Passage("d", (0, len(text)), text, 1.5)
     index, reference = build_index([doc]), build_index([doc])
     for a, b in split_sentences(text):
-        assert score_terms(
-            passage_features(text, index).terms[len(terms(text[:a])):len(terms(text[:b]))],
-            query, index, weight,
-        ) == score_passage(Passage("d", (a, b), text[a:b]), query, reference, weight)
+        assert score_term_tuples(
+            [passage_features(text, index).terms[len(terms(text[:a])):len(terms(text[:b]))]],
+            query_weights(query, index), weight,
+        ) == [score_passage(Passage("d", (a, b), text[a:b]), query, reference, weight)]
     best = reference_best_sentence(passage, query, reference, weight)
     expected = [] if best is None else [CandidateAnswer(best[1], "d", best[0], 0, 1.5)]
     assert extract_candidates(passage, AnswerType("DESC", None), query, index,

@@ -38,8 +38,10 @@ keeps, and last the ratio of the two for `load_index`. Then it answers
 the fixture's analyses (the `process-questions` stage's `analysis.txt`)
 twice on one freshly loaded index, cold and then warm, and prints the
 ms per question of `answer_question` and of its layers: retrieve,
-segment, score, extract and rank, each its self time (DESC's sentence
-scoring counts as extract), and the rest of `answer_question` as
+segment, score (the passage-score kernel, `score_term_tuples`, which
+scores every passage of the retrieved documents in one call per
+question and DESC's sentences in one call per passage), extract and
+rank, each its self time, and the rest of `answer_question` as
 "other". Each layer is timed by a wrapper on the name `answer_question`
 calls, which adds two clock reads per call. Each figure is the median
 of N runs (default 3). After the passes it prints how many documents
@@ -51,9 +53,10 @@ Last, it answers the analyses cold and then warm once more, on another
 freshly loaded index with tracemalloc on, and prints each per-index
 memo's entries and the MB that clearing it frees, cleared in this
 order: the passages' extraction hits, the passage features, the
-documents' passages and the terms' BM25 impacts. A passage text that
-a document's passage also holds is freed, and counted, with the
-documents' passages.
+documents' passages with their terms, and the BM25 impacts, one dict
+of doc id to impact per term, whose row also counts the impacts. A
+passage text or terms tuple that a document's passages also hold is
+freed, and counted, with the documents' passages.
 """
 
 import argparse
@@ -69,7 +72,7 @@ from statistics import median
 
 STAGES = ("index", "process-questions", "answer", "evaluate")
 ANSWER_LAYERS = {"retrieve": "retrieve_documents", "segment": "segment_passages",
-                 "score": "score_passage", "extract": "extract_candidates",
+                 "score": "score_term_tuples", "extract": "extract_candidates",
                  "rank": "rank_candidates"}
 
 
@@ -242,11 +245,13 @@ def memo_sizes(extraction, index, analyses, settings) -> list[tuple[str, int, fl
             for features in index.passage_features.values():
                 features.hits = None
 
+        impacts = sum(map(len, index.bm25_impacts.values()))
         return [
             clear("passage hits", with_hits, drop_hits),
             clear("passage features", len(index.passage_features), index.passage_features.clear),
-            clear("doc passages", len(index.doc_passages), index.doc_passages.clear),
-            clear("bm25 impacts", len(index.bm25_impacts), index.bm25_impacts.clear),
+            clear("doc passages + terms", len(index.doc_passages), index.doc_passages.clear),
+            clear(f"bm25 impact dicts ({impacts} impacts)", len(index.bm25_impacts),
+                  index.bm25_impacts.clear),
         ]
     finally:
         tracemalloc.stop()
@@ -335,9 +340,9 @@ def main(argv=None) -> int:
     print(f"{'documents decoded':32s} {len(index.doc_passages):8d} of {index.doc_count}")
 
     sizes = memo_sizes(extraction, load_index(config.index_path), analyses, settings)
-    print(f"\n{'memo after cold + warm':24s} {'entries':>8s} {'MB':>8s}")
+    print(f"\n{'memo after cold + warm':36s} {'entries':>8s} {'MB':>8s}")
     for name, entries, mb in sizes:
-        print(f"{name:24s} {entries:8d} {mb:8.2f}")
+        print(f"{name:36s} {entries:8d} {mb:8.2f}")
     return 0
 
 
