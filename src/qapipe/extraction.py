@@ -23,15 +23,16 @@ offsets, and the word positions of each query term are found in its
 passage's terms with `tuple.index`; no positional tokens are built.
 
 What answering reads that does not depend on the question is memoized
-on the index (see `retrieval`): each retrieved document's passages with
-their terms, and each passage text's features. A kept passage's
-features also hold its extraction hits by pattern group, found on the
-first extraction that reads the group: the pattern matches of each NUM
-group and of ABBR:abb, and the capitalized runs, trimmed, each with its
-content words. Per question, answering retrieves documents, scores all
-their passages with one call of the passage-score kernel, keeps the top
-ones, drops the capitalized runs that only echo the query or picks
-DESC's best sentence, and scores and orders the candidates.
+on the index (see `InvertedIndex`). A passage's extraction hits
+by pattern group live on its `PassageFeatures`, found on the first
+extraction that reads the group: the pattern matches of each NUM group
+and of ABBR:abb, and the capitalized runs, trimmed, each with its
+content words. A passage handed in without features, as one built by
+hand, gets them made afresh, and they are not kept. Per question,
+answering retrieves documents, scores all their passages with one call
+of the passage-score kernel, keeps the top ones, drops the capitalized
+runs that only echo the query or picks DESC's best sentence, and scores
+and orders the candidates.
 
 The stage-3 settings are `config.AnswerSettings`. The `answer` stage
 and the `ask` command both build them with `AnswerSettings.from_config`,
@@ -56,7 +57,7 @@ from .config import AnswerSettings
 from .index import InvertedIndex
 from .questions import QuestionAnalysis
 from .retrieval import (
-    Passage, passage_features, query_weights, retrieve_documents, score_term_tuples,
+    Passage, PassageFeatures, query_weights, retrieve_documents, score_term_tuples,
     segment_passages,
 )
 from .retrieval import score_passage  # unused: qabench/trace_shim.py wraps this name
@@ -168,11 +169,12 @@ def _capitalized_runs(text: str, sentences) -> list[tuple[int, str, tuple[str, .
     return out
 
 
-def _query_free_hits(text: str, group: str, index: InvertedIndex) -> list:
-    """The hits of `group` in `text`: the matches of a _PATTERN_GROUPS group,
-    or the _capitalized_runs for _RUNS. They depend on the text alone, so
-    they are memoized on its features under the group's name."""
-    features = passage_features(text, index)
+def _query_free_hits(features: PassageFeatures, group: str) -> list:
+    """The hits of `group` in the features' text: the matches of a
+    _PATTERN_GROUPS group, or the _capitalized_runs for _RUNS. They depend
+    on the text alone, so they are memoized on the features under the
+    group's name."""
+    text = features.text
     memo = features.hits
     if memo is None:
         memo = features.hits = {}
@@ -187,14 +189,13 @@ def _query_free_hits(text: str, group: str, index: InvertedIndex) -> list:
 
 
 def _best_sentence(
-    passage: Passage, query_terms, index: InvertedIndex, coverage_weight: float
+    features: PassageFeatures, query_terms, index: InvertedIndex, coverage_weight: float
 ) -> tuple[int, str] | None:
     """The passage's first sentence of the highest score, with its offset.
     Its sentences are scored with one call of the passage-score kernel. A
     sentence's terms are the slice of its passage's terms whose words start
     within it: no word crosses a sentence's end, which follows punctuation
     or ends the text."""
-    features = passage_features(passage.text, index)
     sentences = features.sentences
     if not sentences:
         return None
@@ -205,7 +206,7 @@ def _best_sentence(
         coverage_weight,
     )
     a, b = sentences[scores.index(max(scores))]
-    return a, passage.text[a:b]
+    return a, features.text[a:b]
 
 
 def extract_candidates(
@@ -215,29 +216,31 @@ def extract_candidates(
     index: InvertedIndex,
     settings: AnswerSettings = AnswerSettings(),
     passage_index: int = 0,
+    features: PassageFeatures | None = None,
 ) -> list[CandidateAnswer]:
     """Type-conditioned extraction; offsets are document-level.
 
-    The query-independent hits are memoized on the passage's features
+    The query-independent hits are memoized on `features`, the passage's
     (see `_query_free_hits`); per call, only the query-echo filter of
     capitalized runs and DESC's best sentence run.
     """
+    if features is None:
+        features = PassageFeatures(passage.text)
     coarse, fine = answer_type.coarse, answer_type.fine
-    text = passage.text
     if coarse == "NUM":
         group = fine if fine in ("date", "money", "perc") else "number"
-        hits = _query_free_hits(text, group, index)
+        hits = _query_free_hits(features, group)
     elif coarse == "ABBR" and fine == "abb":
-        hits = _query_free_hits(text, "abb", index)
+        hits = _query_free_hits(features, "abb")
     elif coarse in ("HUM", "LOC", "ENTY", "ABBR"):
         query = {t.lower() for t in query_terms}
         hits = [
             (start, run)
-            for start, run, content in _query_free_hits(text, _RUNS, index)
+            for start, run, content in _query_free_hits(features, _RUNS)
             if not query.issuperset(content)
         ]
     else:  # DESC, the one coarse class left
-        best = _best_sentence(passage, query_terms, index, settings.coverage_weight)
+        best = _best_sentence(features, query_terms, index, settings.coverage_weight)
         hits = [best] if best else []
 
     base = passage.char_span[0]
@@ -278,7 +281,7 @@ def rank_candidates(
     candidates: list[CandidateAnswer],
     analysis: QuestionAnalysis,
     passages: list[Passage],
-    index: InvertedIndex,
+    features: list[PassageFeatures] | None = None,
     settings: AnswerSettings = AnswerSettings(),
 ) -> list[CandidateAnswer]:
     """Deduplicate, score, and order candidates best-first.
@@ -287,8 +290,8 @@ def rank_candidates(
     and only kept candidates are scored: a score reads the candidate's own
     span and how many passages hold its text, never another duplicate.
     The scored candidates are copies; the given ones are not changed.
-    A passage's terms and word offsets are read from its features,
-    memoized on `index`.
+    A passage's terms and word offsets are read from its features, the
+    parallel list `features`, or made afresh when it is None.
     """
     earliest: dict[str, CandidateAnswer] = {}
     for cand in candidates:
@@ -303,14 +306,14 @@ def rank_candidates(
     query = set(analysis.query_terms)
     passage_words = {}
     for i in {c.passage_index for c in earliest.values()}:
-        features = passage_features(passages[i].text, index)
-        words = features.terms
+        facts = features[i] if features is not None else PassageFeatures(passages[i].text)
+        words = facts.terms
         positions: dict[str, list[int]] = {}
         for term in query:
             at = -1  # each search starts after the previous occurrence
             if n := words.count(term):
                 positions[term] = [at := words.index(term, at + 1) for _ in range(n)]
-        passage_words[i] = (*features.word_offsets, positions)
+        passage_words[i] = (*facts.word_offsets, positions)
     lowered_passages = [p.text.lower() for p in passages]
 
     scored: list[CandidateAnswer] = []
@@ -351,9 +354,10 @@ def answer_question(
     as for an empty query, which retrieves no document.
 
     A document is decoded and segmented on its first retrieval, and its
-    passages are kept on the index with their terms, so a passage's text
-    is one object for every question. The passages of all retrieved
-    documents are scored with one call of the passage-score kernel.
+    passages are kept on the index with their features, which the kept
+    passages are handed on with as a parallel list. The passages of all
+    retrieved documents are scored with one call of the passage-score
+    kernel.
     """
     nil = AnswerRecord(analysis.qid, None, None, 0.0)
     docs = retrieve_documents(index, analysis.query_terms, settings.k)
@@ -362,37 +366,39 @@ def answer_question(
 
     memo = index.doc_passages
     passages: list[Passage] = []
-    passage_terms: list[tuple[str, ...]] = []
+    features: list[PassageFeatures] = []
     doc_ranks: list[int] = []
     for doc_rank, scored_doc in enumerate(docs):
         entry = memo.get(scored_doc.doc_id)
         if entry is None:
             doc_passages = segment_passages(index.document(scored_doc.doc_id))
             entry = memo[scored_doc.doc_id] = (
-                doc_passages, [passage_features(p.text, index).terms for p in doc_passages]
+                doc_passages, [PassageFeatures(p.text) for p in doc_passages]
             )
         passages += entry[0]
-        passage_terms += entry[1]
+        features += entry[1]
         doc_ranks += repeat(doc_rank, len(entry[0]))
     scores = score_term_tuples(
-        passage_terms, query_weights(analysis.query_terms, index), settings.coverage_weight
+        [f.terms for f in features], query_weights(analysis.query_terms, index),
+        settings.coverage_weight,
     )
     # (-score, doc rank, start, running index, passage): the best passages
     # are the smallest, and the running index keeps equal keys in their
-    # retrieval order, so no two tuples compare their passages.
+    # retrieval order, so no two tuples compare their passages; it also
+    # picks each kept passage's features.
     starts = map(itemgetter(0), map(itemgetter(1), passages))
     by_score = sorted(zip(map(neg, scores), doc_ranks, starts, count(), passages))
-    kept = [
-        Passage(p.doc_id, p.char_span, p.text, -neg_score)
-        for neg_score, _, _, _, p in by_score[: settings.max_passages]
-    ]
+    by_score = by_score[: settings.max_passages]
+    kept = [Passage(p.doc_id, p.char_span, p.text, -neg_score) for neg_score, *_, p in by_score]
+    kept_features = [features[i] for _, _, _, i, _ in by_score]
 
     candidates: list[CandidateAnswer] = []
     for i, passage in enumerate(kept):
         candidates.extend(extract_candidates(
-            passage, analysis.answer_type, analysis.query_terms, index, settings, i
+            passage, analysis.answer_type, analysis.query_terms, index, settings, i,
+            kept_features[i],
         ))
-    ranked = rank_candidates(candidates, analysis, kept, index, settings)
+    ranked = rank_candidates(candidates, analysis, kept, kept_features, settings)
     if not ranked:
         return nil
     top = ranked[0]

@@ -39,12 +39,8 @@ question reads, the doc ids and lengths, so it keeps no decoded text.
 and `postings(term)` a term's cells into (doc_id, tf) pairs; neither
 keeps what it decodes. A malformed record in a file whose digest holds
 raises CorruptIndex, naming the doc id or term, when it is first read.
-Answering memoizes on the index what it reads that does not
-depend on the question: each term's BM25 impacts, as one dict of doc
-id to impact, which retrieval sums by dict union; each retrieved
-document's passages with their interned terms, which one kernel call
-per question scores; and each passage text's features, which hold the
-extraction hits of each kept passage. No memo is written to the file.
+The memos that answering keeps on the index (see `InvertedIndex`) are
+never written to the file.
 
 `InvertedIndex` is a plain class with slots, and `IndexStats` a
 NamedTuple record.
@@ -81,11 +77,21 @@ class IndexStats(NamedTuple):
 class InvertedIndex:
     """An index is not modified once built or loaded: its statistics are
     computed once. Two indexes are equal when their doc ids, cells, doc
-    lengths and doc records are; the memos are left out."""
+    lengths and doc records are; the memos are left out.
+
+    The memos hold what answering reads that does not depend on the
+    question, each entry made on first use and kept for the index's
+    lifetime: `bm25_impacts`, term -> {doc id: BM25 impact} in posting
+    order, which retrieval sums by dict union; `doc_passages`, doc id ->
+    (the document's passages, one `retrieval.PassageFeatures` per
+    passage), made by answering on the document's first retrieval, whose
+    features hold the terms the passage-score kernel reads and the
+    extraction hits; and `_idf`, term -> idf.
+    """
 
     __slots__ = (
         "doc_ids", "cells", "doc_lengths", "doc_records", "avg_doc_length",
-        "bm25_impacts", "passage_features", "doc_passages", "_idf",
+        "bm25_impacts", "doc_passages", "_idf",
     )
 
     def __init__(
@@ -102,19 +108,8 @@ class InvertedIndex:
         # decodes one on each read.
         self.doc_records = doc_records
         self.avg_doc_length = sum(doc_lengths.values()) / len(doc_lengths) if doc_lengths else 0.0
-        # term -> {doc_id: BM25 impact} in posting order, filled by
-        # retrieval on a term's first use.
         self.bm25_impacts: dict[str, dict[str, float]] = {}
-        # passage text -> its retrieval.PassageFeatures (terms, sentence
-        # spans, word offsets, extraction hits by pattern group), filled
-        # when answering first segments a document, and by score_passage,
-        # extraction and ranking.
-        self.passage_features: dict[str, object] = {}
-        # doc id -> (the document's passages (retrieval.segment_passages),
-        # each passage's terms from its features), filled by extraction on
-        # the document's first retrieval; the passage-score kernel reads
-        # the terms.
-        self.doc_passages: dict[str, tuple[list, list[tuple[str, ...]]]] = {}
+        self.doc_passages: dict[str, tuple[list, list]] = {}
         self._idf: dict[str, float] = {}
 
     def __eq__(self, other):

@@ -10,13 +10,10 @@ uppercase letter, each trimmed of whitespace as it is cut, and windowed
 3 at a time with stride 2.
 
 What answering reads that does not depend on the question is memoized
-on the index for its lifetime: each term's BM25 impacts, as one dict of
-doc id to impact; each retrieved document's passages with their terms
-(by doc id, filled by extraction); and each passage text's
-`PassageFeatures` (by text), which also hold the extraction hits that
-no query changes. Per question, only query-dependent work is left:
-summing impacts by dict union and taking the top k, which sorts only
-the scores at or above the k-th largest, and scoring term tuples.
+on the index (see `InvertedIndex`). Per question, only query-dependent
+work is left: summing impacts by dict union and taking the top k, which
+sorts only the scores at or above the k-th largest, and scoring term
+tuples.
 
 One kernel, `score_term_tuples`, holds the passage-score formula. It
 scores a list of term tuples against the question's (term, idf) pairs
@@ -190,16 +187,6 @@ class PassageFeatures:
         return self._starts, self._ends
 
 
-def passage_features(text: str, index: InvertedIndex) -> PassageFeatures:
-    """The features of `text`, memoized on `index` by the text, which is all
-    they depend on."""
-    memo = index.passage_features
-    features = memo.get(text)
-    if features is None:
-        features = memo[text] = PassageFeatures(text)
-    return features
-
-
 def query_weights(query_terms: list[str], index: InvertedIndex) -> list[tuple[str, float]]:
     """Each query term with its idf, in query-term order: all that the
     passage score reads of the question and the index."""
@@ -242,6 +229,6 @@ def score_passage(
     index: InvertedIndex,
     coverage_weight: float,
 ) -> float:
-    """The kernel's score of the passage's terms, read from its memoized features."""
-    words = passage_features(passage.text, index).terms
+    """The kernel's score of the passage's terms."""
+    words = PassageFeatures(passage.text).terms
     return score_term_tuples([words], query_weights(query_terms, index), coverage_weight)[0]

@@ -19,8 +19,8 @@ def passage_of(text, doc_id="d1", score=0.0):
 
 
 def index_of(*passages):
-    """An index of one document per passage, holding the passage's text: the
-    index that answering memoizes each passage's features on."""
+    """An index of one document per passage, holding the passage's text, so
+    its words have document frequencies."""
     return build_index(Document(p.doc_id, p.text, ()) for p in passages)
 
 
@@ -155,9 +155,7 @@ def test_rank_single_candidate():
     p = passage_of("The fort held 17 cannons.", score=3.0)
     idx = index_of(p)
     cands = extract_candidates(p, AnswerType("NUM", "count"), ["cannons"], idx)
-    ranked = rank_candidates(
-        cands, analysis_for(["cannons"], AnswerType("NUM", "count")), [p], idx
-    )
+    ranked = rank_candidates(cands, analysis_for(["cannons"], AnswerType("NUM", "count")), [p])
     assert len(ranked) == 1
     assert ranked[0].redundancy_count == 1
     assert ranked[0].final_score > 3.0
@@ -169,7 +167,7 @@ def test_rank_hand_computed_proximity_order():
     analysis = analysis_for(["cannons"], AnswerType("NUM", "count"))
     idx = index_of(p)
     cands = extract_candidates(p, AnswerType("NUM", "count"), ["cannons"], idx)
-    ranked = rank_candidates(cands, analysis, [p], idx)
+    ranked = rank_candidates(cands, analysis, [p])
     assert texts(ranked) == ["17", "9", "4"]
     # tokens: the fort held 17 cannons the barn held 9 ... near 4 streams
     # "17" is 1 token from "cannons", "9" is 4 tokens, "4" is 12 tokens.
@@ -187,7 +185,7 @@ def test_rank_proximity_uses_source_end_of_token():
     idx = index_of(p)
     cands = extract_candidates(p, AnswerType("NUM", "money"), [city], idx)
     assert texts(cands) == ["$5 million"]
-    ranked = rank_candidates(cands, analysis, [p], idx)
+    ranked = rank_candidates(cands, analysis, [p])
     assert ranked[0].proximity_score == pytest.approx(1.0 / 2.0)
 
 
@@ -199,7 +197,7 @@ def test_rank_redundancy_merges_duplicates():
     cands = extract_candidates(p1, AnswerType("HUM", "ind"), [], idx, passage_index=0)
     cands += extract_candidates(p2, AnswerType("HUM", "ind"), [], idx, passage_index=1)
     assert texts(cands).count("Maria Voss") == 2
-    ranked = rank_candidates(cands, analysis, [p1, p2], idx)
+    ranked = rank_candidates(cands, analysis, [p1, p2])
     assert texts(ranked).count("Maria Voss") == 1
     winner = next(c for c in ranked if c.text == "Maria Voss")
     assert winner.redundancy_count == 2
@@ -211,7 +209,7 @@ def test_rank_proximity_zero_when_term_absent():
     analysis = analysis_for(["harvest"], AnswerType("NUM", "date"))
     idx = index_of(p)
     cands = extract_candidates(p, AnswerType("NUM", "date"), [], idx)
-    ranked = rank_candidates(cands, analysis, [p], idx)
+    ranked = rank_candidates(cands, analysis, [p])
     assert ranked[0].proximity_score == 0.0
 
 
@@ -284,7 +282,7 @@ def test_answer_question_tokenizes_only_kept_passages(monkeypatch):
 
 
 def test_second_question_reads_only_passages_it_has_not_seen(monkeypatch):
-    """Structural guard: passage terms are read once per text and index."""
+    """Structural guard: passage terms are read once per passage and index."""
     from qapipe import retrieval
 
     idx = guild_hall_index()
@@ -292,8 +290,9 @@ def test_second_question_reads_only_passages_it_has_not_seen(monkeypatch):
     real = retrieval.terms
     monkeypatch.setattr(retrieval, "terms", lambda text: read.append(text) or real(text))
     answer_question(idx, analysis_for(["amber", "guild"], AnswerType("HUM", "ind")))
-    paragraphs = {p.text for p in segment_passages(idx.document("d0"))}
-    assert sorted(read) == sorted(paragraphs)
+    passages = [p.text for d in idx.doc_ids for p in segment_passages(idx.document(d))]
+    assert len(read) == 48
+    assert sorted(read) == sorted(passages)
 
     read.clear()
     # The same documents again; the DESC branch also scores each kept
@@ -301,6 +300,43 @@ def test_second_question_reads_only_passages_it_has_not_seen(monkeypatch):
     record = answer_question(idx, analysis_for(["guild", "hall"], AnswerType("DESC", None)))
     assert record.answer is not None
     assert read == []
+
+
+def test_answering_keeps_one_memo_of_each_document_passages_and_features(monkeypatch):
+    """Structural guard: a second question over the same documents makes no
+    passage features, each kept passage is handed on with the memo's own
+    features object, and a hand-built passage leaves the memo empty."""
+    from qapipe import extraction
+
+    idx = guild_hall_index()
+    answer_question(idx, analysis_for(["amber", "guild"], AnswerType("HUM", "ind")))
+    made: list[str] = []
+    real = extraction.PassageFeatures
+    monkeypatch.setattr(extraction, "PassageFeatures", lambda text: made.append(text) or real(text))
+    handed = []
+    rank = extraction.rank_candidates
+
+    def recording_rank(candidates, analysis, passages, features, settings):
+        handed.append((passages, features))
+        return rank(candidates, analysis, passages, features, settings)
+
+    monkeypatch.setattr(extraction, "rank_candidates", recording_rank)
+    record = answer_question(idx, analysis_for(["guild", "hall"], AnswerType("DESC", None)))
+    assert record.answer is not None
+    assert made == []
+    kept, features = handed[0]
+    assert len(kept) == len(features) > 0
+    for passage, facts in zip(kept, features):
+        doc_passages, doc_features = idx.doc_passages[passage.doc_id]
+        spans = [p.char_span for p in doc_passages]
+        assert facts is doc_features[spans.index(passage.char_span)]
+
+    p = passage_of("Maria Voss led the amber guild. It stood by the mill.")
+    fresh = index_of(p)
+    for answer_type in (AnswerType("HUM", "ind"), AnswerType("DESC", None)):
+        analysis = analysis_for(["guild"], answer_type)
+        rank_candidates(extract_candidates(p, answer_type, ["guild"], fresh), analysis, [p])
+    assert fresh.doc_passages == {}
 
 
 def test_answer_question_empty_query_is_nil():
@@ -393,13 +429,14 @@ def test_gazetteer_boost_outranks_closer_candidate():
     analysis = analysis_for(["spoke"], AnswerType("HUM", "ind"))
     idx = index_of(p)
     plain = rank_candidates(
-        extract_candidates(p, AnswerType("HUM", "ind"), [], idx), analysis, [p], idx
+        extract_candidates(p, AnswerType("HUM", "ind"), [], idx), analysis, [p]
     )
     assert texts(plain) == ["Kellan Drue", "Maria Voss"]  # proximity favors Kellan
 
     gaz = AnswerSettings(persons=frozenset({"maria voss"}))
     boosted = rank_candidates(
-        extract_candidates(p, AnswerType("HUM", "ind"), [], idx, gaz), analysis, [p], idx, gaz
+        extract_candidates(p, AnswerType("HUM", "ind"), [], idx, gaz), analysis, [p],
+        settings=gaz,
     )
     assert texts(boosted) == ["Maria Voss", "Kellan Drue"]
     assert boosted[0].gazetteer_match

@@ -1,0 +1,23 @@
+"""The identity contract: every seed-1 stage artifact and `ask` reply of the
+benchmark's fixtures is byte-identical to the digests in identity.sha256.
+
+A change to that file is a change to this check; `tools/identity.py
+--record` writes it, and a format changed on purpose says so beside it.
+"""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "identity.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("identity", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_seed_1_artifact_and_ask_reply_matches_its_recorded_digest(tmp_path):
+    identity = load_tool()
+    assert identity.build_digests(tmp_path) == identity.read_digests()

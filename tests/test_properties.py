@@ -47,7 +47,7 @@ from qapipe.questions import (
 )
 from qapipe.stopwords import STOPWORDS
 from qapipe.retrieval import (
-    BM25_B, BM25_K1, Passage, ScoredDocument, passage_features, query_weights,
+    BM25_B, BM25_K1, Passage, PassageFeatures, ScoredDocument, query_weights,
     retrieve_documents, score_passage, score_term_tuples, segment_passages,
     split_sentences,
 )
@@ -465,7 +465,7 @@ def test_kernel_scores_each_tuple_as_the_token_reference(docs, texts, data, weig
     pool = [w.lower() for w in VOCAB + UNICODE_WORDS] + ["absent"] + terms(" ".join(texts))
     query = data.draw(st.lists(st.sampled_from(pool), max_size=5))
     scores = score_term_tuples(
-        [passage_features(text, index).terms for text in texts], query_weights(query, index),
+        [PassageFeatures(text).terms for text in texts], query_weights(query, index),
         weight,
     )
     assert bits(scores) == bits(
@@ -759,9 +759,29 @@ def test_extraction_on_a_warm_memo_equals_extraction_afresh(inputs):
     )
 
 
+# The run "Voss of Kent" only echoes the first query, not the second.
+@example(("Hale sold. Voss of Kent kept NATO.", [(AnswerType("HUM", "ind"), ["voss", "kent"])],
+          AnswerType("HUM", "ind"), ["sold"]))
+@settings(max_examples=300)
+@given(warm_extractions())
+def test_extraction_through_warm_features_equals_extraction_through_fresh_ones(inputs):
+    """A passage yields the same candidates through one features object that
+    earlier extractions under other answer types and queries have read as
+    through a fresh one: what the features keep does not depend on a query."""
+    text, earlier, answer_type, query = inputs
+    passage = Passage("d", (7, 7 + len(text)), text, 1.5)
+    index = build_index([Document("d", text, ())])
+    warm = PassageFeatures(text)
+    for earlier_type, earlier_query in earlier:
+        extract_candidates(passage, earlier_type, earlier_query, index, features=warm)
+    assert extract_candidates(passage, answer_type, query, index, features=warm) == (
+        extract_candidates(passage, answer_type, query, index, features=PassageFeatures(text))
+    )
+
+
 def reference_best_sentence(passage, query_terms, index, coverage_weight):
     """_best_sentence as it was: each sentence scored as a Passage of its own
-    text, whose features the memo keeps."""
+    text."""
     best = None
     best_score = float("-inf")
     for a, b in split_sentences(passage.text):
@@ -788,7 +808,7 @@ desc_text = (
 def test_best_sentence_equals_the_per_sentence_passage_path(text, data, weight):
     """Each sentence scores from its slice of its passage's terms as it does as
     a Passage of its own text, DESC picks the sentence that path picks, and
-    the memo keeps no sentence."""
+    a hand-built passage leaves no memo on the index."""
     query = data.draw(st.lists(st.sampled_from(FOUR_TERMS + terms(text) + ["absent"]),
                                max_size=3))
     doc = Document("d", text, ())
@@ -796,14 +816,14 @@ def test_best_sentence_equals_the_per_sentence_passage_path(text, data, weight):
     index, reference = build_index([doc]), build_index([doc])
     for a, b in split_sentences(text):
         assert score_term_tuples(
-            [passage_features(text, index).terms[len(terms(text[:a])):len(terms(text[:b]))]],
+            [PassageFeatures(text).terms[len(terms(text[:a])):len(terms(text[:b]))]],
             query_weights(query, index), weight,
         ) == [score_passage(Passage("d", (a, b), text[a:b]), query, reference, weight)]
     best = reference_best_sentence(passage, query, reference, weight)
     expected = [] if best is None else [CandidateAnswer(best[1], "d", best[0], 0, 1.5)]
     assert extract_candidates(passage, AnswerType("DESC", None), query, index,
                               AnswerSettings(coverage_weight=weight)) == expected
-    assert set(index.passage_features) <= {text}
+    assert index.doc_passages == {}
 
 
 def reference_token_span(tokens, rel_start, rel_end):
@@ -864,7 +884,7 @@ def test_rank_proximity_matches_per_candidate_reference(texts, query):
         for i, p in enumerate(passages)
         for c in extract_candidates(p, AnswerType("HUM", "ind"), query, index, passage_index=i)
     ]
-    for ranked in rank_candidates(candidates, analysis_of(query), passages, index):
+    for ranked in rank_candidates(candidates, analysis_of(query), passages):
         passage = passages[ranked.passage_index]
         assert ranked.proximity_score == reference_proximity(passage, ranked, query)
 
@@ -980,8 +1000,7 @@ def test_rank_candidates_matches_score_then_dedup_reference(inputs, query, proxi
     given_candidates = list(candidates)
     settings = AnswerSettings(proximity_weight=proximity, redundancy_weight=redundancy)
     analysis = analysis_of(query)
-    index = build_index(Document(f"p{i}", p.text, ()) for i, p in enumerate(passages))
-    assert rank_candidates(candidates, analysis, passages, index, settings) == (
+    assert rank_candidates(candidates, analysis, passages, settings=settings) == (
         reference_rank_candidates(candidates, analysis, passages, settings)
     )
     assert candidates == given_candidates

@@ -52,11 +52,11 @@ whose passages the index keeps.
 Last, it answers the analyses cold and then warm once more, on another
 freshly loaded index with tracemalloc on, and prints each per-index
 memo's entries and the MB that clearing it frees, cleared in this
-order: the passages' extraction hits, the passage features, the
-documents' passages with their terms, and the BM25 impacts, one dict
-of doc id to impact per term, whose row also counts the impacts. A
-passage text or terms tuple that a document's passages also hold is
-freed, and counted, with the documents' passages.
+order: the passages' extraction hits, found on the features that the
+documents' passages memo holds; that memo, each document's passages
+with their features, whose row also counts the passages; and the BM25
+impacts, one dict of doc id to impact per term, whose row also counts
+the impacts.
 """
 
 import argparse
@@ -232,7 +232,11 @@ def memo_sizes(extraction, index, analyses, settings) -> list[tuple[str, int, fl
         for _ in ("cold", "warm"):
             for analysis in analyses:
                 extraction.answer_question(index, analysis, settings)
-        with_hits = sum(f.hits is not None for f in index.passage_features.values())
+
+        def features():
+            return (f for _, doc_features in index.doc_passages.values() for f in doc_features)
+
+        with_hits = sum(f.hits is not None for f in features())
 
         def clear(name, entries, clear_memo):
             gc.collect()
@@ -242,14 +246,15 @@ def memo_sizes(extraction, index, analyses, settings) -> list[tuple[str, int, fl
             return name, entries, (before - tracemalloc.get_traced_memory()[0]) / 2**20
 
         def drop_hits():
-            for features in index.passage_features.values():
-                features.hits = None
+            for f in features():
+                f.hits = None
 
+        passages = sum(len(doc_passages) for doc_passages, _ in index.doc_passages.values())
         impacts = sum(map(len, index.bm25_impacts.values()))
         return [
             clear("passage hits", with_hits, drop_hits),
-            clear("passage features", len(index.passage_features), index.passage_features.clear),
-            clear("doc passages + terms", len(index.doc_passages), index.doc_passages.clear),
+            clear(f"doc passages + features ({passages} passages)", len(index.doc_passages),
+                  index.doc_passages.clear),
             clear(f"bm25 impact dicts ({impacts} impacts)", len(index.bm25_impacts),
                   index.bm25_impacts.clear),
         ]
@@ -340,9 +345,9 @@ def main(argv=None) -> int:
     print(f"{'documents decoded':32s} {len(index.doc_passages):8d} of {index.doc_count}")
 
     sizes = memo_sizes(extraction, load_index(config.index_path), analyses, settings)
-    print(f"\n{'memo after cold + warm':36s} {'entries':>8s} {'MB':>8s}")
+    print(f"\n{'memo after cold + warm':40s} {'entries':>8s} {'MB':>8s}")
     for name, entries, mb in sizes:
-        print(f"{name:36s} {entries:8d} {mb:8.2f}")
+        print(f"{name:40s} {entries:8d} {mb:8.2f}")
     return 0
 
 
