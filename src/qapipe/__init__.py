@@ -4,9 +4,11 @@ The framework (pipeline and config: a system is one engine per stage) and
 the reference engines (indexing, question analysis, answer retrieval,
 evaluation) it ships with.
 
-`import qapipe` loads no submodule. Each name in `__all__` is imported
-from the module that owns it when it is first read (PEP 562), so a
-process pays only for the modules it uses.
+`import qapipe` loads no submodule: each name in `__all__` comes from
+the module that owns it through `_import_on_first_use`, so a process
+pays only for the modules it uses. No qapipe module imports
+`dataclasses`, which saves each stage process and each `ask` launch its
+import and per-class code generation.
 """
 
 __version__ = "0.1.0"

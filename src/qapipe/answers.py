@@ -1,13 +1,8 @@
 """The answers file: stage 3's artifact, which stage 4 reads.
 
-One record per question: qid, answer, supporting doc id and final
-score, framed by serde's `write_records`. A NIL answer and a missing
-doc are absent fields, and the score is written as `repr(float)`, so
-`load_answers(write_answers(x)) == x`. This module holds the codec
-alone, so the `evaluate` stage reads answers without importing the
-answer engine in `extraction`.
-
-`AnswerRecord` is a NamedTuple record.
+The format is the README's "File formats: Answers" section. This module
+holds the codec alone, so the `evaluate` stage reads answers without
+importing the answer engine in `extraction`.
 """
 
 from typing import NamedTuple
@@ -29,7 +24,7 @@ class AnswerRecord(NamedTuple):
 
 
 def write_answers(records: list[AnswerRecord], path) -> None:
-    """Stage 3 artifact: qid, answer, doc, score; NIL and no doc are absent fields."""
+    """Write the stage 3 artifact, which `load_answers` reads back exactly."""
     write_records(path, MAGIC, VERSION, (
         f"{escape_field(r.qid)}\t{escape_optional(r.answer)}\t"
         f"{escape_optional(r.supporting_doc)}\t{r.final_score!r}"

@@ -10,21 +10,9 @@ Features for a question are a multiset of:
   - wh=<who|what|when|where|which|why|how|none>, first wh-word present,
   - len=<1-3|4-7|8+>, bucketed token count.
 
-Model file format (magic QANUSNB1, framed by serde's `write_records`,
-deterministic ordering):
-
-    QANUSNB1 2
-    alpha <repr>
-    space <coarse|coarse+fine>     (before any fine label, which coarse refuses)
-    label <label> <example_count>
-    feat <label> <feature> <count>
-    sha256 <TAB> <hex digest of every byte above>
-
-Only integer counts and alpha are stored; log-probabilities are
-recomputed at load, so load(write(m)) reproduces the model exactly.
-
-`TrainingExample` and `ClassifierModel` are plain classes with slots; a
-model compares by its counts and alpha.
+The model file format is the README's "File formats: Classifier model"
+section. Only integer counts and alpha are stored; log-probabilities
+are recomputed at load, so load(write(m)) reproduces the model exactly.
 """
 
 import math

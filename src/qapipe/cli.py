@@ -1,28 +1,13 @@
 """Command-line entry point.
 
-One binary, one subcommand per invocation:
-
-    qapipe index --config CFG             build the inverted index
-    qapipe train-classifier ...           train the answer-type model
-    qapipe process-questions --config CFG analyze questions
-    qapipe answer --config CFG            retrieve and extract answers
-    qapipe evaluate --config CFG          judge answers against gold
-    qapipe run-all --config CFG           stages 1-3, plus 4 when gold is set
-    qapipe ask --config CFG [QUESTION]    one-shot or stdin REPL answering
-    qapipe stats --config CFG             index and model statistics
-
-Exit codes: 0 success, 1 usage or validation error or an input path
-that is missing or a directory, 2 runtime failure.
-Diagnostics go to standard error only.
-
-Each command imports what it runs when it runs, so a process loads only
-its command's modules: the stage machinery comes from `pipeline` and the
-stage engines from `stages`, which `ask` and `stats` never load; the
-stage-3 settings come from `config.AnswerSettings`, and only `answer`,
-`run-all` and `ask` load the answer engine in `extraction`.
-`run_pipeline`, `load_model`, `analyze` and `answer_question` are read
-through this module's namespace, which imports each from its owner on
-first use, so a wrapper set on this module is the one a command calls.
+The commands and exit codes are the README's "Commands" section. Each
+command imports what it runs when it runs, so a process loads only its
+command's modules: `ask` and `stats` never load the stage machinery
+(`pipeline`, `stages`), and only `answer`, `run-all` and `ask` load the
+answer engine (`extraction`). `run_pipeline`, `load_model`, `analyze`
+and `answer_question` are looked up on this module through
+`_import_on_first_use`, so a wrapper set on it is the one a command
+calls.
 """
 
 import argparse

@@ -1,44 +1,11 @@
-"""Pipeline configuration: flat `key = value` files with # comments.
+"""Pipeline configuration: the README's "Configuration" file, parsed and checked.
 
-A comment takes a whole line: a # after a value is part of the value, as
-a path may hold one. Relative paths are resolved against the config
-file's directory, and an empty value leaves its key unset, as a None
-value does in a config built in code. Building a `PipelineConfig`,
-loaded or not, parses every stage parameter to its typed value and
-refuses an unknown key or a bad value, such as a weight that is not
-finite. Path existence is checked at validation time, per requested
-stage, because a config may legitimately name artifacts that a later
-stage will create.
-
-Path keys:
-    corpus_path, index_path, questions_path, answers_out_path   (required)
-    classifier_model_path          (required when question processing runs)
-    gold_path                      (required when evaluation runs)
-    report_out_path                (optional)
-
-Stage parameters and their defaults:
-    corpus.format        trec-sgml | record-lines     (trec-sgml)
-    questions.format     trec-xml | qline             (qline)
-    questions.analysis_out   stage-2 artifact path    (analysis.txt beside answers)
-    retrieval.k              documents to retrieve, >= 1
-    retrieval.max_passages   passages to keep, >= 1
-    weights.coverage         passage coverage bonus, finite
-    weights.proximity        candidate proximity, finite
-    weights.redundancy       candidate redundancy, finite
-    extract.persons          persons gazetteer path   (unset)
-    extract.locations        locations gazetteer path (unset)
-
-The retrieval.*, weights.* and extract.* keys are the stage-3 settings.
-`AnswerSettings`, defined here, holds them and their defaults. Both the
-`answer` stage and the `ask` command build it from the config with
-`AnswerSettings.from_config`, gazetteers included, so the two answer a
-question alike. This module imports neither the answer engine
-(`extraction`) nor question analysis (`questions`): each format's names
-live in `corpus`, so every command can load a config cheaply.
-
-`PipelineConfig` is a plain class with slots; to change a config, build
-it anew, which parses and checks the new values. `ConfigIssue` and
-`AnswerSettings` are NamedTuple records.
+Building a `PipelineConfig`, loaded or not, parses every stage parameter
+to its typed value, so a bad value is refused for every command. Path
+existence is checked later, by `pipeline.validate_config`, because a
+config may name artifacts that a later stage creates. This module
+imports neither `extraction` nor `questions` (the format names live in
+`corpus`), so every command can load a config cheaply.
 """
 
 import hashlib
@@ -95,7 +62,10 @@ def load_gazetteer(path) -> frozenset[str]:
 
 
 class AnswerSettings(NamedTuple):
-    """Stage-3 settings; the defaults here are the config defaults."""
+    """The stage-3 settings: the retrieval.*, weights.* and extract.* keys.
+    The defaults here are the config defaults. The `answer` stage and the
+    `ask` command both build them with `from_config`, so the two answer a
+    question alike."""
 
     k: int = 50                      # documents to retrieve
     max_passages: int = 20           # passages kept per question
@@ -115,28 +85,28 @@ class AnswerSettings(NamedTuple):
         persons = config.param("extract.persons")
         locations = config.param("extract.locations")
         return cls(
-            k=config.param("retrieval.k"),
-            max_passages=config.param("retrieval.max_passages"),
-            coverage_weight=config.param("weights.coverage"),
-            proximity_weight=config.param("weights.proximity"),
-            redundancy_weight=config.param("weights.redundancy"),
+            **{field: config.param(key) for key, (_, field) in STAGE3_FIELDS.items()},
             persons=load_gazetteer(persons) if persons else frozenset(),
             locations=load_gazetteer(locations) if locations else frozenset(),
         )
 
 
-_STAGE3 = AnswerSettings()
+# Each numeric stage-3 key -> (its parser, the AnswerSettings field it sets).
+STAGE3_FIELDS: dict[str, tuple[Callable[[str], object], str]] = {
+    "retrieval.k": (_count, "k"),
+    "retrieval.max_passages": (_count, "max_passages"),
+    "weights.coverage": (_finite, "coverage_weight"),
+    "weights.proximity": (_finite, "proximity_weight"),
+    "weights.redundancy": (_finite, "redundancy_weight"),
+}
 
 # key -> (parse: text -> typed value or ValueError, typed default or None)
 PARAM_SPECS: dict[str, tuple[Callable[[str], object], object]] = {
     "corpus.format": (_choice(*CORPUS_FORMATS), "trec-sgml"),
     "questions.format": (_choice(*QUESTION_FORMATS), "qline"),
     "questions.analysis_out": (_path, None),  # analysis.txt next to answers_out_path
-    "retrieval.k": (_count, _STAGE3.k),
-    "retrieval.max_passages": (_count, _STAGE3.max_passages),
-    "weights.coverage": (_finite, _STAGE3.coverage_weight),
-    "weights.proximity": (_finite, _STAGE3.proximity_weight),
-    "weights.redundancy": (_finite, _STAGE3.redundancy_weight),
+    **{key: (parse, AnswerSettings._field_defaults[field])
+       for key, (parse, field) in STAGE3_FIELDS.items()},
     "extract.persons": (_path, None),
     "extract.locations": (_path, None),
 }

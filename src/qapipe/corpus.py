@@ -1,28 +1,17 @@
-"""Source document parsing for the two supported corpus formats.
+"""Source document parsing for the two corpus formats, and the rejects sidecar.
 
-trec-sgml:
-    <DOC> blocks with a mandatory <DOCNO> and a <TEXT> body that may
-    carry <P>...</P> paragraph markers. Paragraphs are joined with blank
-    lines and their character spans recorded. Every other tag, such as
-    <HEADLINE>, is read past. `_elements` scans every element, a block's
-    DOCNO and TEXT too (the first of each): an element runs from its open
-    tag to the first close tag after it, found with `str.find`.
-
-record-lines:
-    one record per line, tab-separated: doc_id <TAB> headline <TAB> text.
-    The middle field must be there but is read past. `tab_separated`
-    scans these lines, and qline question files too.
-
-Malformed records follow a skip-and-report policy: parsing continues and
-the bad record is appended to the caller's rejects list (pipeline stages
-persist these as a .rejects sidecar next to the index).
+The formats are the README's "File formats: Corpus" section. One scanner
+serves each grammar: `_elements` every SGML element (a `<DOC>` block,
+its first `<DOCNO>` and `<TEXT>`, each `<P>`), and `tab_separated`
+record-lines corpora and qline question files alike. A trec-sgml
+document's paragraphs are joined with blank lines and their character
+spans recorded. Malformed records follow a skip-and-report policy:
+parsing continues and the bad record is appended to the caller's
+rejects list, which `write_rejects` persists.
 
 `QUESTION_FORMATS`, the names of the question file formats that
 `questions` parses, sits beside `CORPUS_FORMATS`, so that `config`
 checks both format keys without importing `questions`.
-
-`Document` and `MalformedRecord` are NamedTuple records: they compare
-and hash as tuples, and `_replace` copies one with fields changed.
 """
 
 from pathlib import Path

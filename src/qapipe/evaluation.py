@@ -1,18 +1,9 @@
-"""Gold-standard judging and factoid accuracy.
+"""Stage 4: gold-standard judging, factoid accuracy and the report.
 
-Gold files follow the answer-patterns convention: one `qid pattern` per
-line, with repeated qids supplying alternative patterns. An answer is
-correct when any of its qid's patterns matches anywhere in the answer
-string, case-insensitively. `load_gold` maps each qid to its patterns,
-and `judge` takes an answer and its qid's patterns. Accuracy is correct
-answers over the total number of gold questions; gold questions the
-system never answered count as wrong.
-
-The answers judged are `answers.AnswerRecord`s, read from the answers
-file by `answers.load_answers`; neither this module nor the `evaluate`
-stage imports the answer engine in `extraction`.
-
-`JudgedAnswer` and `EvaluationReport` are NamedTuple records.
+The gold and report formats are the README's "File formats: Gold /
+report" section. Accuracy is correct answers over the total number of
+gold questions; gold questions the system never answered count as
+wrong. The answers judged are `answers.AnswerRecord`s.
 """
 
 import re

@@ -1,4 +1,4 @@
-"""Candidate answer extraction and ranking.
+"""Stage 3: answer a question with candidate extraction and ranking.
 
 Extraction dispatches on the expected answer type:
 
@@ -14,34 +14,9 @@ Extraction dispatches on the expected answer type:
                   and echoes of the question's own query terms
   DESC            the passage's highest-scoring sentence
 
-Ranking deduplicates candidates case-insensitively, keeping the earliest
-source, then scores each one kept by its passage score plus a proximity
-term (inverse word distance to each query term in the passage) plus a
-redundancy term (how many passages repeat the candidate verbatim). The
-words a candidate covers are found by bisecting its passage's word
-offsets, and the word positions of each query term are found in its
-passage's terms with `tuple.index`; no positional tokens are built.
-
-What answering reads that does not depend on the question is memoized
-on the index (see `InvertedIndex`). A passage's extraction hits
-by pattern group live on its `PassageFeatures`, found on the first
-extraction that reads the group: the pattern matches of each NUM group
-and of ABBR:abb, and the capitalized runs, trimmed, each with its
-content words. A passage handed in without features, as one built by
-hand, gets them made afresh, and they are not kept. Per question,
-answering retrieves documents, scores all their passages with one call
-of the passage-score kernel, keeps the top ones, drops the capitalized
-runs that only echo the query or picks DESC's best sentence, and scores
-and orders the candidates.
-
-The stage-3 settings are `config.AnswerSettings`. The `answer` stage
-and the `ask` command both build them with `AnswerSettings.from_config`,
-so they answer alike for one config. Each answer is an
-`answers.AnswerRecord`; the answers file codec lives in `answers`, so
-that the `evaluate` stage reads that file without importing this module.
-
-`CandidateAnswer` is a NamedTuple record: it compares and hashes as a
-tuple, and `_replace` copies one with fields changed.
+`answer_question` runs the layers in order; `rank_candidates` says how
+candidates are scored. The stage-3 settings are `config.AnswerSettings`,
+and each answer an `answers.AnswerRecord`.
 """
 
 import re
@@ -191,11 +166,10 @@ def _query_free_hits(features: PassageFeatures, group: str) -> list:
 def _best_sentence(
     features: PassageFeatures, query_terms, index: InvertedIndex, coverage_weight: float
 ) -> tuple[int, str] | None:
-    """The passage's first sentence of the highest score, with its offset.
-    Its sentences are scored with one call of the passage-score kernel. A
-    sentence's terms are the slice of its passage's terms whose words start
-    within it: no word crosses a sentence's end, which follows punctuation
-    or ends the text."""
+    """The passage's first sentence of the highest score, with its offset,
+    scored by `score_term_tuples`. A sentence's terms are the slice of its
+    passage's terms whose words start within it: no word crosses a
+    sentence's end, which follows punctuation or ends the text."""
     sentences = features.sentences
     if not sentences:
         return None
@@ -220,8 +194,9 @@ def extract_candidates(
 ) -> list[CandidateAnswer]:
     """Type-conditioned extraction; offsets are document-level.
 
-    The query-independent hits are memoized on `features`, the passage's
-    (see `_query_free_hits`); per call, only the query-echo filter of
+    `features` are the passage's, made afresh and not kept when None, as
+    for a passage built by hand. The passage's query-independent hits are
+    kept on them (`_query_free_hits`); per call, only the query-echo filter of
     capitalized runs and DESC's best sentence run.
     """
     if features is None:
@@ -289,9 +264,18 @@ def rank_candidates(
     Of each case-insensitive duplicate only the earliest source is kept,
     and only kept candidates are scored: a score reads the candidate's own
     span and how many passages hold its text, never another duplicate.
-    The scored candidates are copies; the given ones are not changed.
-    A passage's terms and word offsets are read from its features, the
-    parallel list `features`, or made afresh when it is None.
+    The final score is the passage score, plus `proximity_weight` times
+    the sum over query terms of 1 / (1 + the word distance from the
+    candidate to the term's nearest occurrence in the passage), plus
+    `redundancy_weight` times one less than the number of passages whose
+    text holds the candidate's, case-insensitively, plus GAZETTEER_BONUS
+    for a gazetteer name. The words a candidate covers are found by
+    bisecting its passage's word offsets, and each query term's positions
+    with `tuple.index` over the passage's terms; no positional tokens are
+    built. The scored candidates are copies; the given ones are not
+    changed. A passage's terms and word offsets are read from its
+    features, the parallel list `features`, or made afresh when it is
+    None.
     """
     earliest: dict[str, CandidateAnswer] = {}
     for cand in candidates:
@@ -354,10 +338,15 @@ def answer_question(
     as for an empty query, which retrieves no document.
 
     A document is decoded and segmented on its first retrieval, and its
-    passages are kept on the index with their features, which the kept
-    passages are handed on with as a parallel list. The passages of all
-    retrieved documents are scored with one call of the passage-score
-    kernel.
+    passages and their features are kept in the index's `doc_passages`
+    memo. Every passage of the retrieved documents is scored by one
+    `score_term_tuples` call. The kept passages are the first
+    `max_passages` of a key-less sort of (-score, doc rank, start,
+    running index, passage) tuples: the best passages are the smallest,
+    and the running index keeps equal keys in their retrieval order, so
+    no two tuples compare their passages; it also picks each kept
+    passage's features, which go on to extraction and ranking as a
+    parallel list.
     """
     nil = AnswerRecord(analysis.qid, None, None, 0.0)
     docs = retrieve_documents(index, analysis.query_terms, settings.k)
@@ -382,10 +371,6 @@ def answer_question(
         [f.terms for f in features], query_weights(analysis.query_terms, index),
         settings.coverage_weight,
     )
-    # (-score, doc rank, start, running index, passage): the best passages
-    # are the smallest, and the running index keeps equal keys in their
-    # retrieval order, so no two tuples compare their passages; it also
-    # picks each kept passage's features.
     starts = map(itemgetter(0), map(itemgetter(1), passages))
     by_score = sorted(zip(map(neg, scores), doc_ranks, starts, count(), passages))
     by_score = by_score[: settings.max_passages]

@@ -1,49 +1,11 @@
 """In-house inverted index: construction, persistence, and statistics.
 
-Every token is indexed, stopwords included; stopwords are dropped from
-queries only. Postings hold term frequencies, the only per-posting data
-BM25 reads. Documents are stored inside the index file because passage
-extraction needs the raw text.
-
-File format (versioned, line-oriented UTF-8, magic header QANUSIDX):
-
-    QANUSIDX 3
-    stats <TAB> docs=N <TAB> terms=T <TAB> postings=P
-    doc <TAB> id <TAB> length <TAB> spans <TAB> text
-    ...                               (doc ids strictly ascending)
-    term <TAB> t <TAB> ord:tf <TAB> ord:tf ...   (terms sorted)
-    sha256 <TAB> hex digest of every byte above
-
-String fields are backslash-escaped (\\t, \\n, \\r, \\\\). Postings
-reference documents by their ordinal, the line order of the doc
-section, so doc ids never need quoting there. Writing the same index
-twice yields byte-identical files. The framing (header, trailing
-digest) is serde's `write_records`; a truncated or damaged file raises
-CorruptIndex, and one of another version raises VersionMismatch: run
-`qapipe index` again.
-
-Built and loaded indexes hold one form: each document's record as the
-file stores it (`spans<TAB>text`, still escaped), the doc ids by
-ordinal, and each term's cells as the tab-joined string the file
-stores. Building counts documents in doc id order, so a document's
-position is its ordinal, makes each document's record as it counts it
-and drops the document, and counts each document's terms in a plain
-dict. A document's postings with equal tf share one cell string (most
-have tf 1), and each term's list of cells is joined in place, so the
-list is freed as its string is made. Writing streams each line to the
-file, copying the records and cells, and loading splits each line as
-serde's `read_records` streams it, after the file's checks; neither
-holds the whole file in memory. Loading decodes only what every
-question reads, the doc ids and lengths, so it keeps no decoded text.
-`document(doc_id)` decodes one document from its record on each call,
-and `postings(term)` a term's cells into (doc_id, tf) pairs; neither
-keeps what it decodes. A malformed record in a file whose digest holds
-raises CorruptIndex, naming the doc id or term, when it is first read.
-The memos that answering keeps on the index (see `InvertedIndex`) are
-never written to the file.
-
-`InvertedIndex` is a plain class with slots, and `IndexStats` a
-NamedTuple record.
+The file format is the README's "File formats: Index" section. Every
+token is indexed, stopwords included, and postings hold only term
+frequencies, the one per-posting datum BM25 reads. Documents are stored
+in the index because passage extraction reads their text. Writing and
+loading stream the file through serde's `write_records` and
+`read_records`.
 """
 
 import math
@@ -79,14 +41,22 @@ class InvertedIndex:
     computed once. Two indexes are equal when their doc ids, cells, doc
     lengths and doc records are; the memos are left out.
 
+    A built index and a loaded one hold one form, the file's: each
+    document's record (`spans<TAB>text`, still escaped) and each term's
+    cells as the tab-joined text the file stores. Only the doc ids and
+    lengths, which every question reads, are decoded. `document` decodes
+    one document and `postings` one term's cells on each call, and
+    neither keeps what it decodes, so a malformed record in a file whose
+    digest holds raises CorruptIndex when it is first read.
+
     The memos hold what answering reads that does not depend on the
     question, each entry made on first use and kept for the index's
-    lifetime: `bm25_impacts`, term -> {doc id: BM25 impact} in posting
-    order, which retrieval sums by dict union; `doc_passages`, doc id ->
-    (the document's passages, one `retrieval.PassageFeatures` per
-    passage), made by answering on the document's first retrieval, whose
-    features hold the terms the passage-score kernel reads and the
-    extraction hits; and `_idf`, term -> idf.
+    lifetime, and are never written to the file: `bm25_impacts`, term ->
+    {doc id: BM25 impact} in posting order, which `retrieve_documents`
+    fills and sums; `doc_passages`, doc id -> (the document's passages,
+    one `retrieval.PassageFeatures` per passage), which
+    `extraction.answer_question` fills on the document's first
+    retrieval; and `_idf`, term -> idf.
     """
 
     __slots__ = (
@@ -104,9 +74,7 @@ class InvertedIndex:
         self.doc_ids = doc_ids  # doc id by ordinal, ascending
         self.cells = cells      # term -> its `ord:tf` cells, tab-joined as in the file
         self.doc_lengths = doc_lengths
-        # doc id -> `spans<TAB>text`, escaped as in the file; `document`
-        # decodes one on each read.
-        self.doc_records = doc_records
+        self.doc_records = doc_records  # doc id -> `spans<TAB>text`, escaped as in the file
         self.avg_doc_length = sum(doc_lengths.values()) / len(doc_lengths) if doc_lengths else 0.0
         self.bm25_impacts: dict[str, dict[str, float]] = {}
         self.doc_passages: dict[str, tuple[list, list]] = {}
@@ -132,8 +100,8 @@ class InvertedIndex:
         return 0 if cells is None else cells.count("\t") + 1
 
     def document(self, doc_id: str) -> Document:
-        """The document `doc_id`, decoded from its record on each call and not
-        kept. A malformed spans field raises CorruptIndex naming the doc id."""
+        """The document `doc_id`, decoded from its record. A malformed spans
+        field raises CorruptIndex naming the doc id."""
         spans, _, text = self.doc_records[doc_id].partition("\t")
         try:
             span_list = () if spans == "-" else tuple([
@@ -146,8 +114,8 @@ class InvertedIndex:
         return Document(doc_id, unescape_field(text), span_list)
 
     def postings(self, term: str) -> list[tuple[str, int]]:
-        """(doc_id, tf) per cell of `term`, decoded on each call and not kept;
-        [] for a term not indexed. A malformed cell raises CorruptIndex naming it."""
+        """(doc_id, tf) per cell of `term`; [] for a term not indexed. A
+        malformed cell raises CorruptIndex naming the term."""
         cells = self.cells.get(term)
         if cells is None:
             return []
@@ -179,9 +147,15 @@ class InvertedIndex:
 
 
 def build_index(documents: Iterable[Document]) -> InvertedIndex:
-    """Index a document stream; doc_ids must be unique. Documents are counted
-    in doc id order, so a document's position is its ordinal in the file;
-    each is replaced by its record as it is counted."""
+    """Index a document stream; doc_ids must be unique.
+
+    Documents are counted in doc id order, so a document's position is its
+    ordinal in the file, and each is dropped for its record as it is
+    counted. Its terms are counted in a plain dict. A document's postings
+    with equal tf share one cell string (most have tf 1), and each term's
+    list of cells is joined in place, so each list is freed as its string
+    is made.
+    """
     stored: dict[str, Document] = {}
     for doc in documents:
         if doc.doc_id in stored:
@@ -239,10 +213,9 @@ def write_index(index: InvertedIndex, path) -> None:
 def load_index(path) -> InvertedIndex:
     """Read an index written by write_index; load(write(x)) == x.
 
-    The framing is checked before anything is decoded, the doc ids must
-    strictly ascend, and the stats line must match the documents read and
-    the term cells counted. Each document is decoded on read by `document`,
-    and each term's postings by `postings`.
+    Each line is split as `read_records` yields it, into the form
+    `InvertedIndex` holds. The doc ids must strictly ascend, and the stats
+    line must match the documents read and the term cells counted.
     """
     records = read_records(path, MAGIC, VERSION, CorruptIndex, "qapipe index")
     stats = next(records, None)

@@ -8,8 +8,7 @@ manifest. `StageKind`'s definition order is the pipeline order.
 Stages hand off through files at the paths named in the config, never
 through memory, so any subset of stages can run in its own process and
 produce byte-identical artifacts. Stage outputs carry no timestamps;
-wall-clock data lives only in the run manifest. `StageRun` and
-`RunManifest` are NamedTuple records; a manifest's `stages_run` list
+wall-clock data lives only in the run manifest, whose `stages_run` list
 grows as the stages run.
 """
 

@@ -1,22 +1,12 @@
-"""Question input handling and per-question analysis.
+"""Stage 2: question files, per-question analysis, and the analyses file.
 
-Two input formats:
-
-trec-xml:
-    <target text="..."> blocks containing <q id="...">question</q>
-    entries; every question in a block carries the block's target topic.
-
-qline:
-    one `qid <TAB> question` per line, no target, scanned by
-    `corpus.tab_separated` as record-lines corpora are.
-
-Analysis turns a question into the retrieval stage's input: query terms
-(stopwords dropped, order-preserving dedup, target terms appended) and
-an expected answer type from the trained classifier, with a small rule
-table overriding low-confidence model output.
-
-`Question` and `QuestionAnalysis` are NamedTuple records: they compare
-as tuples, and `_replace` copies one with fields changed.
+The question file formats and the analyses file format are the README's
+"File formats" sections; qline files are scanned by
+`corpus.tab_separated`. Analysis turns a question into the retrieval
+stage's input: query terms (stopwords dropped, order-preserving dedup,
+target terms appended) and an expected answer type from the trained
+classifier, with a small rule table overriding low-confidence model
+output.
 """
 
 import re
@@ -160,10 +150,8 @@ def analyze(
 
 
 def write_analyses(analyses: list[QuestionAnalysis], path) -> None:
-    """Stage 2 -> 3 hand-off artifact, one record per question: qid, query
-    terms, coarse and fine type, confidence (as `repr`, so it loads back
-    exactly), classifier source and question text. Query terms are joined
-    by spaces, so an empty term or one holding whitespace is refused."""
+    """Write the stage 2 -> 3 artifact. Query terms are joined by spaces,
+    so an empty term or one holding whitespace is refused."""
 
     def record(a: QuestionAnalysis) -> str:
         if any(term.split() != [term] for term in a.query_terms):

@@ -1,28 +1,9 @@
-"""Document retrieval and passage scoring.
+"""Document retrieval, passage segmentation and the passage score.
 
 Retrieval is BM25 (k1=1.2, b=0.75) over the inverted index with
 idf = ln(1 + (N - df + 0.5) / (df + 0.5)), which is non-negative, so
 adding an occurrence of a matched term never lowers a passage score.
-
-Passages are source paragraphs when the document has paragraph markup;
-otherwise sentences are cut after ./?/! followed by whitespace and an
-uppercase letter, each trimmed of whitespace as it is cut, and windowed
-3 at a time with stride 2.
-
-What answering reads that does not depend on the question is memoized
-on the index (see `InvertedIndex`). Per question, only query-dependent
-work is left: summing impacts by dict union and taking the top k, which
-sorts only the scores at or above the k-th largest, and scoring term
-tuples.
-
-One kernel, `score_term_tuples`, holds the passage-score formula. It
-scores a list of term tuples against the question's (term, idf) pairs
-from `query_weights`: answering scores every passage of the retrieved
-documents with one call per question, and DESC every sentence of a
-kept passage with one call per passage.
-
-`ScoredDocument` and `Passage` are NamedTuple records: they compare and
-hash as tuples, and `_replace` copies one with fields changed.
+`score_term_tuples` is the one passage-score kernel.
 """
 
 import math
@@ -73,13 +54,14 @@ def retrieve_documents(
     """Top-k BM25; ties break by doc_id ascending. An empty query scores
     no document, so it gives [].
 
-    A term's impacts are computed on its first use and memoized on the
-    index. Scores are summed by dict union, in query-term order: the
-    first term's impacts are the scores, each next term's impacts update
-    them, and only the documents scored before it get Python work, their
-    old score plus its impact. Every impact is positive, so a document's
-    first impact is its score exactly, as 0.0 plus the impact is. Only
-    the scores at or above the k-th largest are ordered.
+    A term's impacts are computed on its first use and kept in the index's
+    `bm25_impacts` memo. Scores are summed by dict union, in query-term
+    order: the first term's impacts are the scores, each next term's
+    impacts update them, and only the documents scored before it get
+    Python work, their old score plus its impact. Every impact is
+    positive, so a document's first impact is its score exactly, as 0.0
+    plus the impact is. Only the scores at or above the k-th largest are
+    ordered.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -125,7 +107,9 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
 
 
 def segment_passages(document: Document) -> list[Passage]:
-    """Paragraph passages when markup exists, else 3-sentence windows."""
+    """The document's paragraphs when it has paragraph markup; otherwise
+    windows of SENTENCES_PER_PASSAGE sentences (see split_sentences) with
+    stride PASSAGE_STRIDE, the last window ending at the last sentence."""
     text = document.text
     if not text:
         return []
@@ -153,8 +137,7 @@ class PassageFeatures:
     """What a passage text yields whatever the query: its terms, interned,
     computed when the features are made; its sentence spans and its words'
     start and end offsets, each computed on its first read; and `hits`,
-    None until extraction first reads the passage, then extraction's
-    query-independent hits by pattern group."""
+    which `extraction` fills (see its `_query_free_hits`)."""
 
     __slots__ = ("text", "terms", "hits", "_sentences", "_starts", "_ends")
 
@@ -200,11 +183,14 @@ def score_term_tuples(
 ) -> list[float]:
     """The score of each tuple of terms: the sum of idf-weighted log term
     counts plus a query-coverage bonus, the share of query terms matched
-    times `coverage_weight` (the stage-3 setting, whose default
-    `AnswerSettings` holds). `weights` are the question's `query_weights`,
+    times `coverage_weight`. `weights` are the question's `query_weights`,
     added in their order; a question without query terms scores 0.0.
-    A tuple holds the terms of the text scored: a passage's, or the slice
-    of them for one of its sentences."""
+
+    This is the one home of the passage score. A tuple holds the terms of
+    the text scored: answering scores every passage of the retrieved
+    documents with one call per question, and DESC extraction every
+    sentence of a kept passage, each the slice of its passage's terms,
+    with one call per passage."""
     if not weights:
         return [0.0] * len(term_tuples)
     # The coverage bonus of each number of matched query terms.

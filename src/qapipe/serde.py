@@ -1,28 +1,14 @@
-"""Field escaping and the checked record framing of the stage files.
+"""Field escaping, the checked record framing of the stage files, and atomic writes.
 
-Tabs separate fields and newlines separate records, so embedded tabs,
-newlines, and backslashes are escaped. A field that is exactly \\N
-encodes "absent" (a literal backslash-N survives as \\\\N).
-
-Every stage hand-off file (index, model, analyses, answers) is framed
-by `write_records` and read by `read_records`:
-
-    MAGIC VERSION
-    record                        (one escaped record per line)
-    ...
-    sha256 <TAB> hex digest of every byte above
-
-so a truncated, damaged or foreign file raises, never loads as another
-object. The records are streamed both ways, so the whole file is never
+The escapes and the framing are the README's "File formats: Stage
+files". The records are streamed both ways, so the whole file is never
 held in memory. The write encodes each record once, writes it to the
 file and feeds it to the digest as it comes. The read checks the
 header, the digest and the UTF-8 when it is called, hashing and
 decoding the open file a fixed-size chunk at a time, and only then
 returns an iterator that reads the records from the same file, a chunk
 of whole lines at a time; a loader parses nothing of a file that fails
-a check. Every artifact is written through one atomic writer,
-`atomic_write`, so a stage that fails or is killed mid-write, or whose
-records raise partway, leaves the previous file, never part of one.
+a check. Every artifact is written through `atomic_write`.
 """
 
 import codecs
@@ -106,7 +92,7 @@ def _digest_line(digest) -> bytes:
 
 
 def write_records(path, magic: str, version: int, lines: Iterable[str]) -> None:
-    """Write `lines` (records holding no "\\n") framed as the module docstring says."""
+    """Write `lines` (records holding no "\\n"), framed and streamed."""
     digest = hashlib.sha256()
 
     def chunks():
@@ -127,10 +113,8 @@ def read_records(
     The file is checked when this is called: a wrong magic, a digest that
     does not match, or bytes that are not UTF-8 raise `error`; any other
     version raises VersionMismatch, whose message names `rewrite`, the
-    command that writes the file again. The checks read the file in
-    chunks of _CHUNK bytes. The records are then read from the same open
-    file as the returned iterator is consumed, a chunk of whole lines at
-    a time; the file closes when the iterator is exhausted or dropped.
+    command that writes the file again. The file closes when the returned
+    iterator is exhausted or dropped.
     """
     records = _records(path, magic, version, error, rewrite)
     next(records)  # runs the checks
@@ -155,7 +139,7 @@ def _chunks(f, start: int, end: int) -> Iterator[bytes]:
 
 def _records(path, magic, version, error, rewrite) -> Iterator[str | None]:
     """read_records' generator: yields None once the file is checked, then
-    each record, decoding a chunk of whole lines at a time.
+    each record.
 
     The digest line is the file's last _DIGEST_LINE_LEN bytes, after a
     newline, and the digest covers every byte before it. The records are

@@ -8,11 +8,9 @@ maps each stage to its engine: the complete reference QA system.
 Each engine imports the modules its stage runs when it runs, so the
 `index` and `evaluate` processes load neither question analysis nor the
 answer engine (`extraction`), and `process-questions` does not load the
-answer engine. The stage-3 settings come from `config.AnswerSettings`,
-and the evaluation engine reads the answers file through `answers`.
-`load_model` and `evaluate_answers` are read through this module's
-namespace, which imports each from its owner on first use, so a wrapper
-set on this module is the one an engine calls.
+answer engine. `load_model` and `evaluate_answers` are looked up on
+this module through `_import_on_first_use`, so a wrapper set on it is
+the one an engine calls.
 """
 
 import sys

@@ -1,8 +1,7 @@
 """The shipped query stopwords: 127 common English function words.
 
 This is the classic IR stopword list of pronouns, auxiliaries, determiners,
-prepositions, and wh-words. It is applied to queries only; indexed
-documents keep every token so positional scoring stays available.
+prepositions, and wh-words. `questions.analyze` drops them from queries.
 The list below is the canonical, verbatim definition.
 """
 

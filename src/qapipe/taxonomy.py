@@ -2,8 +2,6 @@
 
 Fine labels use the conventional short names from the public question
 classification training distribution, so that data drops in unchanged.
-`AnswerType` is a plain class with slots that checks its values when
-built and compares and hashes by them.
 """
 
 from .errors import QAError

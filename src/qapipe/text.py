@@ -10,8 +10,6 @@ space, and split. Other text keeps the per-match regex, and each word is
 lowered on its own, not the text as a whole: "İ".lower() is "i" and a
 combining dot, which is not alphanumeric, so lowering first would split
 the word.
-
-`Token` is a NamedTuple record: it compares and hashes as a tuple.
 """
 
 import re

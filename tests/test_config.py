@@ -3,6 +3,8 @@ from pathlib import Path
 import pytest
 
 from qapipe.config import (
+    STAGE3_FIELDS,
+    AnswerSettings,
     ParseError,
     PipelineConfig,
     UnknownKey,
@@ -56,7 +58,8 @@ def test_missing_config_file(tmp_path):
 
 
 def test_readme_config_example_loads(tmp_path):
-    """The README's ini block loads, with the values its comments describe."""
+    """The README's ini block loads, with the values its comments describe;
+    its stage-3 values are the AnswerSettings defaults."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     config = load_config(write_config(tmp_path, block))
@@ -66,10 +69,9 @@ def test_readme_config_example_loads(tmp_path):
     assert config.param("corpus.format") == "record-lines"
     assert config.param("questions.format") == "qline"
     assert config.param("questions.analysis_out") == str(here / "analysis.txt")
-    assert config.param("retrieval.k") == 50
-    assert config.param("retrieval.max_passages") == 20
-    assert [config.param(f"weights.{w}") for w in ("coverage", "proximity", "redundancy")] == [
-        2.0, 1.0, 0.5]
+    defaults = AnswerSettings()
+    for key, (_, field) in STAGE3_FIELDS.items():
+        assert config.param(key) == getattr(defaults, field), key
     assert config.param("extract.persons") == str(here / "people.txt")
     assert config.param("extract.locations") == str(here / "places.txt")
 

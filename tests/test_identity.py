@@ -21,3 +21,17 @@ def load_tool():
 def test_every_seed_1_artifact_and_ask_reply_matches_its_recorded_digest(tmp_path):
     identity = load_tool()
     assert identity.build_digests(tmp_path) == identity.read_digests()
+
+
+def test_first_difference_names_the_first_line_that_differs(tmp_path):
+    identity = load_tool()
+    a, b, c, d = (tmp_path / name for name in "abcd")
+    a.write_bytes(b"QANUSANS 2\nq1\tx\n")
+    b.write_bytes(b"QANUSANS 2\nq1\ty\n")
+    c.write_bytes(b"QANUSANS 2\n")
+    d.write_bytes(b"QANUSANS 2\nq1\tx")
+    assert identity.first_difference(a, a) is None
+    assert identity.first_difference(a, b) == (2, "q1\tx\n", "q1\ty\n")
+    assert identity.first_difference(a, c) == (2, "q1\tx\n", "")
+    assert identity.first_difference(c, a) == (2, "", "q1\tx\n")
+    assert identity.first_difference(a, d) == (2, "q1\tx\n", "q1\tx")

@@ -711,6 +711,14 @@ memo_analyses = st.builds(
     )],
     AnswerSettings(),
 )
+# The run "Voss of Kent" echoes the first query but not the second, so a
+# memo of the first question's query-filtered runs loses it from the second.
+@example(
+    [Document("d0", "Hale sold. Voss of Kent kept NATO.", ())],
+    [analysis_of(["voss", "kent"], AnswerType("HUM", "ind")),
+     analysis_of(["sold"], AnswerType("HUM", "ind"))],
+    AnswerSettings(),
+)
 @settings(max_examples=200)
 @given(mixed_corpus(), st.lists(memo_analyses, min_size=1, max_size=4).flatmap(
            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=8)),

@@ -25,14 +25,26 @@ With `--record` the lines are written to `tests/identity.sha256`, which
 `tests/test_identity.py` compares with a fresh build. Without it, the
 tool compares them with that file, names each artifact that differs and
 exits 1 if any does.
+
+    python tools/identity.py --against OTHER_SRC
+
+compares two trees instead: this repository's `src` and OTHER_SRC,
+another checkout's `src`. Both trees are the `qapipe` package, so each
+builds the three runs in its own `python` process. For each artifact
+that differs, the tool prints the run and the artifact, the first line
+that differs with its number, and that line of each tree, truncated. It
+exits 1 if any artifact differs.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import json
+import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -70,18 +82,22 @@ def _questions(directory: Path) -> str:
     return "".join(line.partition("\t")[2] + "\n" for line in lines)
 
 
-def _digest_run(name: str, directory: Path, config: str, commands, artifacts) -> dict[str, str]:
+def _run(name: str, directory: Path, config: str, commands, artifacts) -> dict[str, Path]:
+    """Run `commands` and `ask`; return the path of each artifact by `run/artifact`.
+    The replies are written to `NAME.replies` in `directory`."""
     for command in commands:
         _cli(command, "--config", str(directory / config))
-    replies = _cli("ask", "--config", str(directory / config), stdin=_questions(directory))
-    digests = {f"{name}/{a}": hashlib.sha256((directory / a).read_bytes()).hexdigest()
-               for a in artifacts}
-    digests[f"{name}/replies"] = hashlib.sha256(replies.encode("utf-8")).hexdigest()
-    return digests
+    replies = directory / f"{name}.replies"
+    replies.write_bytes(
+        _cli("ask", "--config", str(directory / config), stdin=_questions(directory)).encode("utf-8")
+    )
+    paths = {f"{name}/{a}": directory / a for a in artifacts}
+    paths[f"{name}/replies"] = replies
+    return paths
 
 
-def build_digests(work: Path) -> dict[str, str]:
-    """Build every run under `work`; return its digests by `run/artifact`."""
+def build_runs(work: Path) -> dict[str, Path]:
+    """Build every run under `work`; return each artifact's path by `run/artifact`."""
     sys.path.insert(0, str(REPO / "qabench"))
     try:
         import fixtures
@@ -96,14 +112,62 @@ def build_digests(work: Path) -> dict[str, str]:
     for directory in (planted, zipf):
         _cli("train-classifier", "--train-file", str(directory / "train.txt"),
              "--out", str(directory / "model.nb"))
-    digests = _digest_run("planted", planted, "config.qa", ["run-all"], staged)
-    digests |= _digest_run("zipf", zipf, "config.qa", ["run-all"], staged)
+    paths = _run("planted", planted, "config.qa", ["run-all"], staged)
+    paths |= _run("zipf", zipf, "config.qa", ["run-all"], staged)
     config = (zipf / "config.qa").read_text(encoding="utf-8").splitlines(keepends=True)
     kept = [line for line in config if not line.startswith(("answers_out_path", "report_out_path"))]
     (zipf / "stage3.qa").write_text("".join(kept) + STAGE3_SETTINGS, encoding="utf-8")
-    digests |= _digest_run("zipf-stage3", zipf, "stage3.qa", ["answer", "evaluate"],
-                           ("stage3_answers.txt", "stage3_report.txt"))
-    return digests
+    paths |= _run("zipf-stage3", zipf, "stage3.qa", ["answer", "evaluate"],
+                  ("stage3_answers.txt", "stage3_report.txt"))
+    return paths
+
+
+def build_digests(work: Path) -> dict[str, str]:
+    """Build every run under `work`; return its digests by `run/artifact`."""
+    return {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in build_runs(work).items()}
+
+
+def first_difference(a: Path, b: Path) -> tuple[int, str, str] | None:
+    """(line number, line of `a`, line of `b`) of the first line that differs,
+    or None when the files are equal. A file that ends first reads "" there."""
+    pairs = zip_longest(a.read_bytes().splitlines(keepends=True),
+                        b.read_bytes().splitlines(keepends=True), fillvalue=b"")
+    for number, (line_a, line_b) in enumerate(pairs, start=1):
+        if line_a != line_b:
+            return number, line_a.decode("utf-8", "replace"), line_b.decode("utf-8", "replace")
+    return None
+
+
+def _shorten(line: str, width: int = 100) -> str:
+    text = repr(line)
+    return text if len(text) <= width else text[:width - 3] + "..."
+
+
+def _build_tree(src: Path, work: Path) -> dict[str, Path]:
+    """Build the runs of the `qapipe` in `src` under `work` in a child process."""
+    out = subprocess.run(
+        [sys.executable, __file__, "--src", str(src), "--build-into", str(work)],
+        check=True, stdout=subprocess.PIPE, text=True,
+    ).stdout
+    return {name: Path(path) for name, path in json.loads(out).items()}
+
+
+def compare_trees(src_a: Path, src_b: Path) -> int:
+    """Print each artifact that differs between the two trees; 1 if any does."""
+    with tempfile.TemporaryDirectory() as work:
+        runs_a = _build_tree(src_a, Path(work) / "a")
+        runs_b = _build_tree(src_b, Path(work) / "b")
+        differ = 0
+        for name, path_a in runs_a.items():
+            found = first_difference(path_a, runs_b[name])
+            if found is not None:
+                number, line_a, line_b = found
+                print(f"{name}: line {number} differs\n"
+                      f"  {src_a}: {_shorten(line_a)}\n  {src_b}: {_shorten(line_b)}")
+                differ += 1
+    print(f"{differ} of {len(runs_a)} artifacts differ")
+    return 1 if differ else 0
 
 
 def format_digests(digests: dict[str, str]) -> str:
@@ -119,8 +183,25 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--record", action="store_true",
                         help=f"write the digests to {RECORD.relative_to(REPO)}")
+    parser.add_argument("--against", type=Path, metavar="OTHER_SRC",
+                        help="compare the artifacts of this tree with those of OTHER_SRC")
+    # The child process of --against: build one tree's runs, print their paths.
+    parser.add_argument("--src", type=Path, default=REPO / "src", help=argparse.SUPPRESS)
+    parser.add_argument("--build-into", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(REPO / "src"))
+    if args.against:
+        return compare_trees(REPO / "src", args.against.resolve())
+    args.src = args.src.resolve()
+    sys.path.insert(0, str(args.src))
+    if args.build_into:
+        import qapipe
+
+        if Path(qapipe.__file__).parent.parent != args.src:
+            raise RuntimeError(f"imported {qapipe.__file__}, not the qapipe in {args.src}")
+        args.build_into.mkdir(parents=True)
+        paths = build_runs(args.build_into)
+        print(json.dumps({name: str(path) for name, path in paths.items()}))
+        return 0
     with tempfile.TemporaryDirectory() as work:
         digests = build_digests(Path(work))
     print(format_digests(digests), end="")
