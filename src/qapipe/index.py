@@ -9,7 +9,9 @@ loading stream the file through serde's `write_records` and
 """
 
 import math
+import re
 from collections.abc import Iterable, Iterator
+from itertools import accumulate
 from typing import NamedTuple
 
 from .corpus import Document
@@ -18,7 +20,13 @@ from .serde import escape_field, read_records, unescape_field, write_records
 from .text import terms, tokenize  # tokenize unused: qabench/trace_shim.py wraps this name
 
 MAGIC = "QANUSIDX"
-VERSION = 3
+VERSION = 4
+
+# A term's cells as the writer writes them: `GAP[:TF]`, tab-separated, in
+# ASCII digits without sign or leading zero. Only the first gap may be 0, so
+# the ordinals strictly ascend, and a TF is written only when it is 2 or more.
+_GAP_TF = r"(?::(?:[2-9]|[1-9][0-9]+))?"
+_CELLS_RE = re.compile(rf"(?:0|[1-9][0-9]*){_GAP_TF}(?:\t[1-9][0-9]*{_GAP_TF})*")
 
 
 class DuplicateDocId(QAError):
@@ -72,7 +80,7 @@ class InvertedIndex:
         doc_records: dict[str, str],
     ):
         self.doc_ids = doc_ids  # doc id by ordinal, ascending
-        self.cells = cells      # term -> its `ord:tf` cells, tab-joined as in the file
+        self.cells = cells      # term -> its `gap[:tf]` cells, tab-joined as in the file
         self.doc_lengths = doc_lengths
         self.doc_records = doc_records  # doc id -> `spans<TAB>text`, escaped as in the file
         self.avg_doc_length = sum(doc_lengths.values()) / len(doc_lengths) if doc_lengths else 0.0
@@ -114,19 +122,32 @@ class InvertedIndex:
         return Document(doc_id, unescape_field(text), span_list)
 
     def postings(self, term: str) -> list[tuple[str, int]]:
-        """(doc_id, tf) per cell of `term`; [] for a term not indexed. A
-        malformed cell raises CorruptIndex naming the term."""
+        """(doc_id, tf) per cell of `term`, in ordinal order; [] for a term
+        not indexed. Each ordinal is the running sum of the gaps. Cells the
+        writer would not write, or an ordinal past the last document, raise
+        CorruptIndex naming the term."""
         cells = self.cells.get(term)
         if cells is None:
             return []
+        if _CELLS_RE.fullmatch(cells) is None:
+            raise CorruptIndex(
+                f"malformed postings of term {term!r}: not ascending GAP[:TF] cells"
+            )
         doc_ids = self.doc_ids
         try:
-            return [
-                (doc_ids[int(ordinal)], int(tf))
-                for ordinal, tf in (cell.split(":") for cell in cells.split("\t"))
-            ]
-        except (ValueError, IndexError) as exc:
-            raise CorruptIndex(f"malformed postings of term {term!r}: {exc}") from exc
+            if ":" not in cells:  # every tf is 1
+                return [(doc_ids[o], 1) for o in accumulate(map(int, cells.split("\t")))]
+            pairs, ordinal = [], 0
+            for cell in cells.split("\t"):
+                gap, _, tf = cell.partition(":")
+                ordinal += int(gap)
+                pairs.append((doc_ids[ordinal], int(tf) if tf else 1))
+            return pairs
+        except IndexError:
+            raise CorruptIndex(
+                f"malformed postings of term {term!r}: an ordinal is not below "
+                f"the doc count {len(doc_ids)}"
+            ) from None
 
     def idf(self, term: str) -> float:
         """BM25 inverse document frequency, non-negative by construction."""
@@ -151,10 +172,11 @@ def build_index(documents: Iterable[Document]) -> InvertedIndex:
 
     Documents are counted in doc id order, so a document's position is its
     ordinal in the file, and each is dropped for its record as it is
-    counted. Its terms are counted in a plain dict. A document's postings
-    with equal tf share one cell string (most have tf 1), and each term's
-    list of cells is joined in place, so each list is freed as its string
-    is made.
+    counted. Its terms are counted in a plain dict. Each term's list holds
+    the ordinal of its latest cell at its head, from which the next cell's
+    gap is taken. Cell strings are shared across the whole build: one per
+    gap for tf 1 (most postings), one per (gap, tf) otherwise. Each list
+    is joined in place, so it is freed as its string is made.
     """
     stored: dict[str, Document] = {}
     for doc in documents:
@@ -164,8 +186,11 @@ def build_index(documents: Iterable[Document]) -> InvertedIndex:
     doc_ids = sorted(stored)
     records: dict[str, str] = {}
     doc_lengths: dict[str, int] = {}
-    cells: dict = {}  # term -> its list of cells, then their tab-joined string
+    cells: dict = {}  # term -> [latest ordinal, cell, ...], then the cells tab-joined
     term_cells = cells.get
+    gap_cells: list = [None] * len(doc_ids)  # gap -> its cell for tf 1, made on first use
+    gap_tf_cells: dict[tuple[int, int], str] = {}  # (gap, tf) -> its cell for tf 2 or more
+    gap_tf_cell = gap_tf_cells.get
     for ordinal, doc_id in enumerate(doc_ids):
         doc = stored.pop(doc_id)
         spans = ",".join(f"{a}:{b}" for a, b in doc.paragraph_spans) or "-"
@@ -176,17 +201,23 @@ def build_index(documents: Iterable[Document]) -> InvertedIndex:
         count = counts.get
         for word in words:
             counts[word] = count(word, 0) + 1
-        cell_of_tf: dict[int, str] = {}
         for term, tf in counts.items():
-            cell = cell_of_tf.get(tf)
-            if cell is None:
-                cell = cell_of_tf[tf] = f"{ordinal}:{tf}"
             listed = term_cells(term)
             if listed is None:
-                cells[term] = [cell]
+                listed = cells[term] = [0]  # the first gap is the ordinal itself
+            gap = ordinal - listed[0]
+            listed[0] = ordinal
+            if tf == 1:
+                cell = gap_cells[gap]
+                if cell is None:
+                    cell = gap_cells[gap] = str(gap)
             else:
-                listed.append(cell)
+                cell = gap_tf_cell((gap, tf))
+                if cell is None:
+                    cell = gap_tf_cells[gap, tf] = f"{gap}:{tf}"
+            listed.append(cell)
     for term, listed in cells.items():
+        del listed[0]
         cells[term] = "\t".join(listed)
     return InvertedIndex(doc_ids, cells, doc_lengths, records)
 

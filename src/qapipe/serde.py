@@ -2,13 +2,14 @@
 
 The escapes and the framing are the README's "File formats: Stage
 files". The records are streamed both ways, so the whole file is never
-held in memory. The write encodes each record once, writes it to the
-file and feeds it to the digest as it comes. The read checks the
-header, the digest and the UTF-8 when it is called, hashing and
-decoding the open file a fixed-size chunk at a time, and only then
-returns an iterator that reads the records from the same file, a chunk
-of whole lines at a time; a loader parses nothing of a file that fails
-a check. Every artifact is written through `atomic_write`.
+held in memory. The write joins the records into blocks of whole lines,
+about a fixed-size chunk each, and encodes, hashes and writes each block
+once. The read checks the header, the digest and the UTF-8 when it is
+called, hashing and decoding the open file a fixed-size chunk at a time,
+and only then returns an iterator that reads the records from the same
+file, a chunk of whole lines at a time; a loader parses nothing of a
+file that fails a check. Every artifact is written through
+`atomic_write`.
 """
 
 import codecs
@@ -16,7 +17,6 @@ import hashlib
 import os
 import re
 from collections.abc import Iterable, Iterator
-from itertools import chain
 from pathlib import Path
 
 from .errors import QAError
@@ -92,12 +92,26 @@ def _digest_line(digest) -> bytes:
 
 
 def write_records(path, magic: str, version: int, lines: Iterable[str]) -> None:
-    """Write `lines` (records holding no "\\n"), framed and streamed."""
+    """Write `lines` (records holding no "\\n"), framed and streamed a block
+    of whole lines at a time: each block ends at the first line that brings
+    it to _CHUNK characters."""
     digest = hashlib.sha256()
 
+    def blocks():
+        block, size = [f"{magic} {version}"], 0
+        for line in lines:
+            block.append(line)
+            size += len(line)
+            if size >= _CHUNK:
+                yield block
+                block, size = [], 0
+        if block:
+            yield block
+
     def chunks():
-        for line in chain([f"{magic} {version}"], lines):
-            data = (line + "\n").encode("utf-8")
+        for block in blocks():
+            block.append("")  # so the join ends the last line
+            data = "\n".join(block).encode("utf-8")
             digest.update(data)
             yield data
         yield _digest_line(digest)

@@ -61,9 +61,28 @@ def with_stage_params(config, stage_params):
     return PipelineConfig(**paths, stage_params=stage_params)
 
 
+def rewrite_as_index_version_3(path: Path) -> None:
+    """Rewrite a QANUSIDX 4 file in the version-3 layout, whose cells were
+    `ORD:TF`: the absolute ordinal and the tf, written also when it is 1."""
+    lines = path.read_bytes().split(b"\n")[:-2]  # without the digest line
+    lines[0] = b"QANUSIDX 3"
+    for i, line in enumerate(lines):
+        if line.startswith(b"term\t"):
+            kind, term, *cells = line.split(b"\t")
+            ordinal, absolute = 0, []
+            for cell in cells:
+                gap, _, tf = cell.partition(b":")
+                ordinal += int(gap)
+                absolute.append(b"%d:%s" % (ordinal, tf or b"1"))
+            lines[i] = b"\t".join([kind, term, *absolute])
+    path.write_bytes(framed(b"\n".join(lines) + b"\n"))
+
+
 def rewrite_as_index_version_2(path: Path) -> None:
-    """Rewrite a QANUSIDX 3 file in the version-2 layout, which stored each
-    document's headline, here absent (\\N), between its length and spans."""
+    """Rewrite a QANUSIDX 4 file in the version-2 layout: version 3's cells,
+    and each document's headline, here absent (\\N), between its length and
+    spans."""
+    rewrite_as_index_version_3(path)
     lines = path.read_bytes().split(b"\n")[:-2]  # without the digest line
     lines[0] = b"QANUSIDX 2"
     for i, line in enumerate(lines):

@@ -442,4 +442,4 @@ def test_answer_on_a_version_2_index_exits_2(tmp_path):
     rewrite_as_index_version_2(tmp_path / "index.qix")
     result = run_cli("answer", "--config", "config.qa", cwd=tmp_path)
     assert result.returncode == 2
-    assert "QANUSIDX version '2', expected 3; run 'qapipe index' to rewrite it" in result.stderr
+    assert "QANUSIDX version '2', expected 4; run 'qapipe index' to rewrite it" in result.stderr

@@ -1,5 +1,7 @@
-"""The identity contract: every seed-1 stage artifact and `ask` reply of the
-benchmark's fixtures is byte-identical to the digests in identity.sha256.
+"""The identity contract: every seed-1 stage artifact, `ask` reply and
+retrieval (each question's top documents with `repr` of their BM25 scores)
+of the benchmark's fixtures is byte-identical to the digests in
+identity.sha256.
 
 A change to that file is a change to this check; `tools/identity.py
 --record` writes it, and a format changed on purpose says so beside it.

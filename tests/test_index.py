@@ -18,7 +18,8 @@ from qapipe.retrieval import retrieve_documents
 from qapipe.serde import VersionMismatch
 
 from conftest import (
-    framed, make_record_corpus, random_docs, rewrite_as_index_version_2, with_version,
+    framed, make_record_corpus, random_docs, rewrite_as_index_version_2,
+    rewrite_as_index_version_3, with_version,
 )
 
 
@@ -53,6 +54,14 @@ def test_stopwords_are_indexed():
     idx = build_index([doc("d1", "the cat sat on the mat")])
     assert idx.postings("the") == [("d1", 2)]
     assert idx.doc_lengths["d1"] == 6
+
+
+def test_cells_hold_gaps_and_a_tf_of_2_or_more():
+    idx = build_index([doc("a", "x y x"), doc("b", "y"), doc("c", "x z x x"), doc("d", "y")])
+    assert idx.cells == {"x": "0:2\t2:3", "y": "0\t1\t2", "z": "2"}
+    assert idx.postings("x") == [("a", 2), ("c", 3)]
+    assert idx.postings("y") == [("a", 1), ("b", 1), ("d", 1)]
+    assert idx.postings("z") == [("c", 1)]
 
 
 def test_postings_sorted_by_doc_id():
@@ -124,18 +133,32 @@ def test_version_2_index_is_refused(tmp_path):
     write_index(build_index([doc("a", "apple pie"), doc("b", "cherry pie")]), path)
     rewrite_as_index_version_2(path)
     assert b"doc\ta\t2\t\\N\t-\tapple pie\n" in path.read_bytes()
-    with pytest.raises(VersionMismatch, match="QANUSIDX version '2', expected 3"):
+    with pytest.raises(VersionMismatch, match="QANUSIDX version '2', expected 4"):
         load_index(path)
+
+
+def test_version_3_index_is_refused(tmp_path):
+    """Version 3 wrote each cell as the absolute ordinal and the tf, 1 included."""
+    path = tmp_path / "idx.qix"
+    write_index(build_index([doc("a", "apple pie pie"), doc("b", "cherry pie")]), path)
+    assert b"\nterm\tpie\t0:2\t1\n" in path.read_bytes()
+    rewrite_as_index_version_3(path)
+    assert b"\nterm\tpie\t0:2\t1:1\n" in path.read_bytes()
+    with pytest.raises(VersionMismatch) as exc:
+        load_index(path)
+    assert str(exc.value) == (
+        f"{path}: QANUSIDX version '3', expected 4; run 'qapipe index' to rewrite it"
+    )
 
 
 def test_version_mismatch_names_qapipe_index(tmp_path):
     path = tmp_path / "idx.qix"
     write_index(build_index([doc("a", "apple pie")]), path)
-    with_version(path, 4)
+    with_version(path, 5)
     with pytest.raises(VersionMismatch) as exc:
         load_index(path)
     assert str(exc.value) == (
-        f"{path}: QANUSIDX version '4', expected 3; run 'qapipe index' to rewrite it"
+        f"{path}: QANUSIDX version '5', expected 4; run 'qapipe index' to rewrite it"
     )
 
 
@@ -196,8 +219,8 @@ def test_malformed_cell_fails_when_its_term_is_read(tmp_path):
     path = tmp_path / "idx.qix"
     write_index(small_index(), path)
     body = path.read_bytes().rsplit(b"sha256\t", 1)[0]
-    assert b"\nterm\tb\t0:1\n" in body
-    body = body.replace(b"\nterm\tb\t0:1\n", b"\nterm\tb\t0:x\n")
+    assert b"\nterm\tb\t0\n" in body
+    body = body.replace(b"\nterm\tb\t0\n", b"\nterm\tb\t0:x\n")
     path.write_bytes(framed(body))
     idx = load_index(path)
     with pytest.raises(CorruptIndex, match="term 'b'"):
@@ -274,6 +297,41 @@ def test_doc_line_without_its_text_field_rejected(tmp_path):
     of its fields: spans, then text."""
     with pytest.raises(CorruptIndex, match="malformed index record"):
         load_altered_two_doc_index(tmp_path, (B_LINE, b"doc\tb\t2\t-\n"))
+
+
+PIE_LINE = b"term\tpie\t0\t1\n"
+NOT_GAP_TF = "not ascending GAP[:TF] cells"
+PAST_LAST = "an ordinal is not below the doc count 2"
+
+
+@pytest.mark.parametrize("cells, reason", [
+    ("-1\t1", NOT_GAP_TF),  # a sign
+    ("+0\t1", NOT_GAP_TF),
+    ("0:0\t1", NOT_GAP_TF),  # tf 0
+    ("0:1\t1", NOT_GAP_TF),  # tf 1 is implicit
+    ("0\t1:1", NOT_GAP_TF),
+    ("0_0\t1", NOT_GAP_TF),  # int() reads "0_0" as 0
+    ("\u0660\t1", NOT_GAP_TF),  # int() reads ARABIC-INDIC DIGIT ZERO as 0
+    (" 0\t1", NOT_GAP_TF),
+    ("00\t1", NOT_GAP_TF),  # a leading zero
+    ("0:\t1", NOT_GAP_TF),
+    ("1\t-1", NOT_GAP_TF),  # a descending pair: ordinals 1, then 0
+    ("0\t0", NOT_GAP_TF),  # a repeated ordinal
+    ("0\t2", PAST_LAST),  # ordinal 2 of 2 docs
+    ("2\t1", PAST_LAST),
+])
+def test_malformed_cells_fail_when_their_term_is_read(tmp_path, cells, reason):
+    """A digest-valid file whose cells the writer would not write loads, as its
+    cell count matches; reading that term raises naming it, and the other
+    terms still read."""
+    line = b"term\tpie\t%s\n" % cells.encode("utf-8")
+    idx = load_altered_two_doc_index(tmp_path, (PIE_LINE, line))
+    with pytest.raises(CorruptIndex, match=re.escape(f"postings of term 'pie': {reason}")):
+        idx.postings("pie")
+    with pytest.raises(CorruptIndex, match="term 'pie'"):
+        retrieve_documents(idx, ["cherry", "pie"], 5)
+    assert idx.postings("cherry") == [("b", 1)]
+    assert [d.doc_id for d in retrieve_documents(idx, ["apple"], 5)] == ["a"]
 
 
 @pytest.mark.parametrize("spans", [b"", b"x", b"1-2", b"0:1:2", b"0:1,", b"0:1,,2:3", b"x:y"])

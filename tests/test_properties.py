@@ -129,9 +129,10 @@ documents = st.builds(
 
 
 def reference_write_index(docs, path):
-    """build_index and write_index as they were: a dict of (doc_id, tf) lists
-    sorted by doc id, each cell re-encoded through an ordinals map. Returns
-    those lists."""
+    """build_index and write_index spelled out: a dict of (doc_id, tf) lists
+    sorted by doc id, each cell encoded through an ordinals map as the gap
+    from the term's previous ordinal, with `:tf` when tf is 2 or more.
+    Returns those lists."""
     tf_acc: dict[str, dict[str, int]] = {}
     doc_lengths: dict[str, int] = {}
     stored: dict[str, Document] = {}
@@ -158,9 +159,12 @@ def reference_write_index(docs, path):
             )
         )
     for term in sorted(postings):
-        cells = [f"{ordinals[doc_id]}:{tf}" for doc_id, tf in postings[term]]
+        cells, previous = [], 0
+        for doc_id, tf in postings[term]:
+            cells.append(str(ordinals[doc_id] - previous) + (f":{tf}" if tf > 1 else ""))
+            previous = ordinals[doc_id]
         lines.append("term\t" + term + "\t" + "\t".join(cells))
-    write_records(path, "QANUSIDX", 3, lines)
+    write_records(path, "QANUSIDX", 4, lines)
     return postings
 
 
@@ -263,10 +267,13 @@ def test_ascii_table_keeps_exactly_what_the_token_regex_matches():
     st.from_regex(r"[A-Z0-9]{1,8}", fullmatch=True),
     st.integers(0, 99),
     st.lists(tricky_text.map(lambda s: s.replace("\n", "")), max_size=8),
+    st.sampled_from([1, 2, 3, 7, 64, 1 << 16]),
 )
-def test_write_records_writes_the_framed_records(tmp_path_factory, magic, version, lines):
+def test_write_records_writes_the_framed_records(tmp_path_factory, magic, version, lines, chunk):
+    """Whatever the block size, the lines are written whole, each once, in order."""
     path = tmp_path_factory.mktemp("records") / "file"
-    write_records(path, magic, version, iter(lines))
+    with mock.patch.object(serde, "_CHUNK", chunk):
+        write_records(path, magic, version, iter(lines))
     header = f"{magic} {version}\n"
     assert path.read_bytes() == framed(header + "".join(line + "\n" for line in lines))
     assert list(read_records(path, magic, version, QAError, "qapipe index")) == lines
@@ -402,17 +409,21 @@ queries = st.lists(st.sampled_from([w.lower() for w in VOCAB] + ["absent"]), max
 
 
 def reference_build_index(docs):
-    """build_index as it was: a Counter per document and a cell string per
-    posting, every term's list of cells joined into a new dict at the end."""
+    """build_index spelled out: a Counter per document, each term's previous
+    ordinal in a dict of its own, and a new cell string per posting, every
+    term's list of cells joined into a new dict at the end."""
     stored = {doc.doc_id: doc for doc in docs}
     doc_ids = sorted(stored)
     doc_lengths: dict[str, int] = {}
     cells: dict[str, list[str]] = {}
+    previous: dict[str, int] = {}
     for ordinal, doc_id in enumerate(doc_ids):
         words = terms(stored[doc_id].text)
         doc_lengths[doc_id] = len(words)
         for term, tf in Counter(words).items():
-            cells.setdefault(term, []).append(f"{ordinal}:{tf}")
+            gap = ordinal - previous.get(term, 0)
+            previous[term] = ordinal
+            cells.setdefault(term, []).append(f"{gap}:{tf}" if tf > 1 else str(gap))
     joined = {term: "\t".join(term_cells) for term, term_cells in cells.items()}
     records = {
         doc_id: (",".join(f"{a}:{b}" for a, b in doc.paragraph_spans) or "-")
@@ -426,14 +437,82 @@ def reference_build_index(docs):
 @given(st.lists(documents, max_size=6, unique_by=lambda d: d.doc_id)
        | corpora.map(lambda d: [Document(i, t, ()) for i, t in d.items()]))
 def test_build_index_equals_the_counter_build(tmp_path_factory, docs):
-    """Cells shared by equal tfs and joined in place hold the same strings,
-    and write the same bytes, as a cell string per posting."""
+    """Cells shared across the build by gap and tf, with each term's previous
+    ordinal at its list's head, and joined in place, hold the same strings,
+    and write the same bytes, as a new cell string per posting."""
     built, reference = build_index(docs), reference_build_index(docs)
     assert built == reference and list(built.cells) == list(reference.cells)
     out = tmp_path_factory.mktemp("build")
     write_index(built, out / "built.qix")
     write_index(reference, out / "reference.qix")
     assert (out / "built.qix").read_bytes() == (out / "reference.qix").read_bytes()
+
+
+def reference_postings(cells: str, doc_ids: list[str]):
+    """A term's cells decoded strictly, one character at a time: (doc_id, tf)
+    pairs, or None where the writer would not have written `cells`."""
+    def number(field):
+        if not field or any(c not in "0123456789" for c in field):
+            return None
+        return None if len(field) > 1 and field[0] == "0" else int(field)
+
+    pairs, ordinal = [], None
+    for cell in cells.split("\t"):
+        gap_text, colon, tf_text = cell.partition(":")
+        gap, tf = number(gap_text), number(tf_text) if colon else 1
+        if gap is None or tf is None or (colon and tf < 2) or (ordinal is not None and gap == 0):
+            return None
+        ordinal = gap if ordinal is None else ordinal + gap
+        if ordinal >= len(doc_ids):
+            return None
+        pairs.append((doc_ids[ordinal], tf))
+    return pairs
+
+
+CELL_PIECES = ["0", "1", "2", "10", ":", "-", "+", "_", " ", "\u0660", "\uff11", "x"]
+mutated_cells = (
+    st.from_regex(r"[0-9]{1,2}(:[0-9]{1,2})?", fullmatch=True)
+    | st.lists(st.sampled_from(CELL_PIECES), max_size=4).map("".join)
+    | st.text(st.characters(blacklist_characters="\t\n"), max_size=4)
+)
+
+
+@example([Document("a", "pie", ()), Document("b", "pie", ())], 0, 1, "-1")
+@example([Document("a", "pie", ())], 0, 0, "0:1")
+@example([Document("a", "pie", ())], 0, 0, "\u0660")
+@example([Document("a", "pie pie", ()), Document("b", "pie", ())], 0, 0, "1:2")
+@settings(max_examples=300)
+@given(st.lists(documents, min_size=1, max_size=5, unique_by=lambda d: d.doc_id)
+       | corpora.map(lambda d: [Document(i, t, ()) for i, t in d.items()]),
+       st.integers(0, 20), st.integers(0, 5), mutated_cells)
+def test_a_mutated_cell_reads_as_the_strict_reference_or_fails(
+    tmp_path_factory, docs, which, at, cell
+):
+    """Cell `at` of term `which` of a written index replaced, and the file
+    re-framed with a valid digest: the index loads, as the cell count holds,
+    and that term reads as the strict reference decodes it, or raises
+    CorruptIndex naming the term where the reference refuses it. Every other
+    term reads as built."""
+    built = build_index(docs)
+    assume(built.cells)
+    term = sorted(built.cells)[which % len(built.cells)]
+    listed = built.cells[term].split("\t")
+    listed[at % len(listed)] = cell
+    cells = "\t".join(listed)
+    path = tmp_path_factory.mktemp("cell") / "idx.qix"
+    write_index(built, path)
+    old = f"\nterm\t{term}\t{built.cells[term]}\n".encode()
+    body = path.read_bytes().rsplit(b"sha256\t", 1)[0]
+    path.write_bytes(framed(body.replace(old, f"\nterm\t{term}\t{cells}\n".encode())))
+    loaded = load_index(path)
+    expected = reference_postings(cells, loaded.doc_ids)
+    if expected is None:
+        with pytest.raises(CorruptIndex, match=re.escape(f"malformed postings of term {term!r}")):
+            loaded.postings(term)
+    else:
+        assert loaded.postings(term) == expected
+    for other in built.cells.keys() - {term}:
+        assert loaded.postings(other) == built.postings(other)
 
 
 @given(corpora, words_text | st.text(), queries, st.sampled_from([0.0, 2.0]))

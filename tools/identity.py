@@ -16,10 +16,15 @@ zipf-stage3
 
 Each run goes through `qapipe.cli.main` in this process: `train-classifier`,
 then `run-all` (or `answer` and `evaluate` for zipf-stage3), then `ask`
-with every question on standard input. It prints one `sha256  run/artifact`
-line for each of `index.qix`, `model.nb`, `analysis.txt`, `answers.txt`,
-`report.txt` and the joined replies (zipf-stage3 writes only the last
-three). `run_manifest.txt` holds timestamps and is left out.
+with every question on standard input. Last it loads the run's index and
+analyses and writes `retrieval`: for each question, each document that
+`retrieve_documents` returns under the run's `retrieval.k`, as
+`qid<TAB>doc id<TAB>repr(score)`. No stage artifact holds a BM25 score,
+so this one pins the scores themselves. It prints one
+`sha256  run/artifact` line for each of `index.qix`, `model.nb`,
+`analysis.txt`, `answers.txt`, `report.txt`, the joined replies and
+`retrieval` (zipf-stage3 writes only the last four). `run_manifest.txt`
+holds timestamps and is left out.
 
 With `--record` the lines are written to `tests/identity.sha256`, which
 `tests/test_identity.py` compares with a fresh build. Without it, the
@@ -82,17 +87,39 @@ def _questions(directory: Path) -> str:
     return "".join(line.partition("\t")[2] + "\n" for line in lines)
 
 
+def _retrieval(config_path: Path) -> str:
+    """`qid<TAB>doc id<TAB>repr(score)` of each document that `retrieve_documents`
+    returns for each analysed question, under the config's `retrieval.k`."""
+    from qapipe.config import AnswerSettings, load_config
+    from qapipe.index import load_index
+    from qapipe.questions import load_analyses
+    from qapipe.retrieval import retrieve_documents
+
+    config = load_config(config_path)
+    index = load_index(config.index_path)
+    k = AnswerSettings.from_config(config).k
+    return "".join(
+        f"{analysis.qid}\t{doc.doc_id}\t{doc.retrieval_score!r}\n"
+        for analysis in load_analyses(config.param("questions.analysis_out"))
+        for doc in retrieve_documents(index, analysis.query_terms, k)
+    )
+
+
 def _run(name: str, directory: Path, config: str, commands, artifacts) -> dict[str, Path]:
     """Run `commands` and `ask`; return the path of each artifact by `run/artifact`.
-    The replies are written to `NAME.replies` in `directory`."""
+    The replies and the retrieval are written to `NAME.replies` and
+    `NAME.retrieval` in `directory`."""
     for command in commands:
         _cli(command, "--config", str(directory / config))
     replies = directory / f"{name}.replies"
     replies.write_bytes(
         _cli("ask", "--config", str(directory / config), stdin=_questions(directory)).encode("utf-8")
     )
+    retrieval = directory / f"{name}.retrieval"
+    retrieval.write_bytes(_retrieval(directory / config).encode("utf-8"))
     paths = {f"{name}/{a}": directory / a for a in artifacts}
     paths[f"{name}/replies"] = replies
+    paths[f"{name}/retrieval"] = retrieval
     return paths
 
 

@@ -34,7 +34,12 @@ over every document, `build_index` on the parse stream as the index
 stage calls it (so that row includes the parse), `write_index` (to a
 temporary directory) and `load_index`. For each it also prints, from one more
 call under tracemalloc, the traced peak and the MB the call's result
-keeps, and last the ratio of the two for `load_index`. Then it answers
+keeps, and last the ratio of the two for `load_index`. It splits the
+written index's bytes by section: the doc lines (the document records),
+the term lines (the posting cells, each line with its term) and the
+framing (the header, stats and digest lines). Each row gives the bytes,
+the share of the file and the bytes per corpus byte; the total's last
+figure is the benchmark's `index_bytes_per_corpus_byte`. Then it answers
 the fixture's analyses (the `process-questions` stage's `analysis.txt`)
 twice on one freshly loaded index, cold and then warm, and prints the
 ms per question of `answer_question` and of its layers: retrieve,
@@ -178,6 +183,17 @@ def traced(fn) -> tuple[float, float]:
     finally:
         tracemalloc.stop()
     return peak / 2**20, kept / 2**20
+
+
+def index_sections(path: Path) -> dict[str, int]:
+    """The bytes of each section of an index file, whole lines each."""
+    sizes = dict.fromkeys(("doc records", "term cells", "framing"), 0)
+    with open(path, "rb") as f:
+        for line in f:
+            section = ("doc records" if line.startswith(b"doc\t")
+                       else "term cells" if line.startswith(b"term\t") else "framing")
+            sizes[section] += len(line)
+    return sizes
 
 
 def time_layers(module, totals: dict[str, float]) -> None:
@@ -329,8 +345,15 @@ def main(argv=None) -> int:
             seconds, _ = timed(fn, args.runs)
             peak, kept = memory[name] = traced(fn)
             print(f"{name:26s} {seconds * 1000:8.1f} {peak:8.2f} {kept:8.2f}")
+        sections = index_sections(path)
     peak, kept = memory["load_index"]
     print(f"{'load_index peak / kept':26s} {peak / kept:8.2f}")
+
+    corpus_bytes = Path(config.corpus_path).stat().st_size
+    total = sum(sections.values())
+    print(f"\n{'index bytes':26s} {'bytes':>10s} {'share':>6s} {'/corpus B':>9s}")
+    for name, size in [*sections.items(), ("total", total)]:
+        print(f"{name:26s} {size:10d} {size / total:6.3f} {size / corpus_bytes:9.3f}")
 
     analyses = load_analyses(config.param("questions.analysis_out"))
     settings = AnswerSettings.from_config(config)
