@@ -21,8 +21,8 @@ and each answer an `answers.AnswerRecord`.
 
 import re
 from bisect import bisect_left, bisect_right
-from itertools import count, repeat
-from operator import contains, itemgetter, neg
+from itertools import repeat
+from operator import contains
 from typing import NamedTuple
 
 # write_answers and load_answers are bound here too: qabench/trace_shim.py
@@ -341,11 +341,9 @@ def answer_question(
     passages and their features are kept in the index's `doc_passages`
     memo. Every passage of the retrieved documents is scored by one
     `score_term_tuples` call. The kept passages are the first
-    `max_passages` of a key-less sort of (-score, doc rank, start,
-    running index, passage) tuples: the best passages are the smallest,
-    and the running index keeps equal keys in their retrieval order, so
-    no two tuples compare their passages; it also picks each kept
-    passage's features, which go on to extraction and ranking as a
+    `max_passages` of a stable sort by score of the passages in retrieval
+    order (by doc rank, each document's in text order), so tied scores
+    keep that order; their features go on to extraction and ranking as a
     parallel list.
     """
     nil = AnswerRecord(analysis.qid, None, None, 0.0)
@@ -356,8 +354,7 @@ def answer_question(
     memo = index.doc_passages
     passages: list[Passage] = []
     features: list[PassageFeatures] = []
-    doc_ranks: list[int] = []
-    for doc_rank, scored_doc in enumerate(docs):
+    for scored_doc in docs:
         entry = memo.get(scored_doc.doc_id)
         if entry is None:
             doc_passages = segment_passages(index.document(scored_doc.doc_id))
@@ -366,16 +363,14 @@ def answer_question(
             )
         passages += entry[0]
         features += entry[1]
-        doc_ranks += repeat(doc_rank, len(entry[0]))
     scores = score_term_tuples(
         [f.terms for f in features], query_weights(analysis.query_terms, index),
         settings.coverage_weight,
     )
-    starts = map(itemgetter(0), map(itemgetter(1), passages))
-    by_score = sorted(zip(map(neg, scores), doc_ranks, starts, count(), passages))
-    by_score = by_score[: settings.max_passages]
-    kept = [Passage(p.doc_id, p.char_span, p.text, -neg_score) for neg_score, *_, p in by_score]
-    kept_features = [features[i] for _, _, _, i, _ in by_score]
+    best = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+    best = best[: settings.max_passages]
+    kept = [Passage(*passages[i][:3], scores[i]) for i in best]  # not _replace: slower
+    kept_features = [features[i] for i in best]
 
     candidates: list[CandidateAnswer] = []
     for i, passage in enumerate(kept):

@@ -245,8 +245,8 @@ def load_index(path) -> InvertedIndex:
     """Read an index written by write_index; load(write(x)) == x.
 
     Each line is split as `read_records` yields it, into the form
-    `InvertedIndex` holds. The doc ids must strictly ascend, and the stats
-    line must match the documents read and the term cells counted.
+    `InvertedIndex` holds. Doc ids and terms must strictly ascend, and the
+    stats line must match the documents read and the term cells counted.
     """
     records = read_records(path, MAGIC, VERSION, CorruptIndex, "qapipe index")
     stats = next(records, None)
@@ -268,7 +268,10 @@ def load_index(path) -> InvertedIndex:
                 docs_by_ord.append(doc_id)
             elif kind == "term":
                 term, _, cells = rest.partition("\t")
+                if cells_by_term and term <= last_term:
+                    raise CorruptIndex(f"term {term!r} does not follow {last_term!r}")
                 cells_by_term[term] = cells
+                last_term = term
             else:
                 raise CorruptIndex(f"unknown record kind {kind!r}")
     except (ValueError, IndexError) as exc:

@@ -107,16 +107,17 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
 
 
 def segment_passages(document: Document) -> list[Passage]:
-    """The document's paragraphs when it has paragraph markup; otherwise
-    windows of SENTENCES_PER_PASSAGE sentences (see split_sentences) with
-    stride PASSAGE_STRIDE, the last window ending at the last sentence."""
+    """The document's passages in text order: its paragraphs by start, equal
+    starts in their given order (a stable sort), when it has paragraph markup;
+    otherwise windows of SENTENCES_PER_PASSAGE sentences (see split_sentences)
+    with stride PASSAGE_STRIDE, the last window ending at the last sentence."""
     text = document.text
     if not text:
         return []
     if document.paragraph_spans:
         return [
             Passage(document.doc_id, span, text[span[0]:span[1]])
-            for span in document.paragraph_spans
+            for span in sorted(document.paragraph_spans, key=itemgetter(0))
         ]
     sentences = split_sentences(text)
     if not sentences:

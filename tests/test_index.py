@@ -299,9 +299,24 @@ def test_doc_line_without_its_text_field_rejected(tmp_path):
         load_altered_two_doc_index(tmp_path, (B_LINE, b"doc\tb\t2\t-\n"))
 
 
+APPLE_LINE = b"term\tapple\t0\n"
+CHERRY_LINE = b"term\tcherry\t1\n"
 PIE_LINE = b"term\tpie\t0\t1\n"
 NOT_GAP_TF = "not ascending GAP[:TF] cells"
 PAST_LAST = "an ordinal is not below the doc count 2"
+
+
+def test_descending_terms_rejected(tmp_path):
+    """Swapped term lines would load, and write back as different bytes."""
+    with pytest.raises(CorruptIndex, match="term 'apple' does not follow 'cherry'"):
+        load_altered_two_doc_index(tmp_path, (APPLE_LINE + CHERRY_LINE, CHERRY_LINE + APPLE_LINE))
+
+
+def test_repeated_term_rejected(tmp_path):
+    """A second pie line would silently replace the first, and the stats
+    line, counted from the loaded cells, would still match."""
+    with pytest.raises(CorruptIndex, match="term 'pie' does not follow 'pie'"):
+        load_altered_two_doc_index(tmp_path, (PIE_LINE, b"term\tpie\t0\n" + PIE_LINE))
 
 
 @pytest.mark.parametrize("cells, reason", [

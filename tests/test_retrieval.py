@@ -106,6 +106,13 @@ def test_paragraph_passages():
         assert doc.text[a:b] == p.text
 
 
+def test_paragraph_passages_come_in_text_order():
+    """Spans given out of order come out by start; spans of equal start
+    keep their given order."""
+    doc = Document("d1", "amber mill barn", ((11, 15), (6, 10), (0, 10), (0, 5)))
+    assert [p.char_span for p in segment_passages(doc)] == [(0, 10), (0, 5), (6, 10), (11, 15)]
+
+
 def test_sentence_windows_stride_two():
     text = "One a. Two b. Three c. Four d. Five e."
     doc = Document("d1", text, ())

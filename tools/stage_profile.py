@@ -34,11 +34,15 @@ over every document, `build_index` on the parse stream as the index
 stage calls it (so that row includes the parse), `write_index` (to a
 temporary directory) and `load_index`. For each it also prints, from one more
 call under tracemalloc, the traced peak and the MB the call's result
-keeps, and last the ratio of the two for `load_index`. It splits the
-written index's bytes by section: the doc lines (the document records),
-the term lines (the posting cells, each line with its term) and the
-framing (the header, stats and digest lines). Each row gives the bytes,
-the share of the file and the bytes per corpus byte; the total's last
+keeps, and last the ratio of the two for `load_index`. Beside the
+`build_index(parse_corpus)` row it prints the build's own peak, which
+the parse's can hide (`traced_consumer`): the parse holds the corpus
+text until its last document, and the build may hold the most after
+it. It splits the written index's bytes by section: the doc lines (the
+document records), the term lines (the posting cells, each line with
+its term) and the framing (the header, stats and digest lines). Each
+row gives the bytes, the share of the file and the bytes per corpus
+byte; the total's last
 figure is the benchmark's `index_bytes_per_corpus_byte`. Then it answers
 the fixture's analyses (the `process-questions` stage's `analysis.txt`)
 twice on one freshly loaded index, cold and then warm, and prints the
@@ -52,7 +56,10 @@ calls, which adds two clock reads per call. Each figure is the median
 of N runs (default 3). After the passes it prints how many documents
 answering decoded, against the index's doc count: a document is decoded
 only when it is first segmented, so that is the number of documents
-whose passages the index keeps.
+whose passages the index keeps. Then it prints the median and the
+maximum number of passages scored per question, those of the
+documents the question retrieves; answering sorts them by score to
+keep the best.
 
 Last, it answers the analyses cold and then warm once more, on another
 freshly loaded index with tracemalloc on, and prints each per-index
@@ -185,6 +192,35 @@ def traced(fn) -> tuple[float, float]:
     return peak / 2**20, kept / 2**20
 
 
+def traced_consumer(consume, items) -> float:
+    """The traced peak MB of what consume(items) holds itself, where `items`
+    is a stream whose producer holds its state until the stream ends, as
+    the corpus parse holds the corpus text: the larger of the peak while
+    the stream runs, less what was traced when it yielded its first item,
+    and the peak after it ends, when the producer holds nothing."""
+    at_first = None
+    streaming_peak = 0
+
+    def watched():
+        nonlocal at_first, streaming_peak
+        for item in items:
+            if at_first is None:
+                at_first = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+            yield item
+        streaming_peak = tracemalloc.get_traced_memory()[1] - (at_first or 0)
+        tracemalloc.reset_peak()
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = consume(watched())  # held until the reading, as in traced()
+        peak = max(streaming_peak, tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
 def index_sections(path: Path) -> dict[str, int]:
     """The bytes of each section of an index file, whole lines each."""
     sizes = dict.fromkeys(("doc records", "term cells", "framing"), 0)
@@ -297,6 +333,7 @@ def main(argv=None) -> int:
     from qapipe.config import AnswerSettings
     from qapipe.index import build_index, load_index, write_index
     from qapipe.questions import load_analyses, parse_questions
+    from qapipe.retrieval import retrieve_documents
     from qapipe.text import terms
 
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
@@ -344,7 +381,11 @@ def main(argv=None) -> int:
         for name, fn in steps:
             seconds, _ = timed(fn, args.runs)
             peak, kept = memory[name] = traced(fn)
-            print(f"{name:26s} {seconds * 1000:8.1f} {peak:8.2f} {kept:8.2f}")
+            alone = ""
+            if name == "build_index(parse_corpus)":
+                own = traced_consumer(build_index, parse_corpus(config.corpus_path, fmt))
+                alone = f"  build's own peak {own:.2f}"
+            print(f"{name:26s} {seconds * 1000:8.1f} {peak:8.2f} {kept:8.2f}{alone}")
         sections = index_sections(path)
     peak, kept = memory["load_index"]
     print(f"{'load_index peak / kept':26s} {peak / kept:8.2f}")
@@ -366,6 +407,10 @@ def main(argv=None) -> int:
         cold, warm = (median(run[i][name] for run in runs) for i in (0, 1))
         print(f"{name:32s} {cold:8.3f} {warm:8.3f}")
     print(f"{'documents decoded':32s} {len(index.doc_passages):8d} of {index.doc_count}")
+    scored = [sum(len(index.doc_passages[d.doc_id][0]) for d in
+                  retrieve_documents(index, analysis.query_terms, settings.k))
+              for analysis in analyses]
+    print(f"{'passages scored, median / max':32s} {median(scored):8g} {max(scored):8d}")
 
     sizes = memo_sizes(extraction, load_index(config.index_path), analyses, settings)
     print(f"\n{'memo after cold + warm':40s} {'entries':>8s} {'MB':>8s}")
