@@ -2,16 +2,15 @@
 
 The file format is the README's "File formats: Index" section. Every
 token is indexed, stopwords included, and postings hold only term
-frequencies, the one per-posting datum BM25 reads. Documents are stored
-in the index because passage extraction reads their text. Writing and
-loading stream the file through serde's `write_records` and
+frequencies, the one per-posting datum BM25 reads; BM25 is
+`retrieval`'s, and the index only stores, counts and decodes. Documents
+are stored in the index because passage extraction reads their text.
+Writing and loading stream the file through serde's `write_records` and
 `read_records`.
 """
 
-import math
 import re
 from collections.abc import Iterable, Iterator
-from itertools import accumulate
 from typing import NamedTuple
 
 from .corpus import Document
@@ -59,17 +58,17 @@ class InvertedIndex:
 
     The memos hold what answering reads that does not depend on the
     question, each entry made on first use and kept for the index's
-    lifetime, and are never written to the file: `bm25_impacts`, term ->
-    {doc id: BM25 impact} in posting order, which `retrieve_documents`
-    fills and sums; `doc_passages`, doc id -> (the document's passages,
-    one `retrieval.PassageFeatures` per passage), which
-    `extraction.answer_question` fills on the document's first
-    retrieval; and `_idf`, term -> idf.
+    lifetime, and are never written to the file: `bm25_terms`, term ->
+    (its BM25 idf, {doc id: its BM25 impact} in posting order), which
+    `retrieval` fills on the term's first use; and `doc_passages`, doc
+    id -> (the document's passages, one `retrieval.PassageFeatures` per
+    passage), which `extraction.answer_question` fills on the document's
+    first retrieval.
     """
 
     __slots__ = (
         "doc_ids", "cells", "doc_lengths", "doc_records", "avg_doc_length",
-        "bm25_impacts", "doc_passages", "_idf",
+        "bm25_terms", "doc_passages",
     )
 
     def __init__(
@@ -84,9 +83,8 @@ class InvertedIndex:
         self.doc_lengths = doc_lengths
         self.doc_records = doc_records  # doc id -> `spans<TAB>text`, escaped as in the file
         self.avg_doc_length = sum(doc_lengths.values()) / len(doc_lengths) if doc_lengths else 0.0
-        self.bm25_impacts: dict[str, dict[str, float]] = {}
+        self.bm25_terms: dict[str, tuple[float, dict[str, float]]] = {}
         self.doc_passages: dict[str, tuple[list, list]] = {}
-        self._idf: dict[str, float] = {}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -135,8 +133,6 @@ class InvertedIndex:
             )
         doc_ids = self.doc_ids
         try:
-            if ":" not in cells:  # every tf is 1
-                return [(doc_ids[o], 1) for o in accumulate(map(int, cells.split("\t")))]
             pairs, ordinal = [], 0
             for cell in cells.split("\t"):
                 gap, _, tf = cell.partition(":")
@@ -148,15 +144,6 @@ class InvertedIndex:
                 f"malformed postings of term {term!r}: an ordinal is not below "
                 f"the doc count {len(doc_ids)}"
             ) from None
-
-    def idf(self, term: str) -> float:
-        """BM25 inverse document frequency, non-negative by construction."""
-        value = self._idf.get(term)
-        if value is None:
-            n = self.doc_count
-            df = self.document_frequency(term)
-            value = self._idf[term] = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        return value
 
     def stats(self) -> IndexStats:
         return IndexStats(
@@ -245,8 +232,11 @@ def load_index(path) -> InvertedIndex:
     """Read an index written by write_index; load(write(x)) == x.
 
     Each line is split as `read_records` yields it, into the form
-    `InvertedIndex` holds. Doc ids and terms must strictly ascend, and the
-    stats line must match the documents read and the term cells counted.
+    `InvertedIndex` holds. Doc ids and terms must strictly ascend, the
+    stats line must match the documents read and the term cells counted,
+    no doc length may be negative, and an index that holds terms must
+    have lengths that sum above 0. The lengths are checked once, after
+    the loop, so that a doc line costs no more to read.
     """
     records = read_records(path, MAGIC, VERSION, CorruptIndex, "qapipe index")
     stats = next(records, None)
@@ -279,4 +269,9 @@ def load_index(path) -> InvertedIndex:
     index = InvertedIndex(docs_by_ord, cells_by_term, doc_lengths, doc_records)
     if stats != _stats_line(index):
         raise CorruptIndex(f"stats line {stats!r} does not match the records")
+    if doc_lengths and min(doc_lengths.values()) < 0:
+        doc_id = next(d for d, length in doc_lengths.items() if length < 0)
+        raise CorruptIndex(f"negative length {doc_lengths[doc_id]} of doc id {doc_id!r}")
+    if cells_by_term and not index.avg_doc_length:
+        raise CorruptIndex("the doc lengths sum to 0, but the index holds terms")
     return index

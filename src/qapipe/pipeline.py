@@ -64,31 +64,23 @@ def stage_files(config: PipelineConfig, stage: StageKind) -> tuple[list[str], li
     }[stage]
 
 
-def _producers(config: PipelineConfig) -> dict[str, StageKind]:
-    """Artifact path -> the stage that produces it; the report is no stage's input."""
-    return {path: s for s in list(StageKind)[:-1] for path in stage_files(config, s)[1]}
-
-
 def validate_config(
     config: PipelineConfig, stages_requested: set[StageKind]
 ) -> list[ConfigIssue]:
-    """Empty list iff every requested stage can run against this config."""
+    """Empty list iff every requested stage can run against this config. An
+    input counts as present when a requested stage writes it."""
     issues = []
-    producers = _producers(config)
-    for stage in StageKind:
-        if stage not in stages_requested:
-            continue
+    files = {stage: stage_files(config, stage) for stage in StageKind if stage in stages_requested}
+    written = {path for _, outputs in files.values() for path in outputs}
+    for stage, (inputs, outputs) in files.items():
         if stage is StageKind.QUESTION_PROCESSING and not config.classifier_model_path:
             issues.append(
                 ConfigIssue("MissingModelPath", "classifier_model_path is not set")
             )
         if stage is StageKind.EVALUATION and not config.gold_path:
             issues.append(ConfigIssue("MissingGoldPath", "gold_path is not set"))
-        inputs, outputs = stage_files(config, stage)
         for path in inputs:
-            if producers.get(path) in stages_requested:
-                continue  # will exist by the time this stage runs
-            if not Path(path).is_file():
+            if path not in written and not Path(path).is_file():
                 issues.append(ConfigIssue("MissingFile", path))
         for path in outputs:
             if not Path(path).parent.is_dir():
@@ -120,21 +112,18 @@ def run_pipeline(
     """Run the requested stages serially with their engines; abort on first failure."""
     if not stages:
         raise OrderViolation("no stages requested")
-    order = {stage: i for i, stage in enumerate(StageKind)}
-    indices = [order[s] for s in stages]
-    if indices != sorted(set(indices)):
+    if stages != sorted(set(stages), key=list(StageKind).index):
         raise OrderViolation(f"stages out of pipeline order: {[s.value for s in stages]}")
     if missing := [s.value for s in stages if s not in engines]:
         raise UsageError(f"no engine for stages: {missing}")
 
     issues = validate_config(config, set(stages))
-    producers = _producers(config)
-    for issue in issues:
-        if issue.code == "MissingFile" and issue.detail in producers:
-            raise OrderViolation(
-                f"{issue.detail} does not exist and {producers[issue.detail].value}, "
-                "which makes it, is not requested"
-            )
+    for stage in StageKind:
+        for path in stage_files(config, stage)[1]:
+            if ConfigIssue("MissingFile", path) in issues:
+                raise OrderViolation(
+                    f"{path} does not exist and {stage.value}, which makes it, is not requested"
+                )
     if issues:
         raise ValidationFailed(issues)
 

@@ -1,8 +1,9 @@
 """Document retrieval, passage segmentation and the passage score.
 
-Retrieval is BM25 (k1=1.2, b=0.75) over the inverted index with
-idf = ln(1 + (N - df + 0.5) / (df + 0.5)), which is non-negative, so
-adding an occurrence of a matched term never lowers a passage score.
+This module owns BM25 (k1=1.2, b=0.75); the index only stores and counts.
+A term's idf = ln(1 + (N - df + 0.5) / (df + 0.5)) is non-negative, so
+adding an occurrence of a matched term never lowers a passage score. Its
+impact in a document is idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)).
 `score_term_tuples` is the one passage-score kernel.
 """
 
@@ -36,16 +37,21 @@ class Passage(NamedTuple):
     passage_score: float = 0.0
 
 
-def _term_impacts(index: InvertedIndex, term: str) -> dict[str, float]:
-    """The BM25 impact of `term` in each document of its postings, by doc id."""
-    avg = index.avg_doc_length
-    idf = index.idf(term)
-    lengths = index.doc_lengths
-    k1, b = BM25_K1, BM25_B
-    return {
-        doc_id: idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * lengths[doc_id] / avg))
-        for doc_id, tf in index.postings(term)
-    }
+def _bm25_term(index: InvertedIndex, term: str) -> tuple[float, dict[str, float]]:
+    """The `bm25_terms` memo entry of `term`, made on its first use."""
+    entry = index.bm25_terms.get(term)
+    if entry is None:
+        n = index.doc_count
+        df = index.document_frequency(term)
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        avg = index.avg_doc_length
+        lengths = index.doc_lengths
+        k1, b = BM25_K1, BM25_B
+        entry = index.bm25_terms[term] = (idf, {
+            doc_id: idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * lengths[doc_id] / avg))
+            for doc_id, tf in index.postings(term)
+        })
+    return entry
 
 
 def retrieve_documents(
@@ -54,23 +60,18 @@ def retrieve_documents(
     """Top-k BM25; ties break by doc_id ascending. An empty query scores
     no document, so it gives [].
 
-    A term's impacts are computed on its first use and kept in the index's
-    `bm25_impacts` memo. Scores are summed by dict union, in query-term
-    order: the first term's impacts are the scores, each next term's
-    impacts update them, and only the documents scored before it get
-    Python work, their old score plus its impact. Every impact is
-    positive, so a document's first impact is its score exactly, as 0.0
-    plus the impact is. Only the scores at or above the k-th largest are
-    ordered.
+    Scores are summed by dict union, in query-term order: the first term's
+    impacts are the scores, each next term's impacts update them, and only
+    the documents scored before it get Python work, their old score plus
+    its impact. Every impact is positive, so a document's first impact is
+    its score exactly, as 0.0 plus the impact is. Only the scores at or
+    above the k-th largest are ordered.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    memo = index.bm25_impacts
     scores: dict[str, float] = {}
     for term in query_terms:
-        impacts = memo.get(term)
-        if impacts is None:
-            impacts = memo[term] = _term_impacts(index, term)
+        impacts = _bm25_term(index, term)[1]
         if not scores:
             scores = dict(impacts)
             continue
@@ -174,7 +175,7 @@ class PassageFeatures:
 def query_weights(query_terms: list[str], index: InvertedIndex) -> list[tuple[str, float]]:
     """Each query term with its idf, in query-term order: all that the
     passage score reads of the question and the index."""
-    return [(term, index.idf(term)) for term in query_terms]
+    return [(term, _bm25_term(index, term)[0]) for term in query_terms]
 
 
 def score_term_tuples(

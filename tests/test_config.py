@@ -170,6 +170,26 @@ def test_validate_missing_output_dir(tmp_path):
     assert [(i.code, i.detail) for i in issues] == [("MissingDir", str(tmp_path / "out"))]
 
 
+def test_validation_failure_lists_every_stage_issue_in_pipeline_order(tmp_path):
+    """Issues in all four stages, each stage's in the order it checks them."""
+    from qapipe.config import ValidationFailed
+    from qapipe.pipeline import run_pipeline
+    from qapipe.stages import default_engines
+
+    body = MINIMAL.replace("answers.txt", "out/answers.txt")
+    config = load_config(write_config(tmp_path, body))
+    with pytest.raises(ValidationFailed) as exc:
+        run_pipeline(config, default_engines(), list(StageKind))
+    out = tmp_path / "out"
+    assert str(exc.value) == (
+        f"MissingFile: {tmp_path / 'corpus.tsv'}; "
+        "MissingModelPath: classifier_model_path is not set; "
+        f"MissingFile: {tmp_path / 'questions.txt'}; "
+        f"MissingDir: {out}; MissingDir: {out}; "
+        "MissingGoldPath: gold_path is not set"
+    )
+
+
 def test_validate_model_required_for_question_processing(tmp_path):
     (tmp_path / "questions.txt").write_text("q1\tWho?\n", encoding="utf-8")
     config = load_config(write_config(tmp_path, MINIMAL))

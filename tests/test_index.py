@@ -306,6 +306,36 @@ NOT_GAP_TF = "not ascending GAP[:TF] cells"
 PAST_LAST = "an ordinal is not below the doc count 2"
 
 
+def test_negative_doc_length_rejected(tmp_path):
+    """Every number in the file is unsigned. A negative length would load
+    and change each BM25 score through the average doc length."""
+    with pytest.raises(CorruptIndex, match="negative length -40 of doc id 'b'"):
+        load_altered_two_doc_index(tmp_path, (B_LINE, B_LINE.replace(b"\t2\t", b"\t-40\t")))
+
+
+def test_doc_lengths_summing_to_0_rejected_when_the_index_holds_terms(tmp_path):
+    """All lengths 0 would load and then fail the first retrieval with a
+    division by zero that names no file."""
+    zeroed = [(line, line.replace(b"\t2\t", b"\t0\t")) for line in (A_LINE, B_LINE)]
+    with pytest.raises(CorruptIndex, match="doc lengths sum to 0, but the index holds terms"):
+        load_altered_two_doc_index(tmp_path, *zeroed)
+
+
+def test_documents_of_empty_text_load(tmp_path):
+    """An empty document's length is 0; it loads beside documents with
+    terms, and an index of empty documents alone, which holds no term,
+    loads too."""
+    idx = load_altered_two_doc_index(
+        tmp_path, (B_LINE, b"doc\tb\t0\t-\t\n"), (CHERRY_LINE, b""),
+        (PIE_LINE, b"term\tpie\t0\n"), (b"terms=3\tpostings=4", b"terms=2\tpostings=2"))
+    assert idx == build_index([doc("a", "apple pie"), doc("b", "")])
+    assert idx.doc_lengths == {"a": 2, "b": 0}
+    assert [d.doc_id for d in retrieve_documents(idx, ["pie"], 5)] == ["a"]
+    path = tmp_path / "empty.qix"
+    write_index(build_index([doc("a", ""), doc("b", "")]), path)
+    assert load_index(path).doc_lengths == {"a": 0, "b": 0}
+
+
 def test_descending_terms_rejected(tmp_path):
     """Swapped term lines would load, and write back as different bytes."""
     with pytest.raises(CorruptIndex, match="term 'apple' does not follow 'cherry'"):

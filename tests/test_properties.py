@@ -388,7 +388,8 @@ def test_query_terms_match_token_reference(text, target):
 
 
 def reference_score_passage(passage, query_terms, index, coverage_weight):
-    """score_passage as it was before terms(), counting Token surfaces."""
+    """score_passage as it was before terms(), counting Token surfaces, with
+    the idf computed here from the index's counts."""
     if not query_terms:
         return 0.0
     counts = Counter(t.surface for t in tokenize(passage.text))
@@ -398,7 +399,9 @@ def reference_score_passage(passage, query_terms, index, coverage_weight):
         n = counts.get(term, 0)
         if n > 0:
             matched += 1
-            score += index.idf(term) * (1.0 + math.log(n))
+            df = index.document_frequency(term)
+            idf = math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
+            score += idf * (1.0 + math.log(n))
     return score + coverage_weight * (matched / len(query_terms))
 
 

@@ -158,7 +158,9 @@ def test_score_passage_no_match_is_zero():
 def test_score_passage_all_terms_once():
     idx = make_index({"d1": "alpha beta gamma", "d2": "delta epsilon"})
     passage = segment_passages(idx.document("d1"))[0]
-    expected = idx.idf("alpha") + idx.idf("beta") + 2.0
+    n, df = idx.doc_count, idx.document_frequency("alpha")
+    assert df == idx.document_frequency("beta") == 1
+    expected = 2 * math.log(1.0 + (n - df + 0.5) / (df + 0.5)) + 2.0
     assert score_passage(passage, ["alpha", "beta"], idx, 2.0) == pytest.approx(expected)
 
 

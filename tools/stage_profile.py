@@ -59,7 +59,10 @@ only when it is first segmented, so that is the number of documents
 whose passages the index keeps. Then it prints the median and the
 maximum number of passages scored per question, those of the
 documents the question retrieves; answering sorts them by score to
-keep the best.
+keep the best. Then it prints how many query terms answering decoded,
+those in the index's BM25 memo that the index holds, and how many of
+them hold an explicit tf, a cell with `:TF`: the traffic that
+`InvertedIndex.postings`' one decode loop serves.
 
 Last, it answers the analyses cold and then warm once more, on another
 freshly loaded index with tracemalloc on, and prints each per-index
@@ -67,8 +70,8 @@ memo's entries and the MB that clearing it frees, cleared in this
 order: the passages' extraction hits, found on the features that the
 documents' passages memo holds; that memo, each document's passages
 with their features, whose row also counts the passages; and the BM25
-impacts, one dict of doc id to impact per term, whose row also counts
-the impacts.
+memo, each term's idf and its dict of doc id to impact, whose row also
+counts the impacts.
 """
 
 import argparse
@@ -302,13 +305,13 @@ def memo_sizes(extraction, index, analyses, settings) -> list[tuple[str, int, fl
                 f.hits = None
 
         passages = sum(len(doc_passages) for doc_passages, _ in index.doc_passages.values())
-        impacts = sum(map(len, index.bm25_impacts.values()))
+        impacts = sum(len(term_impacts) for _, term_impacts in index.bm25_terms.values())
         return [
             clear("passage hits", with_hits, drop_hits),
             clear(f"doc passages + features ({passages} passages)", len(index.doc_passages),
                   index.doc_passages.clear),
-            clear(f"bm25 impact dicts ({impacts} impacts)", len(index.bm25_impacts),
-                  index.bm25_impacts.clear),
+            clear(f"bm25 terms: idf + impacts ({impacts} impacts)", len(index.bm25_terms),
+                  index.bm25_terms.clear),
         ]
     finally:
         tracemalloc.stop()
@@ -411,6 +414,9 @@ def main(argv=None) -> int:
                   retrieve_documents(index, analysis.query_terms, settings.k))
               for analysis in analyses]
     print(f"{'passages scored, median / max':32s} {median(scored):8g} {max(scored):8d}")
+    decoded = [index.cells[term] for term in index.bm25_terms if term in index.cells]
+    explicit = sum(":" in cells for cells in decoded)
+    print(f"{'query terms decoded, explicit tf':32s} {len(decoded):8d} {explicit:8d}")
 
     sizes = memo_sizes(extraction, load_index(config.index_path), analyses, settings)
     print(f"\n{'memo after cold + warm':40s} {'entries':>8s} {'MB':>8s}")
